@@ -12,9 +12,11 @@ Two implementations coexist:
   — one Python loop per packet, kept as the tested oracle;
 * the columnar path (:func:`extract_columns_segments`, reached through
   :meth:`RawFeatureExtractor.extract_packet_trains`) — all 32 features for
-  many connections at once as NumPy array operations over a shared
+  many connections at once as NumPy array operations over one
   :class:`~repro.netstack.columns.PacketColumns`, numerically identical to
-  the reference (``tests/features/test_columnar_equivalence.py``).
+  the reference (``tests/features/test_columnar_equivalence.py``), also for
+  connections that span several capture blocks (the batch gathers their rows
+  into one block).  Only object or mixed packet lists fall back to the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.features.schema import NUM_RAW_FEATURES
-from repro.netstack.columns import ColumnPacketView, PacketColumns, columns_of_train
+from repro.netstack.columns import ColumnPacketView, PacketColumns
 from repro.netstack.flow import Connection
 from repro.netstack.options import encode_options, summarize_feature_options
 from repro.netstack.packet import Direction, Packet
@@ -57,23 +59,8 @@ class RawFeatureExtractor:
         return self.extract_packets(connection.packets)
 
     def extract_packets(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Extract features for an ordered packet train of one connection.
-
-        Column-backed trains (every packet a
-        :class:`~repro.netstack.columns.ColumnPacketView` over one shared
-        :class:`~repro.netstack.columns.PacketColumns`) take the vectorized
-        path; anything else goes through the per-packet reference.
-        """
-        columns = columns_of_train(packets)
-        if columns is None:
-            return self.extract_packets_reference(packets)
-        size = len(packets)
-        return extract_columns_segments(
-            columns,
-            np.fromiter((packet.index for packet in packets), dtype=np.int64, count=size),
-            np.array([0, size], dtype=np.int64),
-            np.fromiter((int(packet.direction) for packet in packets), dtype=np.int64, count=size),
-        )
+        """Extract features for an ordered packet train of one connection."""
+        return self.extract_packet_trains([packets])[0]
 
     def extract_packets_reference(self, packets: Sequence[Packet]) -> np.ndarray:
         """The per-packet oracle: one Python loop, one row list per packet."""
@@ -90,33 +77,48 @@ class RawFeatureExtractor:
     def extract_packet_trains(self, trains: Sequence[Sequence[Packet]]) -> list[np.ndarray]:
         """Feature matrices for many packet trains (one per connection).
 
-        Trains sharing one :class:`~repro.netstack.columns.PacketColumns` are
-        concatenated and extracted in a single vectorized pass
-        (:func:`extract_columns_segments`); the rest fall back to the
-        per-packet reference.  Output order matches the input.
+        Every train of :class:`~repro.netstack.columns.ColumnPacketView`
+        handles, whichever capture blocks it spans, joins one vectorized pass
+        (:func:`extract_columns_segments`); object-``Packet`` and mixed trains
+        go through the per-packet reference.  Output order matches the input.
         """
         results: list[np.ndarray | None] = [None] * len(trains)
-        groups: dict[int, tuple[PacketColumns, list[int]]] = {}
+        members: list[int] = []
+        blocks: list[PacketColumns] = []
+        rows: list[int] = []
+        directions: list[int] = []
+        bounds = [0]
         for train_index, train in enumerate(trains):
-            columns = columns_of_train(train)
-            if columns is None:
-                results[train_index] = self.extract_packets_reference(train)
+            if not train:
+                results[train_index] = np.zeros((0, NUM_RAW_FEATURES), dtype=np.float64)
+            elif all(type(packet) is ColumnPacketView for packet in train):
+                members.append(train_index)
+                blocks.extend([packet.columns for packet in train])
+                rows.extend([packet.index for packet in train])
+                directions.extend([packet.direction for packet in train])
+                bounds.append(len(rows))
             else:
-                groups.setdefault(id(columns), (columns, []))[1].append(train_index)
-        for columns, members in groups.values():
-            index_parts: list[int] = []
-            direction_parts: list[int] = []
-            bounds = [0]
-            for train_index in members:
-                train = trains[train_index]
-                index_parts.extend(packet.index for packet in train)
-                direction_parts.extend(int(packet.direction) for packet in train)
-                bounds.append(len(index_parts))
+                results[train_index] = self.extract_packets_reference(train)
+        if members:
+            indices = np.asarray(rows, dtype=np.int64)
+            distinct = {id(block): block for block in blocks}
+            columns = blocks[0]
+            if len(distinct) > 1:
+                # Gather every block's rows (block by block), then renumber
+                # each packet to its row in the gathered block.
+                number = {key: position for position, key in enumerate(distinct)}
+                block_of = np.fromiter((number[id(b)] for b in blocks), np.int64, len(blocks))
+                order = np.argsort(block_of, kind="stable")
+                split = np.split(indices[order], np.cumsum(np.bincount(block_of))[:-1])
+                columns = PacketColumns.gather(
+                    list(zip(distinct.values(), split, strict=True)), _FEATURE_COLUMNS
+                )
+                indices[order] = np.arange(order.size)
             matrix = extract_columns_segments(
                 columns,
-                np.asarray(index_parts, dtype=np.int64),
+                indices,
                 np.asarray(bounds, dtype=np.int64),
-                np.asarray(direction_parts, dtype=np.int64),
+                np.asarray(directions, dtype=np.int64),
             )
             for position, train_index in enumerate(members):
                 results[train_index] = matrix[bounds[position] : bounds[position + 1]]
@@ -243,6 +245,15 @@ _FLAG_COLUMNS: tuple[tuple[int, int], ...] = (
     (10, TcpFlags.ECE),
     (11, TcpFlags.CWR),
     (12, TcpFlags.NS),
+)
+
+
+#: The columns :func:`extract_columns_segments` reads: all a batch gathered
+#: from several capture blocks has to carry.
+_FEATURE_COLUMNS = (
+    "timestamp", "seq", "ack", "flags", "data_offset", "window", "tcp_ok", "urgent",
+    "payload_len", "mss", "ts_present", "tsval", "tsecr", "ws_shift", "ut_timeout",
+    "md5_ok", "total_length", "ttl", "ihl", "ip_ok", "version", "tos", "ip_options",
 )
 
 

@@ -10,7 +10,6 @@ from repro.netstack.addresses import int_to_ip, ip_to_int, is_private
 from repro.netstack.columns import (
     ColumnPacketView,
     PacketColumns,
-    columns_of_train,
     parse_packet_columns,
 )
 from repro.netstack.checksum import (
@@ -89,7 +88,6 @@ __all__ = [
     "UserTimeout",
     "WindowScale",
     "assemble_connections",
-    "columns_of_train",
     "connection_looks_closed",
     "decode_options",
     "encode_options",

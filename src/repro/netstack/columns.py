@@ -407,17 +407,7 @@ class PacketColumns:
     # ------------------------------------------------------------ constructors
     @classmethod
     def empty(cls) -> "PacketColumns":
-        kwargs = {}
-        for name in _ARRAY_FIELDS:
-            if name == "timestamp":
-                kwargs[name] = np.zeros(0, dtype=np.float64)
-            elif name in ("mss", "ws_shift", "ut_timeout", "md5_ok"):
-                kwargs[name] = np.zeros(0, dtype=np.float64)
-            elif name in ("ip_options", "ip_ok", "tcp_ok", "ts_present"):
-                kwargs[name] = np.zeros(0, dtype=bool)
-            else:
-                kwargs[name] = np.zeros(0, dtype=np.int64)
-        return cls(**kwargs)
+        return cls(**{name: np.zeros(0, dtype=_field_dtype(name)) for name in _ARRAY_FIELDS})
 
     @classmethod
     def concatenate(cls, blocks: Sequence["PacketColumns"]) -> "PacketColumns":
@@ -427,10 +417,7 @@ class PacketColumns:
             return cls.empty()
         if len(blocks) == 1:
             return blocks[0]
-        kwargs = {
-            name: np.concatenate([getattr(block, name) for block in blocks])
-            for name in _ARRAY_FIELDS
-        }
+        stitched = cls.gather([(block, slice(None)) for block in blocks])
         if all(block.buffer is not None for block in blocks):
             base = 0
             offset_parts = []
@@ -439,14 +426,32 @@ class PacketColumns:
                 buffers.append(block.buffer)
                 offset_parts.append(block.offsets + base)
                 base += block.buffer.shape[0]
-            kwargs["buffer"] = np.concatenate(buffers)
-            kwargs["offsets"] = np.concatenate(offset_parts)
-            kwargs["lengths"] = np.concatenate([block.lengths for block in blocks])
+            stitched.buffer = np.concatenate(buffers)
+            stitched.offsets = np.concatenate(offset_parts)
+            stitched.lengths = np.concatenate([block.lengths for block in blocks])
         elif all(block.packets is not None for block in blocks):
             merged: list[Packet] = []
             for block in blocks:
                 merged.extend(block.packets)
-            kwargs["packets"] = merged
+            stitched.packets = merged
+        return stitched
+
+    @classmethod
+    def gather(
+        cls,
+        parts: Sequence[tuple["PacketColumns", np.ndarray | slice]],
+        fields: Sequence[str] = _ARRAY_FIELDS,
+    ) -> "PacketColumns":
+        """Rows of several blocks as one new block: each ``(block, rows)``
+        part adds ``block``'s rows (index array or slice), parts back to back.
+
+        Only the ``fields`` columns are copied; the others are ``None`` and
+        there is no materialisation backing, so the result serves readers of
+        ``fields`` only (feature extraction over connections spanning blocks).
+        """
+        kwargs: dict[str, object] = dict.fromkeys(_ARRAY_FIELDS)
+        for name in fields:
+            kwargs[name] = np.concatenate([getattr(block, name)[rows] for block, rows in parts])
         return cls(**kwargs)
 
     @classmethod
@@ -1016,22 +1021,3 @@ def parse_packet_columns(
         offsets=offsets,
         lengths=lengths,
     )
-
-
-def columns_of_train(packets: Sequence[object]) -> PacketColumns | None:
-    """The shared :class:`PacketColumns` behind ``packets``, or ``None``.
-
-    A train qualifies for the columnar feature path only when every element
-    is a :class:`ColumnPacketView` over the same columns object (one capture
-    block); anything else extracts through the per-packet reference.
-    """
-    if not packets:
-        return None
-    first = packets[0]
-    if type(first) is not ColumnPacketView:
-        return None
-    columns = first.columns
-    for packet in packets:
-        if type(packet) is not ColumnPacketView or packet.columns is not columns:
-            return None
-    return columns

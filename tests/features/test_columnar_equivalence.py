@@ -10,7 +10,9 @@ extractor on every input the system can see:
 * hand-built wire-level edge cases: malformed and duplicate TCP options, bad
   IP/TCP checksums, reserved header bits, sequence/ACK/TSval wraparound,
   truncated and oversized header-length fields, connections shorter than the
-  stack length.
+  stack length;
+* connections whose packets span several capture read blocks, batched
+  together with single-block, empty, object-``Packet`` and mixed trains.
 """
 
 import struct
@@ -35,6 +37,7 @@ from repro.netstack.options import (
 from repro.netstack.packet import Direction, Packet
 from repro.netstack.pcap import PcapWriter, read_packet_columns, read_pcap, write_pcap
 from repro.netstack.tcp import TcpFlags, TcpHeader
+from repro.serve.sources import PcapSource
 from repro.traffic.generator import TrafficGenerator
 
 EXTRACTOR = RawFeatureExtractor()
@@ -312,3 +315,78 @@ class TestEngineEquivalence:
         for a, b in zip(object_results, view_results):
             assert a.key == b.key
             assert a.score == pytest.approx(b.score, abs=1e-12)
+
+
+class TestCrossBlockTrains:
+    """Connections read in tiny capture blocks span several blocks; they must
+    stay on the columnar path and match the reference bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def capture(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cross-block") / "capture.pcap"
+        write_pcap(path, packet_stream(TrafficGenerator(seed=4096).generate_connections(24)))
+        return path
+
+    def test_batch_matches_reference_and_runs_it_only_for_object_trains(
+        self, capture, monkeypatch
+    ):
+        objects = assemble_connections(read_pcap(capture))
+        spanning = assemble_connections(PcapSource(capture, block_bytes=4096))
+        single = assemble_connections(read_packet_columns(capture).views())
+        assert len(objects) == len(spanning) == len(single)
+        spans = [len({id(packet.columns) for packet in c.packets}) for c in spanning]
+        assert sum(span >= 2 for span in spans) > len(spans) // 2
+        references = [EXTRACTOR.extract_packets_reference(c.packets) for c in objects]
+        mixed = list(spanning[1].packets)
+        mixed[0] = mixed[0].materialize()
+        trains = [
+            spanning[0].packets,
+            single[0].packets,
+            [],
+            objects[2].packets,
+            mixed,
+            single[3].packets,
+            *(connection.packets for connection in spanning[4:]),
+        ]
+        expected = [
+            references[0],
+            references[0],
+            np.zeros((0, 32)),
+            references[2],
+            references[1],
+            references[3],
+            *references[4:],
+        ]
+
+        calls = []
+        reference = RawFeatureExtractor.extract_packets_reference
+
+        def spy(self, packets):
+            calls.append(packets)
+            return reference(self, packets)
+
+        monkeypatch.setattr(RawFeatureExtractor, "extract_packets_reference", spy)
+        got = EXTRACTOR.extract_packet_trains(trains)
+        assert len(got) == len(expected)
+        for index, (features, wanted) in enumerate(zip(got, expected, strict=True)):
+            assert features.shape == wanted.shape, index
+            assert np.array_equal(features, wanted), index
+        assert [id(train) for train in calls] == [id(trains[3]), id(trains[4])]
+
+    def test_single_train_across_blocks(self, capture):
+        objects = assemble_connections(read_pcap(capture))
+        spanning = assemble_connections(PcapSource(capture, block_bytes=4096))
+        for obj, col in zip(objects, spanning, strict=True):
+            assert np.array_equal(
+                EXTRACTOR.extract_packets(col.packets),
+                EXTRACTOR.extract_packets_reference(obj.packets),
+            )
+
+    def test_single_block_batch_is_not_copied(self, capture, monkeypatch):
+        def no_gather(*args, **kwargs):
+            raise AssertionError("a single-block batch must index its block in place")
+
+        monkeypatch.setattr(PacketColumns, "gather", no_gather)
+        single = assemble_connections(read_packet_columns(capture).views())
+        got = EXTRACTOR.extract_packet_trains([c.packets for c in single])
+        assert sum(len(features) for features in got) == sum(len(c) for c in single)

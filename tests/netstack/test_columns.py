@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.netstack.columns import PacketColumns, columns_of_train
+from repro.netstack.columns import _ARRAY_FIELDS, PacketColumns, _field_dtype
 from repro.netstack.flow import FlowKey, assemble_connections, packet_stream
 from repro.netstack.packet import Packet
 from repro.netstack.pcap import (
@@ -88,6 +88,13 @@ class TestParseAgainstObjects:
             assert len(a) == len(b)
             assert [p.direction for p in a] == [p.direction for p in b]
 
+    def test_empty_capture_parses_to_empty_columns(self, tmp_path):
+        path = tmp_path / "empty.pcap"
+        path.write_bytes(struct.pack("IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
+        columns = read_packet_columns(path)
+        assert len(columns) == 0
+        assert columns.views() == []
+
 
 class TestBlockStreaming:
     def test_tiny_blocks_carry_records_across_boundaries(self, capture):
@@ -168,28 +175,40 @@ class TestFromPackets:
         assert materialized is not packets[0]  # copy, shared packet untouched
 
 
-class TestColumnsOfTrain:
-    def test_accepts_only_single_columns_trains(self, capture):
-        columns = read_packet_columns(capture)
-        views = columns.views()
-        assert columns_of_train(views[:5]) is columns
-        assert columns_of_train([]) is None
-        assert columns_of_train(read_pcap(capture)[:3]) is None
-        other = PacketColumns.from_packets(read_pcap(capture)[:2]).views()
-        assert columns_of_train(views[:2] + other) is None
+class TestGather:
+    def test_keeps_dtypes_and_row_order_across_three_blocks(self, capture):
+        with PcapReader(capture) as reader:
+            blocks = list(reader.iter_column_blocks(block_bytes=4096))
+        assert len(blocks) >= 3
+        whole = read_packet_columns(capture)
+        bases = np.cumsum([0] + [len(block) for block in blocks])
+        picks = [
+            (2, np.array([3, 0, 1])),
+            (0, np.array([5, 5, 2])),
+            (1, np.arange(len(blocks[1]))[::-1]),
+        ]
+        gathered = PacketColumns.gather([(blocks[number], rows) for number, rows in picks])
+        expected = np.concatenate([rows + bases[number] for number, rows in picks])
+        assert len(gathered) == expected.size
+        for name in _ARRAY_FIELDS:
+            column = getattr(gathered, name)
+            assert column.dtype == _field_dtype(name), name
+            assert np.array_equal(column, getattr(whole, name)[expected]), name
+        assert gathered.buffer is None and gathered.packets is None
 
-    def test_empty_capture_parses_to_empty_columns(self, tmp_path):
-        path = tmp_path / "empty.pcap"
-        path.write_bytes(struct.pack("IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
-        columns = read_packet_columns(path)
-        assert len(columns) == 0
-        assert columns.views() == []
+    def test_copies_only_the_named_fields(self, capture):
+        columns = read_packet_columns(capture)
+        gathered = PacketColumns.gather(
+            [(columns, np.array([4, 1])), (columns, np.array([0]))],
+            fields=("timestamp", "seq"),
+        )
+        assert np.array_equal(gathered.seq, columns.seq[[4, 1, 0]])
+        assert np.array_equal(gathered.timestamp, columns.timestamp[[4, 1, 0]])
+        assert gathered.src is None and gathered.tsval is None
 
 
 class TestPackBlock:
     def _assert_columns_equal(self, left, right):
-        from repro.netstack.columns import _ARRAY_FIELDS
-
         assert len(left) == len(right)
         for name in _ARRAY_FIELDS:
             assert np.array_equal(getattr(left, name), getattr(right, name)), name

@@ -15,14 +15,17 @@ import threading
 
 import pytest
 
+from repro.features.fields import RawFeatureExtractor
 from repro.netstack.columns import PacketColumns
 from repro.netstack.flow import CompletionReason
 from repro.netstack.flow import packet_stream as _packet_stream
+from repro.netstack.pcap import write_pcap
 from repro.serve import (
     DropPolicy,
     FlushPolicy,
     IterableSource,
     ParallelStreamingDetector,
+    PcapSource,
     StreamingDetector,
     StreamingMetrics,
     Tick,
@@ -105,6 +108,52 @@ class TestProcessEquivalence:
         got = _rows(_drain_all(process, stream()))
         assert [row[:2] for row in got] == [row[:2] for row in expected]
         assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize(("worker_mode", "workers"), [("thread", 1), ("process", 2)])
+    def test_tiny_read_blocks_give_the_same_events(
+        self, trained_clap, clap_model_dir, tmp_path, monkeypatch, worker_mode, workers
+    ):
+        """Connections spread over many 4 KiB capture blocks score exactly
+        as they do when read in the default 4 MiB blocks, and (in thread
+        mode, where the extractor can be watched) never leave the columnar
+        feature path."""
+        path = tmp_path / "capture.pcap"
+        write_pcap(path, _packet_stream(TrafficGenerator(seed=77).generate_connections(24)))
+
+        def rows(block_bytes):
+            detector = ParallelStreamingDetector(
+                trained_clap,
+                workers=workers,
+                worker_mode=worker_mode,
+                model_dir=clap_model_dir,
+                flush_policy=FlushPolicy(max_batch=4),
+            )
+            events = _drain_all(detector, PcapSource(path, block_bytes=block_bytes))
+            return sorted(
+                (
+                    str(e.result.key),
+                    e.first_seen,
+                    e.result.packet_count,
+                    e.result.localized_packet,
+                    e.result.score,
+                )
+                for e in events
+            )
+
+        expected = rows(4 << 20)
+        reference_calls = []
+        reference = RawFeatureExtractor.extract_packets_reference
+
+        def spy(self, packets):
+            reference_calls.append(packets)
+            return reference(self, packets)
+
+        monkeypatch.setattr(RawFeatureExtractor, "extract_packets_reference", spy)
+        got = rows(4096)
+        assert len(expected) == 24
+        assert [row[:4] for row in got] == [row[:4] for row in expected]
+        assert all(abs(a[4] - b[4]) < 1e-9 for a, b in zip(got, expected, strict=True))
+        assert reference_calls == []
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_realistic_timeouts_still_equivalent(
