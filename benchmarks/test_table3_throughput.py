@@ -7,16 +7,16 @@ faster than the ensemble-of-autoencoders baseline.
 
 Beyond the paper, the table now also tracks the full packets-in/alerts-out
 serving path: ``mode="streaming"`` replays the test connections' packets in
-timestamp order through the sharded :class:`ParallelStreamingDetector` at
-worker counts 1 and 4, covering flow assembly, micro-batching and event
-dispatch — not just scoring.  The streaming rows use the columnar ingest
-path (what a ``PcapSource`` feeds the runtime since the columnar-ingest PR);
-a ``workers=1, object`` row keeps the per-``Packet`` reference measurable.
+timestamp order through :class:`ParallelStreamingDetector` — in process on
+the caller's thread, and across 1 and 4 worker processes — covering flow
+assembly, micro-batching and event dispatch, not just scoring.  The
+streaming rows use the columnar ingest path (what a ``PcapSource`` feeds the
+runtime); a ``workers=1, object`` row keeps the per-``Packet`` reference
+measurable.
 
-Worker rows come in both substrates: ``thread`` workers share one GIL (only
-the NumPy-released portions parallelise), while ``process`` workers each own
-a core — the model is loaded read-only via mmap and capture blocks ship as
-packed column slices.  Since the setup/steady split, each row's fixed costs
+The ``worker`` rows run one in-process detector; ``process`` workers each
+own a core — the model is loaded read-only via mmap and capture blocks ship
+as packed column slices.  Since the setup/steady split, each row's fixed costs
 (detector construction, worker spawn, the process pool's artifact save and
 per-worker model map) are measured into a separate ``Setup (s)`` column and
 the ``Packets/Second`` column is the steady-state ingest rate; the old
@@ -83,7 +83,6 @@ def test_table3_throughput(experiment, benchmark):
         "CLAP (streaming, 1 worker, gru-f32)": best_streaming(
             1, "columnar", backend="gru-f32"
         ),
-        "CLAP (streaming, 4 workers)": best_streaming(4, "columnar"),
         "CLAP (streaming, 1 worker, object)": best_streaming(1, "object"),
         "CLAP (streaming, 1 process)": best_streaming(1, "columnar", "process"),
         "CLAP (streaming, 4 processes)": best_streaming(4, "columnar", "process"),
@@ -154,7 +153,6 @@ def test_table3_throughput(experiment, benchmark):
     assert clap_quantized.packets_per_second > 0.9 * clap.packets_per_second
 
     streaming_1 = throughput["CLAP (streaming, 1 worker)"]
-    streaming_4 = throughput["CLAP (streaming, 4 workers)"]
     streaming_f32 = throughput["CLAP (streaming, 1 worker, gru-f32)"]
     streaming_object = throughput["CLAP (streaming, 1 worker, object)"]
     process_1 = throughput["CLAP (streaming, 1 process)"]
@@ -165,7 +163,7 @@ def test_table3_throughput(experiment, benchmark):
     # dilutes toward 1.0x and single-core jitter can push the ratio below
     # it; guard against a real regression only.
     assert streaming_f32.packets_per_second > 0.75 * streaming_1.packets_per_second
-    assert streaming_1.connections == streaming_4.connections > 0
+    assert streaming_1.connections > 0
     assert streaming_1.connections == streaming_object.connections
     # Process mode emits the identical connection set (scores are asserted
     # equal to 1e-9 by the serve test suite; the benchmark checks the count).
@@ -174,18 +172,16 @@ def test_table3_throughput(experiment, benchmark):
     # Columnar ingest must beat the object reference on the serving path.
     assert streaming_1.packets_per_second > streaming_object.packets_per_second
     if cores > 1:
-        # With real parallel compute available, four shard workers must beat
-        # the single-worker packets-in/alerts-out baseline — and the process
-        # pool, which does not share a GIL, is the row this PR adds for it.
-        assert streaming_4.packets_per_second > streaming_1.packets_per_second
+        # With real parallel compute available, four process shards (no
+        # shared GIL) must beat the single-worker packets-in/alerts-out
+        # baseline.
         assert process_4.packets_per_second > streaming_1.packets_per_second
     else:
-        # Single-core host: neither threads nor processes can add compute, so
-        # only guard that coordination overhead stays bounded.  The process
+        # Single-core host: processes cannot add compute, so only guard that
+        # coordination overhead stays bounded.  The process
         # pool's fixed costs (artifact save, spawn, model map) now land in
         # the setup column, so these steady-state ratios measure block
         # serialisation + IPC on a time-sliced core; the tripwires keep the
         # pre-split lower bounds, which steady-state rates clear easily.
-        assert streaming_4.packets_per_second > 0.6 * streaming_1.packets_per_second
         assert process_1.packets_per_second > 0.10 * streaming_1.packets_per_second
         assert process_4.packets_per_second > 0.05 * streaming_1.packets_per_second

@@ -7,7 +7,7 @@ a versioned model artifact (weights + ``manifest.json``); a (simulated)
 middlebox process later loads it, wraps it in a
 :class:`repro.serve.ParallelStreamingDetector` and feeds it a
 :class:`repro.serve.IterableSource` packet stream.  The runtime routes each
-packet to the flow-table shard owning its flow key, workers micro-batch
+packet to the flow-table shard owning its flow key, worker processes micro-batch
 completed connections through the batched inference engine, and typed
 ``DetectionEvent``/``Alert`` objects funnel back through one callback the
 moment they are scored.  The end-of-stream metrics summary shows the
@@ -99,12 +99,15 @@ def main() -> None:
 
         # Packets in, alerts out: the sharded runtime owns routing, flow
         # assembly and micro-batching; the deployment code is just a source
-        # and a callback.  (A live deployment would swap IterableSource for
-        # PcapSource/NDJSONSource, add a ReplaySource for pacing, and pick a
-        # DropPolicy for capacity floods.)
+        # and a callback.  The two shard worker processes map the persisted
+        # artifact read-only.  (A live deployment would swap IterableSource
+        # for PcapSource/NDJSONSource, add a ReplaySource for pacing, and
+        # pick a DropPolicy for capacity floods.)
         streaming = ParallelStreamingDetector(
             detector_model,
             workers=2,
+            worker_mode="process",
+            model_dir=model_dir,
             flush_policy=FlushPolicy(max_batch=8),
             idle_timeout=30.0,
             close_grace=0.5,

@@ -48,7 +48,6 @@ from repro.netstack import (
     Connection,
     FlowTable,
     Packet,
-    ShardedFlowTable,
     read_pcap,
     write_pcap,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "ParallelStreamingDetector",
     "PcapSource",
     "ReplaySource",
-    "ShardedFlowTable",
     "StreamingDetector",
     "StreamingMetrics",
     "TrafficGenerator",

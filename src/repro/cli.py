@@ -8,9 +8,10 @@ writing any Python:
 * ``repro-clap train``     — train CLAP on a benign capture and persist the model;
 * ``repro-clap score``     — score a capture with a persisted model (forensic mode);
 * ``repro-clap stream``    — replay a capture (pcap or NDJSON) through the
-  sharded streaming runtime (``--workers``), emitting one NDJSON event per
-  completed connection (online mode); ``--instances``/``--instance`` fan the
-  stream out to partitioned detector instances instead;
+  streaming runtime (``--workers``/``--worker-mode process`` shard it across
+  processes), emitting one NDJSON event per completed connection (online
+  mode); ``--instances``/``--instance`` fan the stream out to partitioned
+  detector instances instead;
 * ``repro-clap serve-instance`` — run one partitioned-serving detector
   instance: listen on a socket, serve one front-end connection;
 * ``repro-clap strategies``— list the attack catalogue.
@@ -118,10 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--threshold", type=float, default=None,
                         help="override the persisted adversarial-score threshold")
     stream.add_argument("--workers", type=int, default=1,
-                        help="flow-table shards / workers (1 = single-threaded)")
+                        help="flow-table shards / worker processes; above 1 requires "
+                             "--worker-mode process")
     stream.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                        help="worker substrate: threads (default; share one GIL) or "
-                             "processes (one core each, model shared via read-only mmap)")
+                        help="thread (default): one detector on the ingest thread; "
+                             "process: one worker process per shard (one core each, "
+                             "model shared via read-only mmap)")
     stream.add_argument("--source", choices=("auto", "pcap", "ndjson"), default="auto",
                         help="input format; auto picks by file extension")
     stream.add_argument("--ingest", choices=("columnar", "object"), default="columnar",
@@ -209,9 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="port to listen on (default: OS-assigned; printed)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="flow-table shards / workers inside this instance")
+                       help="flow-table shards / worker processes inside this instance; "
+                            "above 1 requires --worker-mode process")
     serve.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                       help="worker substrate inside this instance")
+                       help="thread (default): one detector in this instance; "
+                            "process: one worker process per shard")
     serve.add_argument("--threshold", type=float, default=None,
                        help="override the persisted adversarial-score threshold")
     serve.add_argument("--max-batch", type=int, default=128,

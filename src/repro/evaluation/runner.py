@@ -320,7 +320,8 @@ class ExperimentRunner:
         parse stage is excluded for the object path too).
 
         ``worker_mode`` also applies to the streaming mode: ``"thread"``
-        (default) or ``"process"``.  Streaming rows report *steady-state*
+        (default; one in-process detector, so ``workers`` must be 1) or
+        ``"process"``.  Streaming rows report *steady-state*
         throughput: fixed startup costs — runtime construction, and for
         process pools the model-artifact save, pool spawn and each worker's
         read-only-mmap load (forced to completion by an empty ``flush()``

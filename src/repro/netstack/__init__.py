@@ -26,7 +26,6 @@ from repro.netstack.flow import (
     ConnectionAssembler,
     FlowKey,
     FlowTable,
-    ShardedFlowTable,
     assemble_connections,
     connection_looks_closed,
     flow_key_of,
@@ -81,7 +80,6 @@ __all__ = [
     "PcapWriter",
     "RawOption",
     "SackPermitted",
-    "ShardedFlowTable",
     "TcpFlags",
     "TcpHeader",
     "Timestamp",

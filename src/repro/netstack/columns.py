@@ -702,6 +702,15 @@ def _wire_view(view: memoryview, dtype: np.dtype, count: int, offset: int) -> np
     return array
 
 
+def is_packet_backed(data: bytes | bytearray | memoryview) -> bool:
+    """Whether a :meth:`PacketColumns.pack_block` payload pickles its packets.
+
+    :func:`unpack_block` unpickles that backing, and unpickling can run
+    arbitrary code, so a receiver of untrusted bytes checks this first.
+    """
+    return _PACK_HEADER.unpack_from(data, 0)[2] == _BACKING_PACKETS
+
+
 def unpack_block(
     data: bytes | bytearray | memoryview, *, lease: BlockLease | None = None
 ) -> PacketColumns:

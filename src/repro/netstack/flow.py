@@ -296,8 +296,8 @@ class FlowTable:
         Completions triggered by this packet include the connection it closed
         by reusing a 5-tuple, connections whose close-grace/idle timers
         expired as stream time advanced, and capacity evictions.  Callers
-        that already computed the packet's :class:`FlowKey` (e.g. the sharded
-        runtime's router) may pass it to skip recomputing it.
+        that already computed the packet's :class:`FlowKey` (e.g. a router
+        that hashed it to pick a shard) may pass it to skip recomputing it.
         """
         completed: list[tuple[Connection, CompletionReason]] = []
         if key is None:
@@ -401,120 +401,6 @@ class FlowTable:
             del self._closing[key]
             self._closing_due = float("-inf")
         return self._flows.pop(key)
-
-
-class ShardedFlowTable:
-    """Hash-partitioned flow assembly: N independent :class:`FlowTable` shards.
-
-    Per-flow independence makes connection assembly horizontally
-    partitionable: every packet of a flow maps to the same shard
-    (``hash(FlowKey) % shards``), so shards never share state and each can be
-    owned by a different worker (:mod:`repro.serve.runtime` does exactly
-    that).  Each shard keeps its own clock, advanced by its own packets; the
-    wrapper tracks the global stream high-water mark and lazily catches a
-    shard up to it before routing a packet into it, so close-grace/idle
-    expiry fires against global stream time exactly as it would in a single
-    table.  The emitted *set* of connections on a time-ordered stream is
-    therefore identical to a single :class:`FlowTable`'s — only the
-    interleaving of completions differs.
-
-    ``max_flows`` is a global budget divided evenly across shards (each shard
-    enforces ``ceil(max_flows / shards)``), so bounded memory survives
-    sharding; under capacity pressure the eviction *victims* can differ from
-    the single-table global LRU, which is the documented trade-off.
-    """
-
-    def __init__(
-        self,
-        shards: int = 4,
-        *,
-        idle_timeout: float = 60.0,
-        close_grace: float = 1.0,
-        max_flows: int | None = None,
-        max_packets: int | None = None,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be at least 1, got {shards}")
-        per_shard_flows = None
-        if max_flows is not None:
-            if max_flows < 1:
-                raise ValueError(f"max_flows must be at least 1, got {max_flows}")
-            per_shard_flows = -(-max_flows // shards)  # ceil division
-        self.max_flows = max_flows
-        self._tables: tuple[FlowTable, ...] = tuple(
-            FlowTable(
-                idle_timeout=idle_timeout,
-                close_grace=close_grace,
-                max_flows=per_shard_flows,
-                max_packets=max_packets,
-            )
-            for _ in range(shards)
-        )
-        self._clock = float("-inf")
-
-    # --------------------------------------------------------------- topology
-    @property
-    def shard_count(self) -> int:
-        return len(self._tables)
-
-    @property
-    def tables(self) -> tuple[FlowTable, ...]:
-        """The underlying shards (read-only view for workers and metrics)."""
-        return self._tables
-
-    def shard_index(self, key: FlowKey) -> int:
-        """The shard owning ``key`` (stable: int-tuple hashes are unsalted)."""
-        return hash(key) % len(self._tables)
-
-    def occupancy(self) -> list[int]:
-        """Tracked connections per shard (backpressure monitoring)."""
-        return [len(table) for table in self._tables]
-
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables)
-
-    @property
-    def clock(self) -> float:
-        """The global stream high-water timestamp across all shards."""
-        return self._clock
-
-    # -------------------------------------------------------------- ingestion
-    def add(self, packet: Packet) -> list[tuple[Connection, CompletionReason]]:
-        """Route ``packet`` to its shard; returns that shard's completions."""
-        key = flow_key_of(packet)
-        table = self._tables[self.shard_index(key)]
-        completed: list[tuple[Connection, CompletionReason]] = []
-        # Catch the shard up to global stream time first, so timers expire
-        # exactly when an intervening packet (on any shard) would have
-        # expired them in a single table.
-        if self._clock > table.clock:
-            completed.extend(table.poll(self._clock))
-        completed.extend(table.add(packet, key))
-        self._clock = max(self._clock, packet.timestamp)
-        return completed
-
-    def poll(self, now: float | None = None) -> list[tuple[Connection, CompletionReason]]:
-        """Advance every shard to ``now`` (or the global clock) and expire timers."""
-        if now is not None:
-            self._clock = max(self._clock, float(now))
-        completed: list[tuple[Connection, CompletionReason]] = []
-        for table in self._tables:
-            completed.extend(table.poll(self._clock))
-        return completed
-
-    def drain(self) -> list[tuple[Connection, CompletionReason]]:
-        """Merged end-of-stream drain of every shard, oldest first.
-
-        Shards whose timers already expired against global stream time are
-        completed with their true reason (CLOSED/IDLE) before the remainder
-        drains, matching what a single table would have emitted mid-stream.
-        """
-        merged = self.poll()
-        merged += [item for table in self._tables for item in table.drain()]
-        merged.sort(
-            key=lambda item: item[0].packets[0].timestamp if item[0].packets else 0.0
-        )
-        return merged
 
 
 def assemble_connections(packets: Iterable[Packet]) -> list[Connection]:

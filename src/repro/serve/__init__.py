@@ -6,18 +6,17 @@ Figure 3, layered as a streaming runtime:
 * :mod:`repro.serve.sources` — pluggable packet sources (:class:`PcapSource`,
   :class:`NDJSONSource`, rate-controlled :class:`ReplaySource` with
   :class:`Tick` heartbeats for quiet links);
-* :class:`~repro.netstack.flow.FlowTable` /
-  :class:`~repro.netstack.flow.ShardedFlowTable` — incremental,
-  hash-partitioned connection assembly;
+* :class:`~repro.netstack.flow.FlowTable` — incremental connection
+  assembly;
 * :class:`StreamingDetector` — the single-threaded detector: micro-batches
   completed connections through the batched inference engine under a
   :class:`FlushPolicy` and emits typed :class:`DetectionEvent`/:class:`Alert`
   objects via iterator and callback APIs;
 * :class:`ParallelStreamingDetector` (:mod:`repro.serve.runtime`) — fans
-  packets to per-shard workers behind bounded queues and funnels events into
-  one ordered stream, with :class:`DropPolicy` handling of capacity floods
-  and :class:`StreamingMetrics` backpressure monitoring
-  (:mod:`repro.serve.metrics`);
+  packets, hash-partitioned by flow key, to per-shard worker processes
+  behind bounded queues and funnels events into one ordered stream, with
+  :class:`DropPolicy` handling of capacity floods and
+  :class:`StreamingMetrics` backpressure monitoring (:mod:`repro.serve.metrics`);
 * :class:`FlowPartitioner` (:mod:`repro.serve.partition`) — the scale-out
   layer above the runtime: hashes each flow once and fans packet blocks to N
   :class:`~repro.serve.instance.DetectorInstance` back-ends over sockets
@@ -34,7 +33,7 @@ bounds every frame read and write with a deadline.
 """
 
 from repro.core.results import DetectionResult
-from repro.netstack.flow import CompletionReason, FlowTable, ShardedFlowTable
+from repro.netstack.flow import CompletionReason, FlowTable
 from repro.serve.events import (
     Alert,
     DegradedMode,
@@ -100,7 +99,6 @@ __all__ = [
     "ParallelStreamingDetector",
     "PcapSource",
     "ReplaySource",
-    "ShardedFlowTable",
     "StreamingDetector",
     "StreamingMetrics",
     "Tick",

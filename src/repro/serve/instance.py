@@ -2,15 +2,16 @@
 
 A :class:`DetectorInstance` wraps a full
 :class:`~repro.serve.runtime.ParallelStreamingDetector` (so each instance may
-itself shard across threads or processes) and serves exactly one front-end
+itself shard across worker processes) and serves exactly one front-end
 connection speaking the :mod:`repro.serve.wire` frame protocol.  The loop
 mirrors the process-shard worker in :mod:`repro.serve.runtime` one message
 kind at a time:
 
 * ``BLCK`` frames are unpacked once into a FIFO window of cached column
   views (lockstep with the front-end's broadcast order, so a ``ROWS`` frame
-  always finds its block cached);
-* ``ROWS``/``PKTS`` frames carry each packet's routed stream clock, and the
+  always finds its block cached); a packet-backed block is refused before
+  its pickled backing could be loaded;
+* ``ROWS`` frames carry each packet's routed stream clock, and the
   instance polls its flow table up to that clock before ingesting — an
   instance that owns a quiet subset of flows still expires idle/close-grace
   timers exactly when a single unpartitioned detector would have;
@@ -38,8 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.pipeline import Clap
-from repro.netstack.columns import ColumnPacketView, unpack_block
-from repro.netstack.packet import Packet
+from repro.netstack.columns import ColumnPacketView, is_packet_backed, unpack_block
 from repro.serve.metrics import DropPolicy
 from repro.serve.runtime import _BLOCK_CACHE_DEPTH, ParallelStreamingDetector
 from repro.serve.streaming import FlushPolicy
@@ -48,7 +48,6 @@ from repro.serve.wire import (
     TAG_CTRL,
     TAG_DONE,
     TAG_EVNT,
-    TAG_PKTS,
     TAG_ROWS,
     WireError,
     WireTimeout,
@@ -57,7 +56,6 @@ from repro.serve.wire import (
     decode_rows,
     encode_control,
     encode_events,
-    iter_ndjson,
     recv_frame,
     send_frame,
 )
@@ -93,6 +91,11 @@ class InstanceConfig:
     max_packets: int | None = None
     drop_policy: DropPolicy | None = None
     chunk_size: int | str = "adaptive"
+
+    def __post_init__(self) -> None:
+        # Fail in the front-end, not later inside a spawned instance.
+        if self.workers > 1 and self.worker_mode != "process":
+            raise ValueError(f"workers={self.workers} requires worker_mode='process'")
 
 
 class DetectorInstance:
@@ -215,9 +218,6 @@ class DetectorInstance:
             elif tag == TAG_ROWS:
                 self._handle_rows(payload)
                 self._after_data(conn)
-            elif tag == TAG_PKTS:
-                self._handle_packets(payload)
-                self._after_data(conn)
             else:
                 raise WireError(f"unexpected frame tag {bytes(tag)!r} at instance")
 
@@ -280,6 +280,10 @@ class DetectorInstance:
     # ------------------------------------------------------------------- data
     def _handle_block(self, payload) -> None:
         block_id, packed = decode_block(payload)
+        if is_packet_backed(packed):
+            raise WireError(
+                f"refusing packet-backed BLCK {block_id}: its backing is a pickle"
+            )
         self._blocks[block_id] = unpack_block(packed).views()
         while len(self._blocks) > self._block_cache:
             self._blocks.popitem(last=False)
@@ -293,16 +297,6 @@ class DetectorInstance:
             self._detector.ingest(view)
             if view.timestamp > self._clock:
                 self._clock = view.timestamp
-
-    def _handle_packets(self, payload) -> None:
-        for record in iter_ndjson(payload):
-            packet = Packet.from_bytes(
-                bytes.fromhex(record["data"]), timestamp=float(record["ts"])
-            )
-            self._advance(float(record["clock"]))
-            self._detector.ingest(packet)
-            if packet.timestamp > self._clock:
-                self._clock = packet.timestamp
 
     def _advance(self, clock: float) -> None:
         """Poll flow-table timers up to the routed global stream clock."""

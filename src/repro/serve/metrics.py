@@ -19,7 +19,7 @@ the system is under attack.  This module makes both concerns first-class:
 * :class:`StreamingMetrics` aggregates the runtime's operational signals —
   per-shard ingest/completion counters, drop counters, flush latency
   histogram, queue/pending depth high-water marks, shared-memory block
-  accounting — behind one lock so every worker thread can record into it.
+  accounting — behind one lock, so any thread may record into it.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ class DropPolicy:
 class AdmissionState:
     """Mutable per-worker counters behind :class:`DropPolicy` subnet budgets.
 
-    One instance per shard worker (thread or process), created through
+    One instance per detector or shard worker process, created through
     :meth:`DropPolicy.new_state`; the policy rides pickled worker specs while
     this object never crosses a process boundary.  Budget windows roll on
     stream time (the completing connection's last packet timestamp), so replay
@@ -249,7 +249,7 @@ class AdaptiveChunker:
     ``cooldown`` submissions must pass between two resizes, so one burst
     cannot slam the size across its whole range, and the two signals cannot
     fight each other into oscillation within a single flush interval.
-    All methods are thread-safe (ingest thread + worker threads).
+    All methods are thread-safe.
     """
 
     def __init__(

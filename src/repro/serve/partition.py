@@ -6,11 +6,13 @@ fans packets to shard workers *inside* one host, the partitioner hashes each
 :class:`~repro.netstack.flow.FlowKey` once and fans packet blocks to N
 detector **instances** over sockets — local processes spawned on demand, or
 remote hosts reached by ``host:port`` endpoint.  The wire protocol
-(:mod:`repro.serve.wire`) reuses the NDJSON pipe formats for control,
-events and object packets, and a length-prefixed binary frame carrying
+(:mod:`repro.serve.wire`) reuses the NDJSON pipe formats for control and
+events, and a length-prefixed binary frame carrying
 :meth:`~repro.netstack.columns.PacketColumns.pack_block` payloads for
-columnar data, so a capture block crosses the socket packed exactly once
-per instance and is never re-parsed.
+packet data, so a capture block crosses the socket packed exactly once per
+instance and is never re-parsed.  Object packets are packed into blocks of
+their own (:meth:`~repro.netstack.columns.PacketColumns.from_packets`) and
+ride the same frames.
 
 The transport mirrors the process-mode runtime message for message: capture
 blocks are broadcast to every instance on first sight and re-broadcast when
@@ -108,14 +110,12 @@ from repro.serve.wire import (
     TAG_CTRL,
     TAG_DONE,
     TAG_EVNT,
-    TAG_PKTS,
     TAG_ROWS,
     WireError,
     decode_control,
     decode_events,
     encode_block,
     encode_control,
-    encode_packets,
     encode_rows,
     recv_frame,
     send_frame,
@@ -636,7 +636,7 @@ class FlowPartitioner:
         # State re-registration: the live block window must reach the new
         # incarnation before any requeued ROWS slice references it.
         for block_id, columns in self._live_blocks.items():
-            payload = columns.pack_block()
+            payload = columns.pack_block(backing="none")
             send_frame(
                 sock,
                 TAG_BLCK,
@@ -657,6 +657,9 @@ class FlowPartitioner:
                 process = instance.process
                 if process is not None and process.pid is not None:
                     os.kill(process.pid, signal.SIGKILL)
+                    # Wait for the exit, so the next send sees the dead peer
+                    # instead of racing the kernel's teardown of its socket.
+                    self._reap(process)
             elif kind == "wedge-instance" and not instance.lost:
                 try:
                     send_frame(
@@ -782,99 +785,62 @@ class FlowPartitioner:
             self._on_down(down.instance, down.error, requeue=down.requeue)
 
     def _submit(self, instance: _Instance) -> None:
-        """Ship one instance's buffered rows as ROWS/PKTS runs (in order)."""
+        """Ship one instance's buffered rows as ROWS runs (in order).
+
+        Object packets (not rows of a capture block) are packed into a block
+        of their own, so ``BLCK``/``ROWS`` is the only data path and every
+        column reaches the instance exactly as the front-end extracted it.
+        """
         chunk = instance.buffer
         if not chunk or instance.lost:
             return
         instance.buffer = []
-        # Build the frame sequence first, so a mid-chunk socket failure knows
-        # exactly which packets were covered by already-sent frames and which
-        # must be requeued under the failure policy.
-        messages: list[tuple] = []
-        run_columns: PacketColumns | None = None
-        run_rows: list[tuple[Packet, float]] = []
+        # Group the chunk into runs first, so a mid-chunk socket failure
+        # knows exactly which packets were covered by already-sent frames
+        # and which must be requeued under the failure policy.
+        runs: list[tuple[PacketColumns, list[int], list[tuple[Packet, float]]]] = []
         object_run: list[tuple[Packet, float]] = []
-
-        def close_column_run() -> None:
-            nonlocal run_columns
-            if run_columns is not None:
-                covered = list(run_rows)
-                messages.append(
-                    (
-                        TAG_ROWS,
-                        encode_rows(
-                            id(run_columns),
-                            np.asarray(
-                                [p.index for p, _ in covered], dtype=np.int64
-                            ).tobytes(),
-                            np.asarray(
-                                [c for _, c in covered], dtype=np.float64
-                            ).tobytes(),
-                        ),
-                        covered,
-                    )
-                )
-                run_columns = None
-                run_rows.clear()
 
         def close_object_run() -> None:
             if object_run:
-                covered = list(object_run)
-                messages.append(
-                    (
-                        TAG_PKTS,
-                        (
-                            encode_packets(
-                                [
-                                    (p.timestamp, p.to_bytes().hex(), clock)
-                                    for p, clock in covered
-                                ]
-                            ),
-                        ),
-                        covered,
-                    )
-                )
+                columns = PacketColumns.from_packets([p for p, _ in object_run])
+                runs.append((columns, list(range(len(object_run))), list(object_run)))
                 object_run.clear()
 
         for packet, clock in chunk:
             if type(packet) is ColumnPacketView:
-                columns = packet.columns
-                if columns is not run_columns:
-                    close_column_run()
-                    close_object_run()
-                    if id(columns) not in self._live_blocks:
-                        # Block left the FIFO window (or was buffered before
-                        # first sight); re-broadcast to every instance.
-                        messages.append((TAG_BLCK, columns, []))
-                    run_columns = columns
-                run_rows.append((packet, clock))
+                close_object_run()
+                if not runs or runs[-1][0] is not packet.columns:
+                    runs.append((packet.columns, [], []))
+                runs[-1][1].append(packet.index)
+                runs[-1][2].append((packet, clock))
             else:
-                close_column_run()
                 object_run.append((packet, clock))
-        close_column_run()
         close_object_run()
 
+        sent = 0
         covered_count = 0
         try:
-            for tag, body, covered in messages:
-                if tag == TAG_BLCK:
-                    self._ship_block(body)
-                    continue
-                self._send(instance, tag, *body)
-                shipped = len(covered)
-                covered_count += shipped
-                instance.routed += shipped
-                self._routed_total += shipped
+            for columns, indices, covered in runs:
+                # No-op unless the block left the FIFO window, was buffered
+                # before first sight, or is a fresh object-run block.
+                self._ship_block(columns)
+                self._send(
+                    instance,
+                    TAG_ROWS,
+                    *encode_rows(
+                        id(columns),
+                        np.asarray(indices, dtype=np.int64).tobytes(),
+                        np.asarray([c for _, c in covered], dtype=np.float64).tobytes(),
+                    ),
+                )
+                sent += 1
+                covered_count += len(covered)
+                instance.routed += len(covered)
+                self._routed_total += len(covered)
         except _InstanceDown as down:
-            uncovered: list[tuple[Packet, float]] = []
-            seen = 0
-            for tag, _body, covered in messages:
-                if tag == TAG_BLCK:
-                    continue
-                if seen >= covered_count:
-                    uncovered.extend(covered)
-                seen += len(covered)
-            down.requeue.extend(uncovered)
+            for _columns, _indices, covered in runs[sent:]:
+                down.requeue.extend(covered)
             raise
         finally:
             if covered_count:
@@ -892,7 +858,9 @@ class FlowPartitioner:
         block_id = id(columns)
         if block_id in self._live_blocks:
             return
-        payload = columns.pack_block()
+        # Instances never materialise packets, and must not unpickle socket
+        # input: ship the columns without a materialisation backing.
+        payload = columns.pack_block(backing="none")
         chunks = encode_block(block_id, payload)
         downs: list[_InstanceDown] = []
         for instance in self._instances:

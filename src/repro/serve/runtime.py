@@ -1,50 +1,45 @@
-"""Sharded parallel streaming runtime: N shard workers as threads or processes.
+"""Sharded parallel streaming runtime: N shard worker processes.
 
 :class:`ParallelStreamingDetector` scales the single-threaded
-:class:`~repro.serve.streaming.StreamingDetector` out to N workers while
-keeping its contract.  The layering:
+:class:`~repro.serve.streaming.StreamingDetector` out to N worker processes
+while keeping its contract.  The layering:
 
 * the ingest thread (the caller) routes each packet to the shard owning its
-  flow key (``hash(FlowKey) % workers``, the same partition a
-  :class:`~repro.netstack.flow.ShardedFlowTable` uses) and hands it over in
-  chunks through a bounded per-shard queue — a full queue blocks ingestion,
-  which **is** the backpressure signal;
-* each shard worker owns one :class:`~repro.netstack.flow.FlowTable` shard
-  and its own pending buffer: it assembles connections, applies the
+  flow key (``hash(FlowKey) % workers``) and hands it over in chunks through
+  a bounded per-shard queue — a full queue blocks ingestion, which **is** the
+  backpressure signal;
+* each shard worker owns one :class:`~repro.netstack.flow.FlowTable` and its
+  own pending buffer: it assembles connections, applies the
   :class:`~repro.serve.metrics.DropPolicy` to capacity evictions, and pushes
   completed connections through the batched inference engine under the
   :class:`~repro.serve.streaming.FlushPolicy`;
-* every worker funnels its events into one ordered dispatch consumed via
-  :meth:`events` / the ``on_event``/``on_alert`` callbacks (invoked under a
-  dispatch lock, so callbacks never run concurrently).
+* every worker funnels its events back through its own result queue into
+  one ordered dispatch consumed via :meth:`events` / the ``on_event``/``on_alert``
+  callbacks (invoked under a dispatch lock, so callbacks never run
+  concurrently).
 
-``worker_mode`` selects the worker substrate:
+``worker_mode`` selects where scoring runs:
 
-* ``"thread"`` (the default) spawns one :class:`threading.Thread` per shard
-  sharing the caller's engine.  Scoring is NumPy-dominated, so threads
-  overlap engine calls — but flow assembly and everything else Python-level
-  still serialises on the GIL.
+* ``"thread"`` (the default) spawns nothing: the runtime delegates to one
+  plain ``StreamingDetector`` on the caller's thread, bit-identical to using
+  it directly.  It requires ``workers=1`` — flow assembly is Python-level
+  work that serialises on the GIL, so thread shards never beat one detector.
 * ``"process"`` spawns one OS process per shard.  Every worker loads the
   model **read-only** from the artifact directory with ``mmap_mode="r"``
   (all workers share one page-cache copy of the ``.npz``), receives columnar
   work as :meth:`~repro.netstack.columns.PacketColumns.pack_block` wire
   blocks — broadcast once per capture block, shared-memory-backed for large
-  payloads, with per-chunk row-index slices riding the per-shard queues —
-  and funnels events back through a result queue into the same ordered
-  dispatch.  ``workers=4`` then means four cores, not four threads sharing
-  one GIL.  :class:`~repro.serve.metrics.StreamingMetrics` aggregates across
-  the pool by merging per-worker counter structs on snapshot.
+  payloads, with per-chunk row-index slices riding the per-shard queues.
+  ``workers=4`` means four cores.  Even ``workers=1`` moves scoring off the
+  ingest thread.  :class:`~repro.serve.metrics.StreamingMetrics` aggregates
+  across the pool by merging per-worker counter structs on snapshot.
 
 Equivalence guarantee: on a time-ordered capture the runtime emits the same
 set of :class:`~repro.serve.events.DetectionEvent`\\ s — same connection
 keys, scores within 1e-9 — at any worker count **and in either worker
 mode**, and :meth:`close` returns the end-of-stream drain in deterministic
 ``(first_seen, key)`` order (``tests/serve/test_runtime.py``,
-``tests/serve/test_process_runtime.py``).  With ``workers=1`` in thread mode
-no workers are spawned at all: the runtime delegates to a plain
-``StreamingDetector``, keeping today's single-threaded behaviour
-bit-identical.  Process mode always spawns its workers — even ``workers=1``
-moves scoring off the ingest thread, which is the point.
+``tests/serve/test_process_runtime.py``).
 
 Fault tolerance (process mode): ``on_worker_failure`` selects what happens
 when a shard worker process dies, wedges past ``stall_deadline``, or reports
@@ -56,15 +51,15 @@ dead queue is recorded as a known loss), or ``"degrade"`` (the dead shard's
 future flows are rehashed onto the survivors and their events carry
 ``DetectionResult.degraded=True``).  Every loss is recorded as an
 :class:`~repro.serve.supervise.InstanceLossRecord` with ``kind="worker"`` and
-counted into the metrics degradation section.  Thread mode is fail-only:
-threads cannot be killed or respawned, so any other policy is rejected at
-construction.
+counted into the metrics degradation section.  Thread mode has no workers to
+lose, so any policy other than ``"fail"`` is rejected at construction.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue
 import shutil
@@ -90,9 +85,7 @@ from repro.netstack.columns import (
 from repro.netstack.flow import (
     CompletionReason,
     Connection,
-    FlowKey,
     FlowTable,
-    ShardedFlowTable,
     flow_key_of,
 )
 from repro.netstack.packet import Packet
@@ -123,8 +116,6 @@ try:  # pragma: no cover - available on every supported platform
 except ImportError:  # pragma: no cover
     _shared_memory = None  # type: ignore[assignment]
 
-_CLOSE = object()
-
 #: Blocks whose packed payload is at least this large travel through POSIX
 #: shared memory (one write, N readers) instead of being pickled into every
 #: worker's queue pipe.
@@ -145,42 +136,6 @@ def _emit_nothing(events: list[DetectionEvent]) -> None:
 def _event_order(event: DetectionEvent) -> tuple[float, str]:
     """Deterministic event ordering: stream arrival, then connection key."""
     return (event.first_seen, str(event.result.key))
-
-
-class _Flush:
-    """Flush barrier token: the worker fills ``events`` and sets ``done``."""
-
-    def __init__(self) -> None:
-        self.events: list[DetectionEvent] = []
-        self.done = threading.Event()
-
-
-class _Poll:
-    """Advance a shard's stream clock without a packet."""
-
-    def __init__(self, now: float) -> None:
-        self.now = now
-
-
-class _Shard:
-    """One thread worker's private state: flow-table shard, pending, queue."""
-
-    def __init__(
-        self,
-        index: int,
-        table: FlowTable,
-        queue_depth: int,
-        admission=None,
-    ) -> None:
-        self.index = index
-        self.table = table
-        self.queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_depth)
-        self.pending: list[tuple[Connection, CompletionReason]] = []
-        self.final_events: list[DetectionEvent] = []
-        self.failure: BaseException | None = None
-        self.thread: threading.Thread | None = None
-        # Per-worker mutable subnet-budget counters for the drop policy.
-        self.admission = admission
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +195,7 @@ def _attach_block(
 
 
 def _post(out_queue, message: tuple) -> None:
-    """Report a worker result to the parent over the (unbounded) result queue.
+    """Report a worker result to the parent over its (unbounded) result queue.
 
     An unbounded ``multiprocessing.Queue`` put never blocks on capacity, so
     this is the one audited place a queue call may omit a deadline.
@@ -249,29 +204,14 @@ def _post(out_queue, message: tuple) -> None:
     out_queue.put(message)
 
 
-def _take(work_queue: queue.Queue) -> object:
-    """Bounded get on an in-process shard queue, looped to a chopped deadline.
-
-    The producer is the ingest thread in this very process — it cannot die
-    independently of the consumer — so the chopped timeout never changes
-    behaviour; it only keeps every wait in the serving layer bounded.
-    """
-    while True:
-        try:
-            return work_queue.get(timeout=5.0)
-        except queue.Empty:
-            continue
-
-
 def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
     """Entry point of one process shard worker.
 
-    Mirrors the thread worker loop message for message, with two differences
-    born of the process boundary: the model is loaded privately (read-only
-    mmap), and events/metrics travel back through ``out_queue`` instead of a
-    shared dispatch.  A worker that failed keeps consuming its queue —
-    acknowledging blocks and flush barriers — so the parent never deadlocks,
-    and reports the failure alongside a clean ``closed`` handshake.
+    The model is loaded privately (read-only mmap), and events/metrics travel
+    back to the parent's ordered dispatch through ``out_queue``.  A worker
+    that failed keeps consuming its queue — acknowledging blocks and flush
+    barriers — so the parent never deadlocks, and reports the failure
+    alongside a clean ``closed`` handshake.
 
     Shared-memory blocks are unpacked **in place** — every scalar column is a
     read-only view straight into the mapped segment, held alive by a
@@ -440,9 +380,13 @@ def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
 class _ProcessShard:
     """Parent-side handle of one process shard worker."""
 
-    def __init__(self, index: int, in_queue, process, spec: _WorkerSpec) -> None:
+    def __init__(self, index: int, in_queue, results, process, spec: _WorkerSpec) -> None:
         self.index = index
         self.queue = in_queue
+        # Each incarnation reports through a result queue of its own: a
+        # worker killed while writing dies holding that queue's write lock,
+        # which must not silence any other worker.
+        self.results = results
         self.process = process
         self.spec = spec
         self.final_events: list[DetectionEvent] = []
@@ -468,11 +412,12 @@ class ParallelStreamingDetector:
     Parameters mirror :class:`~repro.serve.streaming.StreamingDetector`, plus:
 
     workers:
-        Number of flow-table shards and workers.  ``1`` in thread mode (the
-        default) delegates to a plain ``StreamingDetector`` on the caller's
-        thread; process mode spawns a worker even at ``1``.
+        Number of flow-table shards and worker processes.  Values above ``1``
+        require ``worker_mode="process"``; process mode spawns a worker even
+        at ``1``.
     worker_mode:
-        ``"thread"`` (default) or ``"process"``; see the module docstring.
+        ``"thread"`` (default: one ``StreamingDetector`` on the caller's
+        thread) or ``"process"``; see the module docstring.
     model_dir:
         Process mode only: the artifact directory the workers load (read-only
         mmap).  Defaults to saving ``clap`` into a temporary directory that
@@ -536,10 +481,15 @@ class ParallelStreamingDetector:
             raise ValueError(
                 f"on_worker_failure must be one of {FailurePolicy}, got {on_worker_failure!r}"
             )
+        if workers > 1 and worker_mode != "process":
+            raise ValueError(
+                f"workers={workers} requires worker_mode='process' "
+                "(thread mode runs one StreamingDetector on the caller's thread)"
+            )
         if on_worker_failure != "fail" and worker_mode != "process":
             raise ValueError(
                 "worker failure policies beyond 'fail' require worker_mode='process' "
-                "(threads cannot be killed or respawned)"
+                "(thread mode has no workers to kill or respawn)"
             )
         if isinstance(chunk_size, AdaptiveChunker):
             self._chunker: AdaptiveChunker | None = chunk_size
@@ -572,7 +522,6 @@ class ParallelStreamingDetector:
             self.metrics.attach_chunker(self._chunker)
         self._closed = False
         self._single: StreamingDetector | None = None
-        self._process_mode = worker_mode == "process"
         self.on_worker_failure = on_worker_failure
         self.max_worker_respawns = int(max_worker_respawns)
         self._stall_deadline = stall_deadline if stall_deadline else None
@@ -587,7 +536,7 @@ class ParallelStreamingDetector:
         # identity mapping until a worker is lost under the degrade policy.
         self._proc_route = list(range(self.workers))
         self._degraded_slots: set[int] = set()
-        if self.workers == 1 and not self._process_mode:
+        if worker_mode == "thread":
             self._single = StreamingDetector(
                 clap,
                 flush_policy=self.policy,
@@ -610,50 +559,19 @@ class ParallelStreamingDetector:
         self._connections_seen = 0
         self._alerts_emitted = 0
         # Global stream high-water mark; written only by the ingest thread,
-        # snapshotted into every queued packet so shard clocks catch up to
-        # global stream time exactly as ShardedFlowTable.add does.
+        # snapshotted into every queued packet so a shard's clock catches up
+        # to global stream time before it adds the packet, and timers expire
+        # exactly as they would in a single table.
         self._clock = float("-inf")
-        if self._process_mode:
-            self._init_process_pool(
-                idle_timeout=idle_timeout,
-                close_grace=close_grace,
-                max_flows=max_flows,
-                max_packets=max_packets,
-                model_dir=model_dir,
-                start_method=start_method,
-                queue_depth=queue_depth,
-            )
-            return
-        # Build the lazy engine on the caller's thread so worker threads
-        # never race its construction.
-        clap.engine
-        self.sharded = ShardedFlowTable(
-            self.workers,
+        self._init_process_pool(
             idle_timeout=idle_timeout,
             close_grace=close_grace,
             max_flows=max_flows,
             max_packets=max_packets,
+            model_dir=model_dir,
+            start_method=start_method,
+            queue_depth=queue_depth,
         )
-        self._buffers: list[list[tuple[Packet, FlowKey, float]]] = [
-            [] for _ in range(self.workers)
-        ]
-        self._shards = [
-            _Shard(
-                index,
-                self.sharded.tables[index],
-                queue_depth,
-                drop_policy.new_state() if drop_policy is not None else None,
-            )
-            for index in range(self.workers)
-        ]
-        for shard in self._shards:
-            shard.thread = threading.Thread(
-                target=self._worker_loop,
-                args=(shard,),
-                name=f"clap-shard-{shard.index}",
-                daemon=True,
-            )
-            shard.thread.start()
 
     # ------------------------------------------------------ process pool setup
     def _init_process_pool(
@@ -705,8 +623,9 @@ class ParallelStreamingDetector:
             self._tmp_model_cleanup = weakref.finalize(
                 self, shutil.rmtree, tmp_dir, ignore_errors=True
             )
-        self._buffers = [[] for _ in range(self.workers)]  # type: ignore[assignment]
-        self._result_queue = context.Queue()
+        self._buffers: list[list[tuple[Packet, float]]] = [
+            [] for _ in range(self.workers)
+        ]
         # Blocks currently shipped to the workers (insertion-ordered; parent
         # and workers evict in lockstep) and the shm segments awaiting acks.
         self._live_blocks: "OrderedDict[int, PacketColumns]" = OrderedDict()
@@ -714,7 +633,7 @@ class ParallelStreamingDetector:
         self._block_shm: dict[int, tuple[object, set[int]]] = {}
         self._flush_results: dict[int, dict[int, list[DetectionEvent]]] = {}
         self._flush_counter = 0
-        self._shards: list[_ProcessShard] = []  # type: ignore[assignment]
+        self._shards: list[_ProcessShard] = []
         for index in range(self.workers):
             spec = _WorkerSpec(
                 index=index,
@@ -729,13 +648,14 @@ class ParallelStreamingDetector:
                 max_packets=max_packets,
             )
             in_queue = context.Queue(maxsize=queue_depth)
+            results = context.Queue()
             process = context.Process(
                 target=_process_worker_main,
-                args=(spec, in_queue, self._result_queue),
+                args=(spec, in_queue, results),
                 name=f"clap-shard-{index}",
                 daemon=True,
             )
-            shard = _ProcessShard(index, in_queue, process, spec)
+            shard = _ProcessShard(index, in_queue, results, process, spec)
             self._shards.append(shard)
             process.start()
 
@@ -748,22 +668,6 @@ class ParallelStreamingDetector:
             self._single.ingest(packet)
             return
         self._raise_worker_failure()
-        if self._process_mode:
-            self._ingest_process(packet)
-            return
-        # The router computes the flow key once; the owning shard reuses it
-        # (FlowTable.add accepts a precomputed key), so sharding adds no
-        # duplicate key work to the per-packet path.
-        key = flow_key_of(packet)
-        index = self.sharded.shard_index(key)
-        buffer = self._buffers[index]
-        buffer.append((packet, key, self._clock))
-        if packet.timestamp > self._clock:
-            self._clock = packet.timestamp
-        if len(buffer) >= self._chunk_target():
-            self._submit(index)
-
-    def _ingest_process(self, packet: Packet) -> None:
         if type(packet) is ColumnPacketView and packet.columns is not self._current_columns:
             # A new capture block: flush every shard's buffered rows first so
             # queued row slices always precede the block broadcast (workers
@@ -772,10 +676,9 @@ class ParallelStreamingDetector:
                 self._submit_process(index)
             self._ship_block(packet.columns)
             self._current_columns = packet.columns
-        key = flow_key_of(packet)
-        index = self._proc_route[hash(key) % self.workers]
+        index = self._proc_route[hash(flow_key_of(packet)) % self.workers]
         buffer = self._buffers[index]
-        buffer.append((packet, self._clock))  # type: ignore[arg-type]
+        buffer.append((packet, self._clock))
         if packet.timestamp > self._clock:
             self._clock = packet.timestamp
         if self._fault_plan is not None:
@@ -804,15 +707,10 @@ class ParallelStreamingDetector:
             return
         if now > self._clock:
             self._clock = now
-        if self._process_mode:
-            for index, shard in enumerate(self._shards):
-                self._submit_process(index)
-                self._put_shard(shard, ("poll", now))
-            self._drain_results()
-            return
         for index, shard in enumerate(self._shards):
-            self._submit(index)
-            self._put_thread_shard(shard, _Poll(now))
+            self._submit_process(index)
+            self._put_shard(shard, ("poll", now))
+        self._drain_results()
 
     def run(self, source: PacketSource) -> list[DetectionEvent]:
         """Consume a packet source to exhaustion, then :meth:`close`.
@@ -851,42 +749,7 @@ class ParallelStreamingDetector:
         """Current ingest chunk size (adaptive or pinned)."""
         return self._fixed_chunk if self._chunker is None else self._chunker.size
 
-    def _submit(self, index: int) -> None:
-        chunk = self._buffers[index]
-        if not chunk:
-            return
-        self._buffers[index] = []
-        shard = self._shards[index]
-        self.metrics.record_queue_depth(shard.queue.qsize() + 1)
-        try:
-            shard.queue.put_nowait(chunk)
-        except queue.Full:
-            if self._chunker is not None:
-                self._chunker.record_backpressure()
-            self._put_thread_shard(shard, chunk)  # blocks under backpressure
-        if self._chunker is not None:
-            self._chunker.record_submit()
-        self.metrics.record_ingest(index, len(chunk))
-
-    def _put_thread_shard(self, shard: _Shard, item: object) -> None:
-        """Backpressure put on a thread shard's bounded queue.
-
-        Chopped into short timeouts so a worker thread that died with a
-        recorded failure surfaces it instead of wedging the ingest thread
-        forever (a healthy worker merely behind keeps this blocking — that is
-        the backpressure contract; thread workers drain their queue even
-        after a failure, so the wait always ends).
-        """
-        while True:
-            try:
-                shard.queue.put(item, timeout=0.2)
-                return
-            except queue.Full:
-                if shard.failure is not None and shard.thread is not None:
-                    if not shard.thread.is_alive():
-                        self._raise_worker_failure()
-
-    # ------------------------------------------------- process-mode transport
+    # -------------------------------------------------------------- transport
     def _submit_process(self, index: int) -> None:
         chunk = self._buffers[index]
         if not chunk:
@@ -896,7 +759,7 @@ class ParallelStreamingDetector:
         if shard.lost:
             # The shard was lost while this buffer sat unrouted; its packets
             # were never in flight, so they simply follow the rehashed route.
-            self._rehome_packets(chunk)  # type: ignore[arg-type]
+            self._rehome_packets(chunk)
             return
         messages: list[tuple] = []
         covered: list[list[tuple[Packet, float]]] = []
@@ -929,7 +792,7 @@ class ParallelStreamingDetector:
                 covered.append(list(object_run))
                 object_run.clear()
 
-        for packet, clock in chunk:  # type: ignore[misc]
+        for packet, clock in chunk:
             if type(packet) is ColumnPacketView:
                 columns = packet.columns
                 if columns is not run_columns:
@@ -1100,16 +963,19 @@ class ParallelStreamingDetector:
             shard.closed = True
 
     def _drain_results(self) -> None:
-        """Consume every result-queue message available right now."""
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except queue.Empty:
-                return
-            self._handle_result(message)
+        """Consume every result message available right now."""
+        for shard in self._shards:
+            while True:
+                try:
+                    # Re-read per message: handling one may respawn the
+                    # worker, which replaces its result queue.
+                    message = shard.results.get_nowait()
+                except queue.Empty:
+                    break
+                self._handle_result(message)
 
     def _await_results(self, done) -> None:
-        """Pump the result queue until ``done()`` — dead workers included.
+        """Pump the result queues until ``done()`` — dead workers included.
 
         A worker that died without its final handshake (kill -9, interpreter
         abort) is declared failed after a few consecutive empty polls with
@@ -1121,9 +987,8 @@ class ParallelStreamingDetector:
         """
         last_progress = time.monotonic()
         while not done():
-            try:
-                message = self._result_queue.get(timeout=0.05)
-            except queue.Empty:
+            readers = [shard.results._reader for shard in self._shards]
+            if not multiprocessing.connection.wait(readers, timeout=0.05):
                 for shard in self._shards:
                     if shard.closed or shard.lost or shard.process.is_alive():
                         shard.dead_polls = 0
@@ -1157,18 +1022,15 @@ class ParallelStreamingDetector:
                     last_progress = time.monotonic()
                 continue
             last_progress = time.monotonic()
-            self._handle_result(message)
+            self._drain_results()
 
     # ------------------------------------------------------- worker supervision
     def _apply_worker_faults(self, count: int) -> None:
         """Fire due injected worker faults from the :class:`FaultPlan`.
 
-        Only ``kill-worker`` / ``wedge-worker`` faults apply at this layer
-        (and only in process mode — threads cannot be killed); instance-level
-        kinds belong to the partitioner and are ignored here.
+        Only ``kill-worker`` / ``wedge-worker`` faults apply at this layer;
+        instance-level kinds belong to the partitioner and are ignored here.
         """
-        if not self._process_mode:
-            return
         for kind, index in self._fault_plan.packet_routed(count):
             if kind not in ("kill-worker", "wedge-worker"):
                 continue
@@ -1245,7 +1107,7 @@ class ParallelStreamingDetector:
         self._buffers[shard.index] = []
         self._apply_worker_degrade(shard)
         if pending:
-            self._rehome_packets(pending)  # type: ignore[arg-type]
+            self._rehome_packets(pending)
 
     def _respawn_worker(self, shard: "_ProcessShard") -> None:
         """Replace a dead worker with a fresh incarnation of its spec.
@@ -1259,15 +1121,20 @@ class ParallelStreamingDetector:
         """
         spec = replace(shard.spec, generation=shard.spec.generation + 1)
         in_queue = self._mp_context.Queue(maxsize=self._queue_depth)
+        results = self._mp_context.Queue()
         process = self._mp_context.Process(
             target=_process_worker_main,
-            args=(spec, in_queue, self._result_queue),
+            args=(spec, in_queue, results),
             name=f"clap-shard-{shard.index}r{shard.respawns + 1}",
             daemon=True,
         )
         process.start()
+        # Whatever the dead incarnation left unread is stale; its queue may
+        # also be torn mid-message or locked by the dead writer.
+        shard.results.close()
         shard.spec = spec
         shard.queue = in_queue
+        shard.results = results
         shard.process = process
         shard.respawns += 1
         shard.dead_polls = 0
@@ -1330,38 +1197,21 @@ class ParallelStreamingDetector:
             return self._single.flush()
         if self._closed:
             return []  # close() already flushed everything and joined workers
-        if self._process_mode:
-            self._drain_results()
-            self._raise_worker_failure()
-            flush_id = self._flush_counter
-            self._flush_counter += 1
-            waiting: dict[int, list[DetectionEvent]] = {}
-            self._flush_results[flush_id] = waiting
-            for index, shard in enumerate(self._shards):
-                self._submit_process(index)
-                if not self._put_shard(shard, ("flush", flush_id)):
-                    # Lost (or failed) shards answer no barriers.
-                    waiting.setdefault(index, [])
-            self._await_results(lambda: len(waiting) == self.workers)
-            del self._flush_results[flush_id]
-            self._raise_worker_failure()
-            flushed = [event for events in waiting.values() for event in events]
-            flushed.sort(key=_event_order)
-            return flushed
+        self._drain_results()
         self._raise_worker_failure()
-        tokens: list[_Flush] = []
+        flush_id = self._flush_counter
+        self._flush_counter += 1
+        waiting: dict[int, list[DetectionEvent]] = {}
+        self._flush_results[flush_id] = waiting
         for index, shard in enumerate(self._shards):
-            self._submit(index)
-            token = _Flush()
-            self._put_thread_shard(shard, token)
-            tokens.append(token)
-        for token in tokens:
-            # Deadline discipline: a worker that raised releases its barrier
-            # from the drain loop, but never wait unbounded on it.
-            while not token.done.wait(1.0):
-                self._raise_worker_failure()
+            self._submit_process(index)
+            if not self._put_shard(shard, ("flush", flush_id)):
+                # Lost (or failed) shards answer no barriers.
+                waiting.setdefault(index, [])
+        self._await_results(lambda: len(waiting) == self.workers)
+        del self._flush_results[flush_id]
         self._raise_worker_failure()
-        flushed = [event for token in tokens for event in token.events]
+        flushed = [event for events in waiting.values() for event in events]
         flushed.sort(key=_event_order)
         return flushed
 
@@ -1382,29 +1232,6 @@ class ParallelStreamingDetector:
         if self._closed:
             return []
         self._closed = True
-        final_clock = self._clock
-        if self._process_mode:
-            return self._close_process_pool(final_clock)
-        for index, shard in enumerate(self._shards):
-            self._submit(index)
-            # Expire timers against global stream time before draining, so a
-            # quiet shard still reports CLOSED/IDLE exactly as a single
-            # table would have mid-stream.
-            if final_clock > float("-inf"):
-                self._put_thread_shard(shard, _Poll(final_clock))
-            self._put_thread_shard(shard, _CLOSE)
-        for shard in self._shards:
-            if shard.thread is not None:
-                # Deadline discipline: bounded joins, looped while alive.
-                while shard.thread.is_alive():
-                    shard.thread.join(timeout=5.0)
-        self._raise_worker_failure()
-        final = [event for shard in self._shards for event in shard.final_events]
-        final.sort(key=_event_order)
-        self._dispatch_many(final)
-        return final
-
-    def _close_process_pool(self, final_clock: float) -> list[DetectionEvent]:
         # Submit every leftover buffer before the first close message: a
         # submit may re-broadcast a block to *all* queues, which must never
         # land behind a worker's close.  Repeat until quiescent — a shard
@@ -1416,8 +1243,11 @@ class ParallelStreamingDetector:
             for index in range(self.workers):
                 self._submit_process(index)
         for shard in self._shards:
-            if final_clock > float("-inf"):
-                self._put_shard(shard, ("poll", final_clock))
+            # Expire timers against global stream time before draining, so a
+            # quiet shard still reports CLOSED/IDLE exactly as a single table
+            # would have mid-stream.
+            if self._clock > float("-inf"):
+                self._put_shard(shard, ("poll", self._clock))
             self._put_shard(shard, ("close",))
         self._await_results(lambda: all(shard.closed for shard in self._shards))
         for shard in self._shards:
@@ -1443,91 +1273,6 @@ class ParallelStreamingDetector:
         if self._tmp_model_cleanup is not None:
             self._tmp_model_cleanup()
 
-    # ----------------------------------------------------------- worker side
-    def _worker_loop(self, shard: _Shard) -> None:
-        table = shard.table
-        while True:
-            item = _take(shard.queue)
-            try:
-                if item is _CLOSE:
-                    # Bypass _buffer_completions: its auto-flush would
-                    # dispatch part of the drain from this thread.  The whole
-                    # end-of-stream drain is dispatched by close() on the
-                    # caller's thread instead, merged and sorted across
-                    # shards, so the final events come out in deterministic
-                    # order.
-                    drained = apply_drop_policy(
-                        table.drain(), self.drop_policy, self.metrics, shard.admission
-                    )
-                    shard.pending.extend(drained)
-                    shard.final_events = self._flush_shard(shard, dispatch=False)
-                    return
-                if isinstance(item, _Flush):
-                    item.events = self._flush_shard(shard)
-                    item.done.set()
-                    continue
-                if isinstance(item, _Poll):
-                    self._buffer_completions(shard, table.poll(item.now))
-                    continue
-                completions: list[tuple[Connection, CompletionReason]] = []
-                for packet, key, clock in item:
-                    # Catch this shard up to the global stream time observed
-                    # when the packet was routed, then ingest it.
-                    if clock > table.clock:
-                        completions.extend(table.poll(clock))
-                    completions.extend(table.add(packet, key))
-                self._buffer_completions(shard, completions)
-            except BaseException as error:
-                shard.failure = error
-                # Whatever failed, release its barrier (a _Flush whose
-                # handler raised would otherwise block flush() forever) and,
-                # if it was the final drain, exit so close()'s join returns
-                # and surfaces the failure.
-                if isinstance(item, _Flush):
-                    item.done.set()
-                if item is _CLOSE:
-                    return
-                break
-        # Failed: keep consuming so the ingest thread never deadlocks on a
-        # full queue and pending flush()/close() barriers are released.
-        while True:
-            item = _take(shard.queue)
-            if item is _CLOSE:
-                return
-            if isinstance(item, _Flush):
-                item.done.set()
-
-    def _buffer_completions(
-        self,
-        shard: _Shard,
-        completions: list[tuple[Connection, CompletionReason]],
-    ) -> None:
-        if not completions:
-            return
-        completions = apply_drop_policy(
-            completions, self.drop_policy, self.metrics, shard.admission
-        )
-        shard.pending.extend(completions)
-        self.metrics.record_pending_depth(len(shard.pending))
-        if self.policy.auto_flush and len(shard.pending) >= self.policy.max_batch:
-            self._flush_shard(shard)
-        elif len(shard.pending) >= self.policy.max_buffered:
-            self._flush_shard(shard)
-
-    def _flush_shard(self, shard: _Shard, dispatch: bool = True) -> list[DetectionEvent]:
-        """Drain one shard's pending buffer through the shared chunked flush
-        loop, dispatching each chunk's events as soon as it is scored (or
-        not at all, for the close()-ordered final drain)."""
-        return drain_pending(
-            self.clap,
-            shard.pending,
-            self.policy.max_batch,
-            self.threshold,
-            self.top_n,
-            self.metrics,
-            self._dispatch_many if dispatch else _emit_nothing,
-        )
-
     def _dispatch_many(self, events: list[DetectionEvent]) -> None:
         if not events:
             return
@@ -1547,12 +1292,7 @@ class ParallelStreamingDetector:
     def _raise_worker_failure(self) -> None:
         for shard in self._shards:
             if shard.failure is not None:
-                failure = shard.failure
-                if isinstance(failure, BaseException):
-                    raise RuntimeError(
-                        f"shard worker {shard.index} failed: {failure!r}"
-                    ) from failure
-                raise RuntimeError(f"shard worker {shard.index} failed: {failure}")
+                raise RuntimeError(f"shard worker {shard.index} failed: {shard.failure}")
 
     # ----------------------------------------------------------------- output
     def events(self) -> Iterator[DetectionEvent]:
@@ -1560,7 +1300,7 @@ class ParallelStreamingDetector:
         if self._single is not None:
             yield from self._single.events()
             return
-        if self._process_mode and not self._closed:
+        if not self._closed:
             self._drain_results()
         while True:
             try:
@@ -1595,9 +1335,7 @@ class ParallelStreamingDetector:
         while workers are running)."""
         if self._single is not None:
             return self._single.pending_connections
-        if self._process_mode:
-            return sum(int(shard.state.get("pending", 0)) for shard in self._shards)
-        return sum(len(shard.pending) for shard in self._shards)
+        return sum(int(shard.state.get("pending", 0)) for shard in self._shards)
 
     @property
     def active_flows(self) -> int:
@@ -1605,23 +1343,19 @@ class ParallelStreamingDetector:
         while workers are running)."""
         if self._single is not None:
             return self._single.active_flows
-        if self._process_mode:
-            return sum(self.occupancy())
-        return len(self.sharded)
+        return sum(self.occupancy())
 
     def occupancy(self) -> list[int]:
         """Tracked connections per shard."""
         if self._single is not None:
             return [self._single.active_flows]
-        if self._process_mode:
-            return [int(shard.state.get("active_flows", 0)) for shard in self._shards]
-        return self.sharded.occupancy()
+        return [int(shard.state.get("active_flows", 0)) for shard in self._shards]
 
     def metrics_snapshot(self) -> dict:
         """The metrics snapshot plus current shard occupancy."""
         if self._single is not None:
             self.metrics.set_ingested(0, self._single.packets_ingested)
-        elif self._process_mode and not self._closed:
+        elif not self._closed:
             self._drain_results()
         return self.metrics.snapshot(self.occupancy())
 
@@ -1629,6 +1363,6 @@ class ParallelStreamingDetector:
         """Human-readable metrics summary (the CLI prints this to stderr)."""
         if self._single is not None:
             self.metrics.set_ingested(0, self._single.packets_ingested)
-        elif self._process_mode and not self._closed:
+        elif not self._closed:
             self._drain_results()
         return self.metrics.render(self.occupancy())

@@ -6,23 +6,22 @@ protocol over one TCP connection per instance.  Every frame is::
 
     <4-byte tag> <u32 little-endian payload length> <payload>
 
-Control, events and plain packets reuse the existing NDJSON text formats
-(one JSON document, or one NDJSON line per record), so the payloads stay
-debuggable with ``tcpdump``/``xxd`` and interoperable with the pipe-based
-CLI.  Columnar data rides two binary frames built on
+Control and events reuse the existing NDJSON text formats (one JSON
+document, or one NDJSON line per record), so the payloads stay debuggable
+with ``tcpdump``/``xxd`` and interoperable with the pipe-based CLI.  Packet
+data rides two binary frames built on
 :meth:`~repro.netstack.columns.PacketColumns.pack_block`:
 
 ===========  ==============================================================
 ``CTRL``     One JSON object: ``{"op": "hello" | "ready" | "poll" | "close"}``
              plus op-specific fields.
-``BLCK``     ``u64 block id`` + a packed column block (broadcast once per
-             capture block; instances cache a FIFO window of unpacked blocks).
+``BLCK``     ``u64 block id`` + a packed column block with no
+             materialisation backing (broadcast once per block; instances
+             cache a FIFO window of unpacked blocks and refuse a
+             packet-backed block, whose backing is a pickle).
 ``ROWS``     ``u64 block id, u32 count`` + ``int64[count]`` row indices +
              ``float64[count]`` per-row ingest clocks — the per-instance row
              slice of a broadcast block.
-``PKTS``     NDJSON, one ``{"ts", "data", "clock"}`` line per object packet
-             (the :class:`~repro.serve.sources.NDJSONSource` line format plus
-             the routed stream clock).
 ``EVNT``     NDJSON, one :meth:`DetectionEvent.to_dict` document per line —
              interim events flowing back to the front-end mid-stream.
 ``DONE``     One JSON object closing the stream: the final drain's events,
@@ -56,11 +55,10 @@ FRAME_HEADER = struct.Struct("<4sI")
 TAG_CTRL = b"CTRL"
 TAG_BLCK = b"BLCK"
 TAG_ROWS = b"ROWS"
-TAG_PKTS = b"PKTS"
 TAG_EVNT = b"EVNT"
 TAG_DONE = b"DONE"
 
-_TAGS = frozenset((TAG_CTRL, TAG_BLCK, TAG_ROWS, TAG_PKTS, TAG_EVNT, TAG_DONE))
+_TAGS = frozenset((TAG_CTRL, TAG_BLCK, TAG_ROWS, TAG_EVNT, TAG_DONE))
 
 #: Hard per-frame ceiling: a corrupted length field must not allocate the
 #: machine away.  Generously above any packed capture block the runtime ships.
@@ -245,15 +243,6 @@ def decode_rows(payload: memoryview) -> tuple[int, np.ndarray, np.ndarray]:
         payload, dtype=np.float64, count=count, offset=offset + count * 8
     )
     return block_id, indices, clocks
-
-
-def encode_packets(records: list[tuple[float, str, float]]) -> bytes:
-    """``PKTS`` payload from ``(timestamp, hex payload, clock)`` records."""
-    lines = [
-        json.dumps({"ts": timestamp, "data": data, "clock": clock})
-        for timestamp, data, clock in records
-    ]
-    return ("\n".join(lines)).encode("utf-8")
 
 
 def iter_ndjson(payload: memoryview | bytes):

@@ -24,6 +24,21 @@ class TestFlowKey:
         assert "10.0.0.1" in text
         assert "192.168.1.2" in text
 
+    def test_hash_is_cached_and_consistent(self):
+        key = FlowKey(ip_a=1, port_a=2, ip_b=3, port_b=4)
+        assert hash(key) == hash((1, 2, 3, 4))
+        assert hash(key) == key._hash  # the cached value is what hash() returns
+
+    def test_equal_keys_hash_equal(self):
+        a = FlowKey(ip_a=10, port_a=1024, ip_b=20, port_b=80)
+        b = FlowKey(ip_a=10, port_a=1024, ip_b=20, port_b=80)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+
+    def test_distinct_keys_usable_as_dict_keys(self):
+        keys = {FlowKey(i, i + 1, i + 2, i + 3): i for i in range(100)}
+        assert len(keys) == 100
+
 
 class TestConnection:
     def test_directions_assigned_relative_to_client(self, simple_connection):

@@ -144,38 +144,40 @@ class TestRuntimeBackpressure:
         chunker = AdaptiveChunker(initial=64, cooldown=0, target_flush_seconds=1e9)
         detector = ParallelStreamingDetector(
             trained_clap,
-            # workers=1 short-circuits to the queue-less single detector;
-            # two thread shards exercise the real submit path.
+            # workers=1 in thread mode is the queue-less single detector;
+            # process shards exercise the real submit path.
             workers=2,
+            worker_mode="process",
             chunk_size=chunker,
             idle_timeout=1e9,
             close_grace=0.5,
             max_flows=16,
             drop_policy=DropPolicy(mode="drop"),
         )
-        rejections = {"left": 3}
+        rejections = {"left": 3, "last": None}
         originals = []
         for shard in detector._shards:
-            real_put_nowait = shard.queue.put_nowait
-            originals.append((shard.queue, real_put_nowait))
+            real_put = shard.queue.put
+            originals.append((shard.queue, real_put))
 
-            def flaky_put_nowait(item, _real=real_put_nowait):
+            def flaky_put(item, block=True, timeout=None, _real=real_put):
                 # Simulate a backed-up shard through the runtime's own
-                # signal path: the first submits see a full queue.
-                if rejections["left"]:
+                # signal path: the first submits each see one full queue.
+                if rejections["left"] and item is not rejections["last"]:
                     rejections["left"] -= 1
+                    rejections["last"] = item
                     raise queue.Full
-                return _real(item)
+                return _real(item, block, timeout)
 
-            shard.queue.put_nowait = flaky_put_nowait
+            shard.queue.put = flaky_put
         try:
             assert detector._chunk_target() == 64
             for packet in syn_flood(1200):
                 detector.ingest(packet)
             detector.close()
         finally:
-            for shard_queue, real_put_nowait in originals:
-                shard_queue.put_nowait = real_put_nowait
+            for shard_queue, real_put in originals:
+                shard_queue.put = real_put
         # 64 -> 128 -> 256 -> 512: every induced queue.Full grew the chunk.
         assert chunker.size == 512
         assert chunker.grow_events == 3

@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from repro.serve import (
     StreamingDetector,
     parse_fault_specs,
 )
+from repro.serve import runtime as runtime_module
 from repro.traffic.generator import TrafficGenerator
 
 IDLE_TIMEOUT = 50.0
@@ -318,10 +320,10 @@ class TestWedgeAndFrameFaults:
         assert not _instance_processes()
 
     def test_corrupt_frame_degrades(self, fault_model_dir, replay_packets):
-        plan = FaultPlan(seed=9).corrupt_frame("PKTS", nth=5)
+        plan = FaultPlan(seed=9).corrupt_frame("ROWS", nth=5)
         partitioner = _partitioner(fault_model_dir, plan=plan, policy="degrade")
         events = _drain_all(partitioner, replay_packets)
-        assert ("corrupt-frame", "PKTS", 5) in plan.fired
+        assert ("corrupt-frame", "ROWS", 5) in plan.fired
         assert events
         report = partitioner.degradation_report()
         assert report
@@ -331,7 +333,7 @@ class TestWedgeAndFrameFaults:
     def test_corrupt_frame_fails_under_fail_policy(
         self, fault_model_dir, replay_packets
     ):
-        plan = FaultPlan(seed=9).corrupt_frame("PKTS", nth=5)
+        plan = FaultPlan(seed=9).corrupt_frame("ROWS", nth=5)
         partitioner = _partitioner(fault_model_dir, plan=plan, policy="fail")
         with pytest.raises(InstanceFailure):
             _drain_all(partitioner, replay_packets)
@@ -341,7 +343,7 @@ class TestWedgeAndFrameFaults:
     def test_dropped_frame_is_attributed_at_close(
         self, fault_model_dir, replay_packets
     ):
-        plan = FaultPlan(seed=9).drop_frame("PKTS", nth=5)
+        plan = FaultPlan(seed=9).drop_frame("ROWS", nth=5)
         partitioner = _partitioner(fault_model_dir, plan=plan, policy="degrade")
         _drain_all(partitioner, replay_packets)
         report = partitioner.degradation_report()
@@ -471,6 +473,42 @@ class TestWorkerFaults:
         _assert_rows_match(events, expected)
         assert not _shard_processes()
 
+    def test_worker_killed_mid_report_does_not_wedge_the_survivors(
+        self, trained_clap, fault_model_dir, replay_packets, monkeypatch
+    ):
+        # SIGKILL can land while a worker's result queue holds its write
+        # lock; the lock then stays taken forever, and no worker that writes
+        # through the same queue can ever report again.
+        real_post = runtime_module._post
+
+        def post_or_die(out_queue, message):
+            if message[0] == "flush_done" and message[1] == 0 and message[-1] == 0:
+                out_queue._wlock.acquire()
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_post(out_queue, message)
+
+        monkeypatch.setattr(runtime_module, "_post", post_or_die)
+        detector = _worker_detector(
+            trained_clap,
+            fault_model_dir,
+            policy="respawn",
+            start_method="fork",  # the workers inherit the patched _post
+        )
+        done = {}
+
+        def stream():
+            detector.ingest_many(replay_packets)
+            done["flushed"] = detector.flush()
+            done["final"] = detector.close()
+
+        runner = threading.Thread(target=stream, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive(), "the pool wedged behind a dead worker's lock"
+        assert "final" in done
+        assert detector.degradation_report().respawns == 1
+        assert not _shard_processes()
+
     def test_wedged_worker_is_declared_lost(
         self, trained_clap, fault_model_dir, replay_packets
     ):
@@ -490,6 +528,4 @@ class TestWorkerFaults:
 
     def test_thread_mode_rejects_supervision_policies(self, trained_clap):
         with pytest.raises(ValueError, match="process"):
-            ParallelStreamingDetector(
-                trained_clap, workers=2, on_worker_failure="degrade"
-            )
+            ParallelStreamingDetector(trained_clap, workers=1, on_worker_failure="degrade")

@@ -9,13 +9,7 @@ account for every evicted flow.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.netstack.flow import (
-    CompletionReason,
-    FlowTable,
-    ShardedFlowTable,
-)
+from repro.netstack.flow import CompletionReason, FlowTable
 from repro.netstack.ip import Ipv4Header
 from repro.netstack.packet import Packet
 from repro.netstack.tcp import TcpFlags, TcpHeader
@@ -59,29 +53,12 @@ class TestFlowTableUnderFlood:
         assert all(connection.packets[0].tcp.is_syn for connection, _ in completions)
 
 
-class TestShardedFlowTableUnderFlood:
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_global_budget_bounds_total_occupancy(self, shards):
-        table = ShardedFlowTable(
-            shards, idle_timeout=1e6, close_grace=1.0, max_flows=MAX_FLOWS
-        )
-        evicted = 0
-        for packet in syn_flood(FLOOD_SIZE):
-            completions = table.add(packet)
-            # Per-shard budgets are ceil(MAX_FLOWS / shards), so the global
-            # occupancy never exceeds the (rounded-up) budget.
-            assert len(table) <= -(-MAX_FLOWS // shards) * shards
-            assert all(r is CompletionReason.CAPACITY for _, r in completions)
-            evicted += len(completions)
-        assert evicted + len(table) == FLOOD_SIZE
-        assert max(table.occupancy()) <= -(-MAX_FLOWS // shards)
-
-
 class TestRuntimeUnderFlood:
     def test_drop_policy_counters_match_evictions(self, trained_clap):
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=4,
+            worker_mode="process",
             idle_timeout=1e9,
             close_grace=1e9,
             max_flows=MAX_FLOWS,
@@ -108,6 +85,7 @@ class TestRuntimeUnderFlood:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             idle_timeout=1e9,
             close_grace=1e9,
             max_flows=16,
@@ -126,6 +104,7 @@ class TestRuntimeUnderFlood:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             idle_timeout=1e9,
             close_grace=1e9,
             max_flows=32,

@@ -3,8 +3,8 @@
 The scale-out acceptance criterion: a :class:`FlowPartitioner` fanning one
 time-ordered stream out to N detector instances over localhost sockets
 emits the same connections with scores within 1e-9 of a single
-unpartitioned detector, at any instance count, on both the object-packet
-(``PKTS``) and columnar (``BLCK``/``ROWS``) data paths — and the remote
+unpartitioned detector, at any instance count, for both object-packet and
+columnar sources (both ride ``BLCK``/``ROWS`` frames) — and the remote
 ``endpoints=`` topology speaks the identical protocol.
 """
 
@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.attacks.primitives import bad_md5_option
 from repro.core.results import DetectionResult, _parse_flow_key
 from repro.netstack.columns import PacketColumns
 from repro.netstack.flow import CompletionReason, FlowKey, packet_stream
@@ -29,11 +30,8 @@ from repro.serve import (
     make_event,
 )
 from repro.serve.wire import (
-    TAG_BLCK,
     TAG_CTRL,
     TAG_EVNT,
-    TAG_PKTS,
-    TAG_ROWS,
     WireError,
     decode_block,
     decode_control,
@@ -42,9 +40,7 @@ from repro.serve.wire import (
     encode_block,
     encode_control,
     encode_events,
-    encode_packets,
     encode_rows,
-    iter_ndjson,
     recv_frame,
     send_frame,
 )
@@ -183,14 +179,6 @@ class TestWireCodec:
         with pytest.raises(WireError):
             decode_rows(torn)
 
-    def test_packets_codec_round_trip(self):
-        records = [(1.5, "deadbeef", 1.25), (2.5, "cafe", 2.0)]
-        payload = encode_packets(records)
-        decoded = [
-            (r["ts"], r["data"], r["clock"]) for r in iter_ndjson(payload)
-        ]
-        assert decoded == records
-
     def test_events_codec_round_trip(self):
         result = DetectionResult(
             key=FlowKey(ip_a=0x0A000001, port_a=1024, ip_b=0xC0A80001, port_b=80),
@@ -284,6 +272,11 @@ class TestPartitionerValidation:
         with pytest.raises(ValueError, match="chunk_size"):
             FlowPartitioner(partition_model_dir, instances=1, chunk_size=0)
 
+    def test_instance_config_needs_process_mode_for_workers(self):
+        with pytest.raises(ValueError, match="worker_mode='process'"):
+            InstanceConfig(workers=2)
+        assert InstanceConfig(workers=2, worker_mode="process").workers == 2
+
     def test_endpoint_parsing_rejects_garbage(self):
         from repro.serve.partition import _parse_endpoint
 
@@ -307,6 +300,27 @@ class TestPartitionedEquivalence:
         events = _drain_all(partitioner, replay_packets)
         _assert_rows_match(events, baseline_events)
         assert partitioner.connections_seen == len(events)
+
+    def test_invalid_md5_option_scores_as_in_process(
+        self, trained_clap, partition_model_dir
+    ):
+        # An invalid MD5 signature exists only on the in-memory option
+        # (``valid=False``); re-parsing the packet's bytes would read it as
+        # valid and change the connection's score.
+        packets = sorted(
+            packet_stream(_sequential_connections(4, seed=17)),
+            key=lambda p: p.timestamp,
+        )
+        bad_md5_option(packets[2], np.random.default_rng(0))
+        assert PacketColumns.from_packets([packets[2]]).md5_ok[0] == 0.0
+        single = StreamingDetector(
+            trained_clap, idle_timeout=IDLE_TIMEOUT, close_grace=CLOSE_GRACE
+        )
+        expected = _drain_all(single, packets)
+        partitioner = FlowPartitioner(
+            partition_model_dir, instances=2, config=_instance_config()
+        )
+        _assert_rows_match(_drain_all(partitioner, packets), expected)
 
     def test_columnar_path_matches_single_detector(
         self, partition_model_dir, replay_packets, baseline_events

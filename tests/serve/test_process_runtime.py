@@ -1,8 +1,8 @@
 """Process-backed shard pool: thread/process equivalence, parity, cleanup.
 
-The ISSUE-5 acceptance criteria: ``worker_mode="process"`` emits the
-identical event set (same keys, scores within 1e-9, same ``(first_seen,
-key)`` close order) as the thread runtime at workers ∈ {1, 2, 4}, on both
+The process pool's acceptance criteria: ``worker_mode="process"`` at workers ∈
+{1, 2, 4} emits the identical event set (same keys, scores within 1e-9, same
+``(first_seen, key)`` close order) as the in-process thread runtime, on both
 columnar and object ingest; metrics aggregate across processes; and the
 lifecycle bugs (run() leaking workers on a source error, close() after a
 worker failure) stay fixed.
@@ -11,7 +11,6 @@ worker failure) stay fixed.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 
 import pytest
 
@@ -79,8 +78,8 @@ class TestProcessEquivalence:
     def test_same_events_as_thread_runtime(
         self, trained_clap, clap_model_dir, small_dataset, workers, ingest
     ):
-        """The acceptance criterion: identical event set vs the thread
-        runtime at every worker count, on both ingest paths."""
+        """The acceptance criterion: identical event set vs the in-process
+        thread runtime at every worker count, on both ingest paths."""
 
         def stream():
             if ingest == "columnar":
@@ -89,7 +88,6 @@ class TestProcessEquivalence:
 
         thread = ParallelStreamingDetector(
             trained_clap,
-            workers=workers,
             flush_policy=FlushPolicy(max_batch=4),
             idle_timeout=1e9,
             close_grace=1e9,
@@ -275,7 +273,6 @@ class TestBackendProcessParity:
         backend, converted, model_dir = backend_setup
         thread = ParallelStreamingDetector(
             converted,
-            workers=2,
             flush_policy=FlushPolicy(max_batch=4),
             idle_timeout=1e9,
             close_grace=1e9,
@@ -299,9 +296,7 @@ class TestBackendProcessParity:
         """With no model_dir the runtime saves the (converted) pipeline to a
         temporary artifact for its workers — the conversion must not be lost."""
         backend, converted, _ = backend_setup
-        thread = ParallelStreamingDetector(
-            converted, workers=2, idle_timeout=1e9, close_grace=1e9
-        )
+        thread = ParallelStreamingDetector(converted, idle_timeout=1e9, close_grace=1e9)
         expected = _rows(_drain_all(thread, _packet_stream(small_dataset.test[:6])))
 
         process = ParallelStreamingDetector(
@@ -348,7 +343,6 @@ class TestMetricsParity:
         snapshots = {}
         for label, kwargs in {
             "single": dict(workers=1),
-            "threads": dict(workers=4),
             "processes": dict(workers=4, worker_mode="process", model_dir=clap_model_dir),
         }.items():
             detector = ParallelStreamingDetector(
@@ -357,7 +351,7 @@ class TestMetricsParity:
             detector.ingest_many(_packet_stream(connections))
             detector.close()
             snapshots[label] = _parity_keys(detector.metrics_snapshot())
-        assert snapshots["single"] == snapshots["threads"] == snapshots["processes"]
+        assert snapshots["single"] == snapshots["processes"]
         assert snapshots["single"]["completions_by_reason"]["drain"] == len(connections)
 
     def test_flood_metrics_agree_across_worker_counts_and_modes(
@@ -367,7 +361,6 @@ class TestMetricsParity:
         snapshots = {}
         for label, kwargs in {
             "single": dict(workers=1),
-            "threads": dict(workers=2),
             "processes": dict(workers=2, worker_mode="process", model_dir=clap_model_dir),
         }.items():
             detector = ParallelStreamingDetector(
@@ -437,23 +430,18 @@ class TestLifecycle:
             process.join(timeout=10.0)
         assert not _shard_processes()
 
-    def test_run_source_error_joins_thread_workers_too(self, trained_clap):
+    def test_run_source_error_closes_the_in_process_detector(self, trained_clap):
         connections = _sequential_connections(4)
 
         def broken():
             yield from _packet_stream(connections)[:10]
             raise ValueError("malformed record")
 
-        detector = ParallelStreamingDetector(
-            trained_clap, workers=2, idle_timeout=1e9, close_grace=1e9
-        )
+        detector = ParallelStreamingDetector(trained_clap, idle_timeout=1e9, close_grace=1e9)
         with pytest.raises(ValueError, match="malformed record"):
             detector.run(IterableSource(broken()))
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("clap-shard-")
-        ]
+        with pytest.raises(RuntimeError, match="close"):
+            detector.ingest(_packet_stream(connections)[0])
 
     def test_worker_failure_surfaces_and_still_joins(self, trained_clap, tmp_path):
         """A worker that cannot even load its model reports the failure; the
@@ -545,7 +533,7 @@ class TestLifecycle:
         newer blocks used to stay 'live' on the parent (move_to_end) while
         the workers had already evicted it — rows then failed with KeyError
         on valid input.  Now it is re-broadcast and the stream completes,
-        equivalent to the thread runtime."""
+        equivalent to the in-process runtime."""
         connections = _sequential_connections(12)
         blocks = [
             PacketColumns.from_packets(_packet_stream([connection])).views()
@@ -558,9 +546,7 @@ class TestLifecycle:
             items.extend(views)
         items.extend(blocks[0][3:])
 
-        thread = ParallelStreamingDetector(
-            trained_clap, workers=2, idle_timeout=1e9, close_grace=1e9
-        )
+        thread = ParallelStreamingDetector(trained_clap, idle_timeout=1e9, close_grace=1e9)
         expected = _rows(_drain_all(thread, list(items)))
 
         process = ParallelStreamingDetector(

@@ -1,10 +1,14 @@
-"""ParallelStreamingDetector: sharded equivalence, ordering, backpressure."""
+"""ParallelStreamingDetector: sharded equivalence, ordering, backpressure.
+
+One worker runs the in-process thread mode; more workers run process shards.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.netstack.flow import packet_stream as _packet_stream
+from repro.serve import runtime as runtime_module
 from repro.serve import (
     DropPolicy,
     FlushPolicy,
@@ -30,6 +34,11 @@ def _rows(events):
     )
 
 
+def _parallel(clap, workers, **kwargs):
+    mode = "thread" if workers == 1 else "process"
+    return ParallelStreamingDetector(clap, workers=workers, worker_mode=mode, **kwargs)
+
+
 def _drain_all(detector, stream):
     """Ingest a stream and close, returning every event exactly once.
 
@@ -41,6 +50,10 @@ def _drain_all(detector, stream):
     interim = list(detector.events())
     detector.close()
     return interim + list(detector.events())
+
+
+def _explode(*args, **kwargs):
+    raise RuntimeError("engine blew up")
 
 
 class TestShardedEquivalence:
@@ -56,9 +69,9 @@ class TestShardedEquivalence:
         baseline.close()
         expected = _rows(baseline.events())
 
-        parallel = ParallelStreamingDetector(
+        parallel = _parallel(
             trained_clap,
-            workers=workers,
+            workers,
             flush_policy=FlushPolicy(max_batch=4),
             idle_timeout=1e9,
             close_grace=1e9,
@@ -78,9 +91,7 @@ class TestShardedEquivalence:
         baseline.close()
         expected = _rows(baseline.events())
 
-        parallel = ParallelStreamingDetector(
-            trained_clap, workers=workers, idle_timeout=50.0, close_grace=0.5
-        )
+        parallel = _parallel(trained_clap, workers, idle_timeout=50.0, close_grace=0.5)
         got = _rows(_drain_all(parallel, _packet_stream(connections)))
         assert [row[:2] for row in got] == [row[:2] for row in expected]
         assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, expected))
@@ -95,7 +106,11 @@ class TestShardedEquivalence:
             (str(e.result.key), e.completed_by.value) for e in baseline.events()
         )
         parallel = ParallelStreamingDetector(
-            trained_clap, workers=4, idle_timeout=50.0, close_grace=0.5
+            trained_clap,
+            workers=4,
+            worker_mode="process",
+            idle_timeout=50.0,
+            close_grace=0.5,
         )
         events = _drain_all(parallel, _packet_stream(connections))
         assert sorted((str(e.result.key), e.completed_by.value) for e in events) == expected
@@ -105,9 +120,7 @@ class TestCloseOrdering:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_close_returns_sorted_events(self, trained_clap, workers):
         connections = _sequential_connections(9)
-        detector = ParallelStreamingDetector(
-            trained_clap, workers=workers, idle_timeout=1e9, close_grace=1e9
-        )
+        detector = _parallel(trained_clap, workers, idle_timeout=1e9, close_grace=1e9)
         detector.ingest_many(_packet_stream(connections))
         final = detector.close()
         order = [(e.first_seen, str(e.result.key)) for e in final]
@@ -122,6 +135,7 @@ class TestCloseOrdering:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             flush_policy=FlushPolicy(max_batch=2),
             idle_timeout=1e9,
             close_grace=1e9,  # nothing completes before the drain
@@ -133,7 +147,7 @@ class TestCloseOrdering:
         assert order == sorted(order)
 
     def test_close_is_idempotent_and_ingest_after_close_fails(self, trained_clap):
-        detector = ParallelStreamingDetector(trained_clap, workers=2)
+        detector = ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process")
         connections = _sequential_connections(2)
         detector.ingest_many(_packet_stream(connections))
         detector.close()
@@ -144,7 +158,7 @@ class TestCloseOrdering:
     def test_flush_and_poll_after_close_are_safe_noops(self, trained_clap):
         """Regression: flush() after close() used to deadlock on a barrier
         queued to already-joined workers."""
-        detector = ParallelStreamingDetector(trained_clap, workers=2)
+        detector = ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process")
         detector.ingest_many(_packet_stream(_sequential_connections(2)))
         detector.close()
         assert detector.flush() == []
@@ -158,6 +172,7 @@ class TestEventSurface:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=3,
+            worker_mode="process",
             idle_timeout=1e9,
             close_grace=1e9,
             on_event=pushed.append,
@@ -174,6 +189,7 @@ class TestEventSurface:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             threshold=-1.0,  # everything alerts
             idle_timeout=1e9,
             close_grace=1e9,
@@ -190,6 +206,7 @@ class TestEventSurface:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             flush_policy=FlushPolicy(max_batch=64, max_buffered=1024, auto_flush=False),
             idle_timeout=1e9,
             close_grace=0.5,
@@ -216,7 +233,11 @@ class TestSourcesIntegration:
         # connections complete CLOSED before the final drain.
         items = stream + [Tick(stream[-1].timestamp + 1e6)]
         detector = ParallelStreamingDetector(
-            trained_clap, workers=2, idle_timeout=1e9, close_grace=1.0
+            trained_clap,
+            workers=2,
+            worker_mode="process",
+            idle_timeout=1e9,
+            close_grace=1.0,
         )
         detector.run(IterableSource(items))
         events = list(detector.events())
@@ -230,6 +251,7 @@ class TestDropPolicyAndMetrics:
         detector = ParallelStreamingDetector(
             trained_clap,
             workers=2,
+            worker_mode="process",
             idle_timeout=1e9,
             close_grace=1e9,
             max_flows=4,
@@ -250,7 +272,11 @@ class TestDropPolicyAndMetrics:
         connections = _sequential_connections(6)
         stream = _packet_stream(connections)
         detector = ParallelStreamingDetector(
-            trained_clap, workers=3, idle_timeout=1e9, close_grace=1e9
+            trained_clap,
+            workers=3,
+            worker_mode="process",
+            idle_timeout=1e9,
+            close_grace=1e9,
         )
         detector.ingest_many(stream)
         detector.close()
@@ -272,20 +298,17 @@ class TestDropPolicyAndMetrics:
         assert snapshot["packets_ingested"] == [len(stream)]
         assert snapshot["events_emitted"] == len(connections)
 
-    def test_worker_failure_during_flush_surfaces_not_deadlocks(self, trained_clap):
+    def test_worker_failure_during_flush_surfaces_not_deadlocks(
+        self, trained_clap, monkeypatch
+    ):
         """Regression: an engine error while a worker handled a flush barrier
-        left the barrier unset and flush() blocked forever."""
-
-        class _ExplodingClap:
-            threshold = trained_clap.threshold
-            engine = trained_clap.engine
-
-            def detect_batch(self, connections, **kwargs):
-                raise RuntimeError("engine blew up")
-
+        left the barrier unanswered and flush() blocked forever."""
+        monkeypatch.setattr(runtime_module, "drain_pending", _explode)
         detector = ParallelStreamingDetector(
-            _ExplodingClap(),
+            trained_clap,
             workers=2,
+            worker_mode="process",
+            start_method="fork",  # the workers inherit the patched scorer
             flush_policy=FlushPolicy(max_batch=64, auto_flush=False),
             threshold=0.0,
             idle_timeout=1e9,
@@ -293,36 +316,45 @@ class TestDropPolicyAndMetrics:
         )
         detector.ingest_many(_packet_stream(_sequential_connections(4)))
         detector.poll()  # completions reach the pending buffers
-        # The barrier must be released even though scoring failed: flush()
+        # The barrier must be answered even though scoring failed: flush()
         # returns from the wait and surfaces the worker failure.
         with pytest.raises(RuntimeError, match="shard worker"):
             detector.flush()
+        with pytest.raises(RuntimeError, match="shard worker"):
+            detector.close()
 
-    def test_worker_failure_during_close_surfaces_not_deadlocks(self, trained_clap):
+    def test_worker_failure_during_close_surfaces_not_deadlocks(
+        self, trained_clap, monkeypatch
+    ):
         """Regression: an engine error during the end-of-stream drain left
         close() joining a dead worker forever."""
-
-        class _ExplodingClap:
-            threshold = trained_clap.threshold
-            engine = trained_clap.engine
-
-            def detect_batch(self, connections, **kwargs):
-                raise RuntimeError("engine blew up")
-
+        monkeypatch.setattr(runtime_module, "drain_pending", _explode)
         detector = ParallelStreamingDetector(
-            _ExplodingClap(), workers=2, threshold=0.0, idle_timeout=1e9, close_grace=1e9
+            trained_clap,
+            workers=2,
+            worker_mode="process",
+            start_method="fork",  # the workers inherit the patched scorer
+            threshold=0.0,
+            idle_timeout=1e9,
+            close_grace=1e9,
         )
         detector.ingest_many(_packet_stream(_sequential_connections(3)))
         with pytest.raises(RuntimeError, match="shard worker"):
             detector.close()
 
+    def test_thread_mode_is_one_in_process_detector(self, trained_clap):
+        with pytest.raises(ValueError, match="worker_mode='process'"):
+            ParallelStreamingDetector(trained_clap, workers=2)
+        with pytest.raises(ValueError, match="worker_mode='process'"):
+            ParallelStreamingDetector(trained_clap, workers=4, worker_mode="thread")
+
     def test_validation(self, trained_clap):
         with pytest.raises(ValueError):
             ParallelStreamingDetector(trained_clap, workers=0)
         with pytest.raises(ValueError):
-            ParallelStreamingDetector(trained_clap, workers=2, chunk_size=0)
+            ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process", chunk_size=0)
         with pytest.raises(ValueError):
-            ParallelStreamingDetector(trained_clap, workers=2, queue_depth=0)
+            ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process", queue_depth=0)
         with pytest.raises(ValueError):
             DropPolicy(mode="maybe")
         with pytest.raises(ValueError):

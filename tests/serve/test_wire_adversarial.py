@@ -15,9 +15,13 @@ import time
 
 import pytest
 
+from repro.netstack.columns import PacketColumns
+from repro.netstack.flow import packet_stream
+from repro.serve import DetectorInstance
 from repro.serve.wire import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
+    TAG_BLCK,
     TAG_CTRL,
     TAG_EVNT,
     WireError,
@@ -25,11 +29,25 @@ from repro.serve.wire import (
     decode_block,
     decode_control,
     decode_rows,
+    encode_block,
     encode_control,
     encode_rows,
     recv_frame,
     send_frame,
 )
+from repro.traffic.generator import TrafficGenerator
+
+#: Set by :func:`_flip_on_load`, which only an unpickled payload calls.
+_PICKLE_LOADED = threading.Event()
+
+
+def _flip_on_load() -> None:
+    _PICKLE_LOADED.set()
+
+
+class _FlipOnLoad:
+    def __reduce__(self):
+        return _flip_on_load, ()
 
 
 @pytest.fixture
@@ -176,3 +194,31 @@ class TestSlowLoris:
         tag, payload = recv_frame(right, _deadline(1.0))
         assert tag == TAG_CTRL
         assert decode_control(payload) == {"op": "hello"}
+
+
+class TestUntrustedBlocks:
+    def test_instance_refuses_a_pickled_backing_unloaded(self, trained_clap):
+        # A packet-backed block carries its packets as a pickle; a socket
+        # peer must not be able to make the instance load one.
+        _PICKLE_LOADED.clear()
+        packets = packet_stream(TrafficGenerator(seed=5).generate_connections(1))
+        columns = PacketColumns.from_packets(packets)
+        columns.packets = [_FlipOnLoad()]
+        packed = columns.pack_block()
+        instance = DetectorInstance(trained_clap)
+        failures = []
+
+        def serve():
+            try:
+                instance.serve()
+            except WireError as error:
+                failures.append(error)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        with socket.create_connection(instance.address, timeout=5.0) as sock:
+            send_frame(sock, TAG_BLCK, *encode_block(1, packed), deadline=_deadline(5.0))
+            server.join(timeout=30.0)
+        assert not server.is_alive()
+        assert not _PICKLE_LOADED.is_set()
+        assert failures and "packet-backed" in str(failures[0])

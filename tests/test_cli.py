@@ -316,19 +316,30 @@ class TestStreamCommand:
         assert main(["stream", str(trained_model_dir), str(capture), "--max-batch", "0"]) == 2
 
     def test_stream_with_workers_matches_single_worker(self, trained_model_dir, tmp_path, capsys):
-        """--workers 4 emits the same connections and scores as --workers 1."""
+        """--workers 4 (process shards) emits the same connections and scores
+        as --workers 1."""
         capture = tmp_path / "sharded.pcap"
         main(["generate", str(capture), "--connections", "8", "--seed", "23"])
         capsys.readouterr()
         assert main(["stream", str(trained_model_dir), str(capture)]) == 0
         single = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
-        assert main(["stream", str(trained_model_dir), str(capture), "--workers", "4"]) == 0
+        assert main(["stream", str(trained_model_dir), str(capture),
+                     "--workers", "4", "--worker-mode", "process"]) == 0
         sharded = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
         assert sorted(
             (e["connection"], e["packet_count"], round(e["score"], 9)) for e in single
         ) == sorted(
             (e["connection"], e["packet_count"], round(e["score"], 9)) for e in sharded
         )
+
+    def test_stream_thread_mode_rejects_multiple_workers(
+        self, trained_model_dir, tmp_path, capsys
+    ):
+        capture = tmp_path / "threads.pcap"
+        main(["generate", str(capture), "--connections", "2", "--seed", "5"])
+        capsys.readouterr()
+        assert main(["stream", str(trained_model_dir), str(capture), "--workers", "2"]) == 2
+        assert "worker_mode='process'" in capsys.readouterr().err
 
     def test_stream_reads_ndjson_source(self, trained_model_dir, tmp_path, capsys):
         from repro.serve import NDJSONSource
@@ -347,12 +358,13 @@ class TestStreamCommand:
     def test_stream_process_workers_match_thread_workers(
         self, trained_model_dir, tmp_path, capsys
     ):
-        """--worker-mode process emits the same events as the thread runtime
-        (the workers mmap the model directory the CLI already has)."""
+        """--worker-mode process emits the same events as the in-process
+        thread runtime (the workers mmap the model directory the CLI already
+        has)."""
         capture = tmp_path / "proc.pcap"
         main(["generate", str(capture), "--connections", "6", "--seed", "29"])
         capsys.readouterr()
-        assert main(["stream", str(trained_model_dir), str(capture), "--workers", "2"]) == 0
+        assert main(["stream", str(trained_model_dir), str(capture)]) == 0
         threaded = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
         assert main(["stream", str(trained_model_dir), str(capture),
                      "--workers", "2", "--worker-mode", "process"]) == 0
@@ -387,7 +399,7 @@ class TestStreamCommand:
         main(["generate", str(capture), "--connections", "3", "--seed", "11"])
         capsys.readouterr()
         assert main(["stream", str(trained_model_dir), str(capture),
-                     "--workers", "2", "--metrics"]) == 0
+                     "--workers", "2", "--worker-mode", "process", "--metrics"]) == 0
         err = capsys.readouterr().err
         assert "shards=2" in err
         assert "flush latency" in err

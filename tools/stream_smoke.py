@@ -3,12 +3,12 @@
 
 Exercises the full operational path with no fixtures: synthesise a capture,
 train a deliberately tiny model, replay the capture through ``repro stream``
-with four thread shard workers and again with two *process* shard workers
-(``--worker-mode process``: GIL-free pool, model shared via read-only mmap),
-and fail on a non-zero exit code, zero emitted events, or the two runs
-disagreeing on any connection's score.  The point is not accuracy — it is
-that the sharded runtime's packets-in/alerts-out pipeline holds together as
-a process would run it, in both worker substrates.
+with one in-process detector (``--workers 1``) and again with two *process*
+shard workers (``--workers 2 --worker-mode process``: model shared via
+read-only mmap), and fail on a non-zero exit code, zero emitted events, or
+the two runs disagreeing on any connection's score.  The point is not
+accuracy — it is that the runtime's packets-in/alerts-out pipeline holds
+together as a process would run it, in both worker modes.
 
 Run with:  PYTHONPATH=src python tools/stream_smoke.py
 """
@@ -57,7 +57,7 @@ def main() -> int:
             return 1
 
         code, out = run(["stream", str(model_dir), str(capture_path),
-                         "--workers", "4", "--metrics"], capture=True)
+                         "--workers", "1", "--metrics"], capture=True)
         if code != 0:
             print("smoke FAILED: stream exited non-zero", file=sys.stderr)
             return 1
@@ -91,12 +91,12 @@ def main() -> int:
             (e["connection"], round(e["score"], 9)) for e in process_events
         )
         if rows != process_rows:
-            print("smoke FAILED: process-mode events diverge from thread mode",
-                  file=sys.stderr)
+            print("smoke FAILED: process-mode events diverge from the "
+                  "in-process detector", file=sys.stderr)
             return 1
 
     print(f"smoke OK: {len(events)} events from {CONNECTIONS} connections "
-          f"through 4 thread shard workers, reproduced identically by "
+          f"through one in-process detector, reproduced identically by "
           f"2 process shard workers", file=sys.stderr)
     return 0
 
