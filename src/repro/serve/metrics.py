@@ -374,6 +374,8 @@ class StreamingMetrics:
         self.flush_latency = LatencyHistogram()
         self.max_pending_depth = 0
         self.max_queue_depth = 0
+        # Parent side: seconds spent blocked on full shard queues.
+        self.backpressure_wait_seconds = 0.0
         # Shared-memory block accounting (parent side): segments broadcast to
         # the worker pool, payload bytes that crossed through them, and the
         # most segments ever awaiting acks at once.
@@ -465,6 +467,10 @@ class StreamingMetrics:
         with self._lock:
             if depth > self.max_queue_depth:
                 self.max_queue_depth = depth
+
+    def record_backpressure_wait(self, seconds: float) -> None:
+        with self._lock:
+            self.backpressure_wait_seconds += seconds
 
     def record_instance_lost(self, packets_lost_inflight: int = 0) -> None:
         """One instance/worker incarnation was lost, with its in-flight loss."""
@@ -582,6 +588,7 @@ class StreamingMetrics:
                 "flush_latency": latency.to_dict(),
                 "max_pending_depth": max_pending,
                 "max_queue_depth": self.max_queue_depth,
+                "backpressure_wait_seconds": self.backpressure_wait_seconds,
                 "shared_memory": {
                     "segments_created": self.shm_segments_created,
                     "bytes_broadcast": self.shm_bytes_broadcast,
@@ -622,7 +629,8 @@ class StreamingMetrics:
             f"flush latency: n={latency['count']} "  # type: ignore[index]
             f"mean={latency['mean_seconds'] * 1e3:.2f}ms "  # type: ignore[index]
             f"max={latency['max_seconds'] * 1e3:.2f}ms; "  # type: ignore[index]
-            f"max pending={snap['max_pending_depth']} max queue={snap['max_queue_depth']}",
+            f"max pending={snap['max_pending_depth']} max queue={snap['max_queue_depth']} "
+            f"backpressure wait={snap['backpressure_wait_seconds']:.3f}s",
             f"shared memory: segments={shm['segments_created']} "  # type: ignore[index]
             f"broadcast={shm['bytes_broadcast']}B "  # type: ignore[index]
             f"high-water={shm['segments_high_water']} "  # type: ignore[index]

@@ -83,7 +83,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.netstack.columns import ColumnPacketView, PacketColumns
-from repro.netstack.flow import flow_key_of
+from repro.netstack.flow import flow_key_of, key_slot
 from repro.netstack.packet import Packet
 from repro.serve.events import (
     Alert,
@@ -517,7 +517,7 @@ class FlowPartitioner:
     def _rehome(self, pending: list[tuple[Packet, float]]) -> None:
         """Requeue unsent packets onto their (possibly rerouted) owners."""
         for packet, clock in pending:
-            slot = hash(flow_key_of(packet)) % self.instances
+            slot = key_slot(flow_key_of(packet), self.instances)
             target = self._instances[self._route[slot]]
             if not target.lost:
                 target.buffer.append((packet, clock))
@@ -690,8 +690,7 @@ class FlowPartitioner:
                 self._guarded_submit(instance)
             self._ship_block(packet.columns)
             self._current_columns = packet.columns
-        key = flow_key_of(packet)
-        instance = self._instances[self._route[hash(key) % self.instances]]
+        instance = self._instances[self._route[key_slot(flow_key_of(packet), self.instances)]]
         instance.buffer.append((packet, self._clock))
         if packet.timestamp > self._clock:
             self._clock = packet.timestamp
@@ -937,7 +936,7 @@ class FlowPartitioner:
         degraded = 0
         for event in events:
             if self._degraded_slots and event.result.key is not None:
-                slot = hash(event.result.key) % self.instances
+                slot = key_slot(event.result.key, self.instances)
                 if slot in self._degraded_slots and not event.result.degraded:
                     event = dataclasses.replace(
                         event,

@@ -4,10 +4,13 @@
 :class:`~repro.serve.streaming.StreamingDetector` out to N worker processes
 while keeping its contract.  The layering:
 
-* the ingest thread (the caller) routes each packet to the shard owning its
-  flow key (``hash(FlowKey) % workers``) and hands it over in chunks through
-  a bounded per-shard queue — a full queue blocks ingestion, which **is** the
-  backpressure signal;
+* the ingest thread (the caller) only records each packet's row and advances
+  the stream clock; once a chunk of rows is pending, one routing step maps
+  them all to the shards owning their flows
+  (:func:`~repro.netstack.flow.flow_slot`, a fixed integer mix over the
+  block's ``key_*`` columns, so every process agrees) and hands each shard
+  one ``rows`` message through its bounded queue — a full queue blocks
+  ingestion, which **is** the backpressure signal;
 * each shard worker owns one :class:`~repro.netstack.flow.FlowTable` and its
   own pending buffer: it assembles connections, applies the
   :class:`~repro.serve.metrics.DropPolicy` to capacity evictions, and pushes
@@ -28,11 +31,14 @@ while keeping its contract.  The layering:
   model **read-only** from the artifact directory with ``mmap_mode="r"``
   (all workers share one page-cache copy of the ``.npz``), receives columnar
   work as :meth:`~repro.netstack.columns.PacketColumns.pack_block` wire
-  blocks — broadcast once per capture block, shared-memory-backed for large
-  payloads, with per-chunk row-index slices riding the per-shard queues.
-  ``workers=4`` means four cores.  Even ``workers=1`` moves scoring off the
-  ingest thread.  :class:`~repro.serve.metrics.StreamingMetrics` aggregates
-  across the pool by merging per-worker counter structs on snapshot.
+  blocks — columns only, since workers never materialise packets; broadcast
+  once per capture block, shared-memory-backed for large payloads, with
+  per-step row-index slices riding the per-shard queues.  Object ``Packet``
+  runs become :meth:`~repro.netstack.columns.PacketColumns.from_packets`
+  blocks at their routing step.  ``workers=4`` means four cores.  Even
+  ``workers=1`` moves scoring off the ingest thread.
+  :class:`~repro.serve.metrics.StreamingMetrics` aggregates across the pool
+  by merging per-worker counter structs on snapshot.
 
 Equivalence guarantee: on a time-ordered capture the runtime emits the same
 set of :class:`~repro.serve.events.DetectionEvent`\\ s — same connection
@@ -48,8 +54,8 @@ raised on the next ingest/flush/close, every worker still joined), ``"respawn"``
 (the dead worker is replaced from its :class:`_WorkerSpec`, live blocks are
 re-broadcast to the new incarnation, and work that was in flight through the
 dead queue is recorded as a known loss), or ``"degrade"`` (the dead shard's
-future flows are rehashed onto the survivors and their events carry
-``DetectionResult.degraded=True``).  Every loss is recorded as an
+slots, and rows not yet handed to it, are rerouted onto the survivors, and
+their events carry ``DetectionResult.degraded=True``).  Every loss is recorded as an
 :class:`~repro.serve.supervise.InstanceLossRecord` with ``kind="worker"`` and
 counted into the metrics degradation section.  Thread mode has no workers to
 lose, so any policy other than ``"fail"`` is rejected at construction.
@@ -86,7 +92,8 @@ from repro.netstack.flow import (
     CompletionReason,
     Connection,
     FlowTable,
-    flow_key_of,
+    flow_slot,
+    key_slot,
 )
 from repro.netstack.packet import Packet
 from repro.serve.events import Alert, DetectionEvent
@@ -127,6 +134,12 @@ _SHM_MIN_BYTES = 64 * 1024
 _BLOCK_CACHE_DEPTH = 8
 
 _WORKER_JOIN_TIMEOUT = 10.0
+
+
+def _pack(columns: PacketColumns) -> bytes:
+    """A capture block as shard workers receive it: every column, and no
+    raw-packet backing — workers never materialise packets."""
+    return columns.pack_block(backing="none")
 
 
 def _emit_nothing(events: list[DetectionEvent]) -> None:
@@ -339,7 +352,8 @@ def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
                     blocks.popitem(last=False)
                 continue
             if kind == "flush":
-                events = [] if failed else flush_pending()
+                # The barrier's events travel once, inside flush_done.
+                events = [] if failed else flush_pending(dispatch=False)
                 _post(out_queue, ("flush_done", spec.index, item[1], events, gauges(), spec.generation))
                 continue
             if failed:
@@ -357,14 +371,6 @@ def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
                     if clock > table.clock:
                         completions.extend(table.poll(clock))
                     completions.extend(table.add(view, view.flow_key()))
-                buffer_completions(completions)
-                continue
-            if kind == "packets":
-                completions = []
-                for packet, clock in item[1]:
-                    if clock > table.clock:
-                        completions.extend(table.poll(clock))
-                    completions.extend(table.add(packet))
                 buffer_completions(completions)
                 continue
         except BaseException as error:  # noqa: BLE001 - forwarded to parent
@@ -429,8 +435,9 @@ class ParallelStreamingDetector:
         Applied to :attr:`CompletionReason.CAPACITY` evictions before they
         reach the engine (see :class:`~repro.serve.metrics.DropPolicy`).
     chunk_size:
-        Packets handed to a shard per queue operation.  Larger chunks cut
-        queue overhead; smaller chunks cut event latency.  The default
+        Packets per routing step and live worker: a step hands each shard
+        its share of the pending rows in one queue message.  Larger chunks
+        cut queue overhead; smaller chunks cut event latency.  The default
         ``"adaptive"`` installs an :class:`~repro.serve.metrics.AdaptiveChunker`
         that grows the chunk under queue backpressure and shrinks it when
         flush latency climbs; an integer pins it (the historical behaviour
@@ -558,11 +565,18 @@ class ParallelStreamingDetector:
         self._dispatch_lock = threading.RLock()
         self._connections_seen = 0
         self._alerts_emitted = 0
-        # Global stream high-water mark; written only by the ingest thread,
-        # snapshotted into every queued packet so a shard's clock catches up
-        # to global stream time before it adds the packet, and timers expire
-        # exactly as they would in a single table.
+        # Global stream high-water mark, written only by the ingest thread,
+        # and the mark before the first pending row.  A routing step gives
+        # each row the mark as it stood just before it, so a shard catches
+        # up to global stream time before adding the packet and its timers
+        # expire exactly as they would in a single table.
         self._clock = float("-inf")
+        self._routed_clock = self._clock
+        # Rows awaiting the next routing step: row indices of _pending_block,
+        # or Packet objects when it is None.
+        self._pending: list = []
+        self._pending_block: PacketColumns | None = None
+        self._live_workers = self.workers
         self._init_process_pool(
             idle_timeout=idle_timeout,
             close_grace=close_grace,
@@ -623,13 +637,9 @@ class ParallelStreamingDetector:
             self._tmp_model_cleanup = weakref.finalize(
                 self, shutil.rmtree, tmp_dir, ignore_errors=True
             )
-        self._buffers: list[list[tuple[Packet, float]]] = [
-            [] for _ in range(self.workers)
-        ]
         # Blocks currently shipped to the workers (insertion-ordered; parent
         # and workers evict in lockstep) and the shm segments awaiting acks.
         self._live_blocks: "OrderedDict[int, PacketColumns]" = OrderedDict()
-        self._current_columns: PacketColumns | None = None
         self._block_shm: dict[int, tuple[object, set[int]]] = {}
         self._flush_results: dict[int, dict[int, list[DetectionEvent]]] = {}
         self._flush_counter = 0
@@ -661,30 +671,26 @@ class ParallelStreamingDetector:
 
     # -------------------------------------------------------------- ingestion
     def ingest(self, packet: Packet) -> None:
-        """Route one packet to its shard (may block under backpressure)."""
+        """Queue one packet for routing (a routing step may block)."""
         if self._closed:
             raise RuntimeError("ingest() after close()")
         if self._single is not None:
             self._single.ingest(packet)
             return
-        self._raise_worker_failure()
-        if type(packet) is ColumnPacketView and packet.columns is not self._current_columns:
-            # A new capture block: flush every shard's buffered rows first so
-            # queued row slices always precede the block broadcast (workers
-            # evict their oldest cached block when a new one arrives).
-            for index in range(self.workers):
-                self._submit_process(index)
-            self._ship_block(packet.columns)
-            self._current_columns = packet.columns
-        index = self._proc_route[hash(flow_key_of(packet)) % self.workers]
-        buffer = self._buffers[index]
-        buffer.append((packet, self._clock))
+        columns = packet.columns if type(packet) is ColumnPacketView else None
+        if columns is not self._pending_block:
+            self._route_pending()  # one block (or one object-packet run) per step
+            self._pending_block = columns
+        pending = self._pending
+        if not pending:
+            self._raise_worker_failure()
+        pending.append(packet if columns is None else packet.index)
         if packet.timestamp > self._clock:
             self._clock = packet.timestamp
         if self._fault_plan is not None:
             self._apply_worker_faults(1)
-        if len(buffer) >= self._chunk_target():
-            self._submit_process(index)
+        if len(pending) >= self._chunk_target() * self._live_workers:
+            self._route_pending()
 
     def ingest_many(self, packets: Iterable[Packet]) -> None:
         """Feed a chunk of packets in stream order."""
@@ -705,10 +711,10 @@ class ParallelStreamingDetector:
         now = self._clock if now is None else float(now)
         if now == float("-inf"):
             return
+        self._route_pending()
         if now > self._clock:
-            self._clock = now
-        for index, shard in enumerate(self._shards):
-            self._submit_process(index)
+            self._clock = self._routed_clock = now
+        for shard in self._shards:
             self._put_shard(shard, ("poll", now))
         self._drain_results()
 
@@ -750,94 +756,62 @@ class ParallelStreamingDetector:
         return self._fixed_chunk if self._chunker is None else self._chunker.size
 
     # -------------------------------------------------------------- transport
-    def _submit_process(self, index: int) -> None:
-        chunk = self._buffers[index]
-        if not chunk:
+    def _route_pending(self) -> None:
+        """One routing step: hand every pending row to the shard owning it."""
+        pending = self._pending
+        if not pending:
             return
-        self._buffers[index] = []
-        shard = self._shards[index]
-        if shard.lost:
-            # The shard was lost while this buffer sat unrouted; its packets
-            # were never in flight, so they simply follow the rehashed route.
-            self._rehome_packets(chunk)
-            return
-        messages: list[tuple] = []
-        covered: list[list[tuple[Packet, float]]] = []
-        run_columns: PacketColumns | None = None
-        run_indices: list[int] = []
-        run_clocks: list[float] = []
-        run_pairs: list[tuple[Packet, float]] = []
-        object_run: list[tuple[Packet, float]] = []
+        self._pending = []
+        columns = self._pending_block
+        if columns is None:
+            columns = PacketColumns.from_packets(pending)
+            rows = np.arange(len(pending), dtype=np.int64)
+        else:
+            rows = np.asarray(pending, dtype=np.int64)
+        clocks = np.empty(len(rows))
+        clocks[0] = self._routed_clock
+        clocks[1:] = columns.timestamp[rows[:-1]]
+        np.maximum.accumulate(clocks, out=clocks)
+        self._routed_clock = self._clock
+        self._route_rows(columns, rows, clocks)
+        self._drain_results()
 
-        def close_column_run() -> None:
-            nonlocal run_columns
-            if run_columns is not None:
-                messages.append(
-                    (
-                        "rows",
-                        id(run_columns),
-                        np.asarray(run_indices, dtype=np.int64).tobytes(),
-                        np.asarray(run_clocks, dtype=np.float64).tobytes(),
-                    )
-                )
-                covered.append(list(run_pairs))
-                run_columns = None
-                run_indices.clear()
-                run_clocks.clear()
-                run_pairs.clear()
-
-        def close_object_run() -> None:
-            if object_run:
-                messages.append(("packets", list(object_run)))
-                covered.append(list(object_run))
-                object_run.clear()
-
-        for packet, clock in chunk:
-            if type(packet) is ColumnPacketView:
-                columns = packet.columns
-                if columns is not run_columns:
-                    close_column_run()
-                    close_object_run()
-                    if id(columns) not in self._live_blocks:
-                        # The block left the cache window (or this chunk was
-                        # buffered before it was first seen); re-broadcast.
-                        self._ship_block(columns)
-                    run_columns = columns
-                run_indices.append(packet.index)
-                run_clocks.append(clock)
-                run_pairs.append((packet, clock))
-            else:
-                close_column_run()
-                object_run.append((packet, clock))
-        close_column_run()
-        close_object_run()
-        try:
-            depth = shard.queue.qsize() + len(messages)
-        except NotImplementedError:  # pragma: no cover - macOS qsize
-            depth = len(messages)
-        self.metrics.record_queue_depth(depth)
-        for position, message in enumerate(messages):
+    def _route_rows(self, columns: PacketColumns, rows: np.ndarray, clocks: np.ndarray) -> None:
+        """Send each shard its rows of ``columns`` (with their clocks) as one
+        ``rows`` message; rows a lost shard never received are rerouted."""
+        self._ship_block(columns)
+        owners = np.asarray(self._proc_route)[
+            flow_slot(
+                columns.key_ip_a[rows],
+                columns.key_port_a[rows],
+                columns.key_ip_b[rows],
+                columns.key_port_b[rows],
+                self.workers,
+            )
+        ]
+        unsent: list[np.ndarray] = []
+        for shard in self._shards:
+            mine = owners == shard.index
+            count = int(np.count_nonzero(mine))
+            if not count:
+                continue
+            try:
+                self.metrics.record_queue_depth(shard.queue.qsize() + 1)
+            except NotImplementedError:  # pragma: no cover - macOS qsize
+                self.metrics.record_queue_depth(1)
+            message = ("rows", id(columns), rows[mine].tobytes(), clocks[mine].tobytes())
             # Blocks while the shard is merely behind (backpressure), but
             # never wedges on a dead or wedged worker.
             if self._put_shard(shard, message):
-                shard.routed_packets += len(covered[position])
-                continue
-            if shard.lost:
-                # Degraded: this message and the rest of the chunk never
-                # reached a worker, so they were never in flight — reroute
-                # them instead of counting them lost.
-                self._rehome_packets(
-                    [pair for pairs in covered[position:] for pair in pairs]
-                )
-            break
-        self.metrics.record_ingest(index, len(chunk))
-        self._drain_results()
-
-    def _rehome_packets(self, pairs: list[tuple[Packet, float]]) -> None:
-        """Re-buffer packets whose shard was lost before they were routed."""
-        for packet, clock in pairs:
-            index = self._proc_route[hash(flow_key_of(packet)) % self.workers]
-            self._buffers[index].append((packet, clock))
+                shard.routed_packets += count
+                self.metrics.record_ingest(shard.index, count)
+            elif shard.lost:
+                # Degraded: these rows never reached a worker, so they were
+                # never in flight — they follow the rerouted slots instead.
+                unsent.append(mine)
+        if unsent:
+            mine = np.logical_or.reduce(unsent)
+            self._route_rows(columns, rows[mine], clocks[mine])
 
     def _put_shard(self, shard: "_ProcessShard", message: tuple) -> bool:
         """Put on a shard's bounded queue without wedging on a dead worker.
@@ -851,22 +825,29 @@ class ParallelStreamingDetector:
         successful respawn the put is retried against the new incarnation,
         otherwise the message is dropped and ``False`` returned (under
         ``fail`` the recorded failure surfaces on the next
-        ingest/flush/close; under ``degrade`` the caller reroutes).
+        ingest/flush/close; under ``degrade`` the caller reroutes).  Time
+        spent waiting on a full queue is added to the metrics'
+        ``backpressure_wait_seconds``.
         """
         stalled_since: float | None = None
-        while True:
-            if shard.lost or shard.closed:
-                return False
-            try:
-                shard.queue.put(message, timeout=0.2)
-                if self._chunker is not None:
-                    self._chunker.record_submit()
-                return True
-            except queue.Full:
-                if stalled_since is None:
-                    stalled_since = time.monotonic()
+        try:
+            while True:
+                if shard.lost or shard.closed:
+                    return False
+                try:
+                    if stalled_since is None:
+                        shard.queue.put(message, block=False)
+                    else:
+                        shard.queue.put(message, timeout=0.2)
                     if self._chunker is not None:
-                        self._chunker.record_backpressure()
+                        self._chunker.record_submit()
+                    return True
+                except queue.Full:
+                    if stalled_since is None:
+                        stalled_since = time.monotonic()
+                        if self._chunker is not None:
+                            self._chunker.record_backpressure()
+                        continue
                 if not shard.process.is_alive():
                     self._on_worker_down(shard, "worker process died unexpectedly")
                     continue
@@ -879,7 +860,9 @@ class ParallelStreamingDetector:
                         "worker wedged: queue made no progress for "
                         f"{self._stall_deadline:.1f}s",
                     )
-                    continue
+        finally:
+            if stalled_since is not None:
+                self.metrics.record_backpressure_wait(time.monotonic() - stalled_since)
 
     def _ship_block(self, columns: PacketColumns) -> None:
         """Broadcast one capture block to every worker (first sight only).
@@ -894,8 +877,7 @@ class ParallelStreamingDetector:
         block_id = id(columns)
         if block_id in self._live_blocks:
             return
-        payload = columns.pack_block()
-        ref = self._block_ref(block_id, payload)
+        ref = self._block_ref(block_id, _pack(columns))
         for shard in self._shards:
             self._put_shard(shard, ("block", block_id, ref))
         self._live_blocks[block_id] = columns
@@ -932,35 +914,28 @@ class ParallelStreamingDetector:
         shard = self._shards[message[1]]
         if message[-1] != shard.spec.generation:
             return  # stale message from a dead incarnation (pre-respawn)
-        if kind == "events":
-            _, shard_index, events, state, _gen = message
-            self.metrics.absorb_worker_state(shard_index, state)
+        if kind in ("events", "flush_done", "closed"):
+            # Every scored event reaches the parent in exactly one of these.
+            events, state = message[-3], message[-2]
+            self.metrics.absorb_worker_state(shard.index, state)
             shard.state = state
             shard.scored_packets += sum(e.result.packet_count for e in events)
-            self._dispatch_many(self._mark_degraded(events))
+            events = self._mark_degraded(events)
+            if kind == "events":
+                self._dispatch_many(events)
+            elif kind == "closed":
+                shard.final_events = events
+                shard.closed = True
+            elif (waiting := self._flush_results.get(message[2])) is not None:
+                waiting[shard.index] = events
         elif kind == "block_ack":
             self._release_block_shm(message[2], message[1])
-        elif kind == "flush_done":
-            _, shard_index, flush_id, events, state, _gen = message
-            self.metrics.absorb_worker_state(shard_index, state)
-            shard.state = state
-            shard.scored_packets += sum(e.result.packet_count for e in events)
-            waiting = self._flush_results.get(flush_id)
-            if waiting is not None:
-                waiting[shard_index] = self._mark_degraded(events)
         elif kind == "failed":
             if self.on_worker_failure == "fail":
                 if shard.failure is None:
                     shard.failure = message[2]
             else:
                 self._on_worker_down(shard, f"worker reported failure: {message[2]}")
-        elif kind == "closed":
-            _, shard_index, final_events, state, _gen = message
-            self.metrics.absorb_worker_state(shard_index, state)
-            shard.state = state
-            shard.scored_packets += sum(e.result.packet_count for e in final_events)
-            shard.final_events = self._mark_degraded(final_events)
-            shard.closed = True
 
     def _drain_results(self) -> None:
         """Consume every result message available right now."""
@@ -1103,11 +1078,8 @@ class ParallelStreamingDetector:
             return
         shard.lost = True
         shard.closed = True
-        pending = self._buffers[shard.index]
-        self._buffers[shard.index] = []
+        self._live_workers -= 1
         self._apply_worker_degrade(shard)
-        if pending:
-            self._rehome_packets(pending)
 
     def _respawn_worker(self, shard: "_ProcessShard") -> None:
         """Replace a dead worker with a fresh incarnation of its spec.
@@ -1142,8 +1114,7 @@ class ParallelStreamingDetector:
         shard.routed_packets = 0
         shard.scored_packets = 0
         for block_id, columns in self._live_blocks.items():
-            payload = columns.pack_block()
-            if not self._put_shard(shard, ("block", block_id, ("bytes", payload))):
+            if not self._put_shard(shard, ("block", block_id, ("bytes", _pack(columns)))):
                 raise RuntimeError("respawned worker died before re-registration")
         self._worker_respawns += 1
         self.metrics.record_respawn()
@@ -1168,7 +1139,7 @@ class ParallelStreamingDetector:
             key = event.result.key
             if (
                 key is not None
-                and hash(key) % self.workers in self._degraded_slots
+                and key_slot(key, self.workers) in self._degraded_slots
                 and not event.result.degraded
             ):
                 event = replace(event, result=replace(event.result, degraded=True))
@@ -1191,7 +1162,9 @@ class ParallelStreamingDetector:
         """Score everything currently buffered on every shard (barrier).
 
         Blocks until each worker has drained its pending buffer; returns the
-        events produced by this flush in deterministic order.
+        events produced by this flush in deterministic order.  In process
+        mode they reach the callbacks but are not queued again for
+        :meth:`events`: the return value is their one pull delivery.
         """
         if self._single is not None:
             return self._single.flush()
@@ -1203,16 +1176,17 @@ class ParallelStreamingDetector:
         self._flush_counter += 1
         waiting: dict[int, list[DetectionEvent]] = {}
         self._flush_results[flush_id] = waiting
+        self._route_pending()
         for index, shard in enumerate(self._shards):
-            self._submit_process(index)
             if not self._put_shard(shard, ("flush", flush_id)):
                 # Lost (or failed) shards answer no barriers.
                 waiting.setdefault(index, [])
         self._await_results(lambda: len(waiting) == self.workers)
         del self._flush_results[flush_id]
-        self._raise_worker_failure()
         flushed = [event for events in waiting.values() for event in events]
         flushed.sort(key=_event_order)
+        self._dispatch_many(flushed, pull=False)
+        self._raise_worker_failure()
         return flushed
 
     def close(self) -> list[DetectionEvent]:
@@ -1232,16 +1206,10 @@ class ParallelStreamingDetector:
         if self._closed:
             return []
         self._closed = True
-        # Submit every leftover buffer before the first close message: a
-        # submit may re-broadcast a block to *all* queues, which must never
-        # land behind a worker's close.  Repeat until quiescent — a shard
-        # lost during this drain rehomes its buffer onto survivors whose own
-        # buffers may already have been submitted this pass.
-        for _ in range(self.workers + 2):
-            if not any(self._buffers):
-                break
-            for index in range(self.workers):
-                self._submit_process(index)
+        # Route the leftover rows before the first close message: a step
+        # may (re-)broadcast a block to *all* queues, which must never land
+        # behind a worker's close.
+        self._route_pending()
         for shard in self._shards:
             # Expire timers against global stream time before draining, so a
             # quiet shard still reports CLOSED/IDLE exactly as a single table
@@ -1269,11 +1237,10 @@ class ParallelStreamingDetector:
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
         self._live_blocks.clear()
-        self._current_columns = None
         if self._tmp_model_cleanup is not None:
             self._tmp_model_cleanup()
 
-    def _dispatch_many(self, events: list[DetectionEvent]) -> None:
+    def _dispatch_many(self, events: list[DetectionEvent], pull: bool = True) -> None:
         if not events:
             return
         with self._dispatch_lock:
@@ -1282,7 +1249,8 @@ class ParallelStreamingDetector:
                 is_alert = event.is_alert
                 if is_alert:
                     self._alerts_emitted += 1
-                self._events.append(event)
+                if pull:
+                    self._events.append(event)
                 if self.on_event is not None:
                     self.on_event(event)
                 if is_alert and self.on_alert is not None:

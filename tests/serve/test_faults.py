@@ -19,7 +19,8 @@ import time
 
 import pytest
 
-from repro.netstack.flow import flow_key_of, packet_stream
+from repro.netstack.flow import flow_key_of, key_slot, packet_stream
+from repro.netstack.pcap import write_pcap
 from repro.serve import (
     FaultPlan,
     FaultSpecError,
@@ -28,6 +29,7 @@ from repro.serve import (
     InstanceConfig,
     InstanceFailure,
     ParallelStreamingDetector,
+    PcapSource,
     StreamingDetector,
     parse_fault_specs,
 )
@@ -277,7 +279,7 @@ class TestInstanceKill:
         events.extend(partitioner.events())
         # Kill the instance that does NOT own the next packet, so the packet
         # that trips the fault hook is never in flight to the dead peer.
-        owner = partitioner._route[hash(flow_key_of(second[0])) % 2]
+        owner = partitioner._route[key_slot(flow_key_of(second[0]), 2)]
         victim = 1 - owner
         plan.kill_instance(victim, at_packet=split + 1)
         partitioner.ingest(second[0])
@@ -473,6 +475,59 @@ class TestWorkerFaults:
         _assert_rows_match(events, expected)
         assert not _shard_processes()
 
+    def test_flush_barrier_events_count_once_toward_the_loss_identity(
+        self, trained_clap, fault_model_dir, replay_packets
+    ):
+        """Events scored by a flush barrier are counted once: a worker killed
+        right after a barrier had nothing in flight, so its loss record must
+        balance packets routed against packets scored exactly."""
+        connections = _sequential_connections(4)
+        stream = sorted(packet_stream(connections), key=lambda p: p.timestamp)
+        detector = _worker_detector(
+            trained_clap,
+            fault_model_dir,
+            policy="respawn",
+            workers=1,
+            flush_policy=FlushPolicy(max_batch=64, auto_flush=False),
+        )
+        detector.ingest_many(stream)
+        detector.poll(1e6)
+        flushed = detector.flush()
+        assert len(flushed) == len(connections)
+        assert list(detector.events()) == []  # flush() was their delivery
+        os.kill(detector._shards[0].process.pid, signal.SIGKILL)
+        detector.flush()
+        detector.close()
+        (loss,) = detector.degradation_report().losses
+        assert loss.packets_routed == len(stream)
+        assert loss.packets_scored == len(stream)
+        assert loss.packets_lost_inflight == 0
+        assert detector.connections_seen == len(connections)
+        assert not _shard_processes()
+
+    def test_respawn_reregisters_blocks_packed_like_the_broadcast(
+        self, trained_clap, fault_model_dir, replay_packets, tmp_path
+    ):
+        """The respawned worker receives each live block as the broadcast
+        packs it — columns only, without the capture's raw packet bytes."""
+        path = tmp_path / "capture.pcap"
+        write_pcap(path, replay_packets)
+        views = list(PcapSource(path))
+        columns = views[0].columns
+        assert all(view.columns is columns for view in views)  # one block
+        detector = _worker_detector(trained_clap, fault_model_dir, policy="respawn", workers=1)
+        detector.ingest_many(views)
+        detector.flush()
+        os.kill(detector._shards[0].process.pid, signal.SIGKILL)
+        detector.flush()  # notices the death; the respawn re-registers the block
+        assert detector.degradation_report().respawns == 1
+        detector.close()
+        # Only the new incarnation's counters remain: its one pipe copy.
+        copied = detector.metrics_snapshot()["shared_memory"]["payload_bytes_copied"]
+        assert copied == len(runtime_module._pack(columns))
+        assert copied < len(columns.pack_block())
+        assert not _shard_processes()
+
     def test_worker_killed_mid_report_does_not_wedge_the_survivors(
         self, trained_clap, fault_model_dir, replay_packets, monkeypatch
     ):
@@ -524,6 +579,27 @@ class TestWorkerFaults:
         assert events
         report = detector.degradation_report()
         assert any("wedge" in loss.reason for loss in report.losses)
+        assert not _shard_processes()
+
+    def test_backpressure_wait_on_a_wedged_worker_is_counted(
+        self, trained_clap, fault_model_dir, replay_packets
+    ):
+        plan = FaultPlan(seed=3).wedge_worker(0, at_packet=30)
+        detector = _worker_detector(
+            trained_clap,
+            fault_model_dir,
+            plan=plan,
+            policy="degrade",
+            stall_deadline=1.0,
+            chunk_size=1,
+            queue_depth=1,
+        )
+        assert detector.metrics_snapshot()["backpressure_wait_seconds"] == 0.0
+        _drain_all(detector, replay_packets)
+        # A put waited on the wedged worker's full queue until the stall
+        # deadline declared it lost.
+        assert detector.metrics_snapshot()["backpressure_wait_seconds"] >= 1.0
+        assert "backpressure wait=" in detector.render_metrics()
         assert not _shard_processes()
 
     def test_thread_mode_rejects_supervision_policies(self, trained_clap):

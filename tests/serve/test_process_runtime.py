@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import multiprocessing
 
+import numpy as np
 import pytest
 
+from repro.attacks.primitives import bad_md5_option
 from repro.features.fields import RawFeatureExtractor
 from repro.netstack.columns import PacketColumns
 from repro.netstack.flow import CompletionReason
@@ -29,6 +31,7 @@ from repro.serve import (
     StreamingMetrics,
     Tick,
 )
+from repro.serve.runtime import _pack
 from repro.traffic.generator import TrafficGenerator
 
 from tests.serve.test_flood import FLOOD_SIZE, MAX_FLOWS, syn_flood
@@ -525,8 +528,9 @@ class TestLifecycle:
             detector.close()
         assert not _shard_processes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_revisited_block_past_the_cache_window_is_rebroadcast(
-        self, trained_clap, clap_model_dir
+        self, trained_clap, clap_model_dir, workers
     ):
         """Review regression: parent and worker block caches must evict in
         lockstep (strict FIFO).  A block revisited after _BLOCK_CACHE_DEPTH
@@ -546,20 +550,9 @@ class TestLifecycle:
             items.extend(views)
         items.extend(blocks[0][3:])
 
-        thread = ParallelStreamingDetector(trained_clap, idle_timeout=1e9, close_grace=1e9)
-        expected = _rows(_drain_all(thread, list(items)))
-
-        process = ParallelStreamingDetector(
-            trained_clap,
-            workers=2,
-            worker_mode="process",
-            model_dir=clap_model_dir,
-            idle_timeout=1e9,
-            close_grace=1e9,
+        _assert_matches_one_detector(
+            trained_clap, clap_model_dir, items, workers, idle_timeout=1e9, close_grace=1e9
         )
-        got = _rows(_drain_all(process, list(items)))
-        assert [row[:2] for row in got] == [row[:2] for row in expected]
-        assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, expected))
 
     def test_validation(self, trained_clap):
         with pytest.raises(ValueError):
@@ -572,6 +565,93 @@ class TestLifecycle:
             ParallelStreamingDetector(
                 trained_clap, workers=2, worker_mode="process", idle_timeout=-1.0
             )
+
+
+def _feed(detector, items):
+    """Ingest ``items`` (packets and Ticks), close, return every event."""
+    for item in items:
+        if isinstance(item, Tick):
+            detector.poll(item.now)
+        else:
+            detector.ingest(item)
+    interim = list(detector.events())
+    detector.close()
+    return interim + list(detector.events())
+
+
+def _assert_matches_one_detector(trained_clap, model_dir, items, workers, **options):
+    """The process runtime's events equal one in-process StreamingDetector's:
+    same keys, completion reasons, first-seen times, packet counts and
+    localised packets, scores within 1e-9."""
+
+    def rows(events):
+        return sorted(
+            (
+                str(e.result.key),
+                e.completed_by.value,
+                e.first_seen,
+                e.result.packet_count,
+                e.result.localized_packet,
+                e.result.score,
+            )
+            for e in events
+        )
+
+    policy = FlushPolicy(max_batch=4)
+    expected = rows(_feed(StreamingDetector(trained_clap, flush_policy=policy, **options), items))
+    process = ParallelStreamingDetector(
+        trained_clap,
+        workers=workers,
+        worker_mode="process",
+        model_dir=model_dir,
+        flush_policy=policy,
+        **options,
+    )
+    got = rows(_feed(process, items))
+    assert expected
+    assert [row[:5] for row in got] == [row[:5] for row in expected]
+    assert all(abs(a[5] - b[5]) < 1e-9 for a, b in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestBlockRouting:
+    """Routing steps hand each shard its rows of a block in one message; these
+    cases move step and block boundaries around and must not change a score."""
+
+    def test_tiny_read_blocks(self, trained_clap, clap_model_dir, tmp_path, workers):
+        path = tmp_path / "capture.pcap"
+        write_pcap(path, _packet_stream(TrafficGenerator(seed=78).generate_connections(16)))
+        items = list(PcapSource(path, block_bytes=4096))
+        assert len({id(view.columns) for view in items}) > 8  # past the block cache
+        _assert_matches_one_detector(trained_clap, clap_model_dir, items, workers)
+
+    def test_tick_between_rows_of_one_block(self, trained_clap, clap_model_dir, workers):
+        connections = _sequential_connections(8)
+        views = _column_stream(connections)
+        items = []
+        for view in views:
+            if items and view.timestamp - items[-1].timestamp > 50.0:
+                # Mid-gap: every earlier connection is idle-expired here.
+                items.append(Tick(items[-1].timestamp + 60.0))
+            items.append(view)
+        assert sum(isinstance(item, Tick) for item in items) == len(connections) - 1
+        _assert_matches_one_detector(
+            trained_clap, clap_model_dir, items, workers, idle_timeout=50.0, close_grace=0.5
+        )
+
+    def test_object_packets_with_an_invalid_md5_option(
+        self, trained_clap, clap_model_dir, workers
+    ):
+        packets = sorted(
+            _packet_stream(_sequential_connections(6, seed=17)), key=lambda p: p.timestamp
+        )
+        # Only the in-memory option knows it is invalid; the workers must
+        # see it through the from_packets block's md5_ok column.
+        bad_md5_option(packets[2], np.random.default_rng(0))
+        assert PacketColumns.from_packets([packets[2]]).md5_ok[0] == 0.0
+        _assert_matches_one_detector(
+            trained_clap, clap_model_dir, packets, workers, idle_timeout=50.0, close_grace=0.5
+        )
 
 
 class TestWorkerStateMerging:
@@ -636,7 +716,7 @@ class TestZeroCopyAccounting:
         from repro.serve.runtime import _SHM_MIN_BYTES
 
         columns, views = self._flood_views(1024)
-        payload_bytes = len(columns.pack_block())
+        payload_bytes = len(_pack(columns))
         assert payload_bytes >= _SHM_MIN_BYTES  # the workload must take the shm path
         snapshot = self._replay(trained_clap, clap_model_dir, views)
         shm = snapshot["shared_memory"]
@@ -653,7 +733,7 @@ class TestZeroCopyAccounting:
         from repro.serve.runtime import _SHM_MIN_BYTES
 
         columns, views = self._flood_views(64)
-        payload_bytes = len(columns.pack_block())
+        payload_bytes = len(_pack(columns))
         assert payload_bytes < _SHM_MIN_BYTES
         snapshot = self._replay(trained_clap, clap_model_dir, views)
         shm = snapshot["shared_memory"]

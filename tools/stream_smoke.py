@@ -5,8 +5,9 @@ Exercises the full operational path with no fixtures: synthesise a capture,
 train a deliberately tiny model, replay the capture through ``repro stream``
 with one in-process detector (``--workers 1``) and again with two *process*
 shard workers (``--workers 2 --worker-mode process``: model shared via
-read-only mmap), and fail on a non-zero exit code, zero emitted events, or
-the two runs disagreeing on any connection's score.  The point is not
+read-only mmap), once on columnar and once on object ingest (``--ingest
+object``), and fail on a non-zero exit code, zero emitted events, or any
+run disagreeing with the in-process one on any connection's score.  The point is not
 accuracy — it is that the runtime's packets-in/alerts-out pipeline holds
 together as a process would run it, in both worker modes.
 
@@ -72,32 +73,29 @@ def main() -> int:
             )
             return 1
 
-        code, out = run(["stream", str(model_dir), str(capture_path),
-                         "--workers", "2", "--worker-mode", "process",
-                         "--metrics"], capture=True)
-        if code != 0:
-            print("smoke FAILED: process-mode stream exited non-zero", file=sys.stderr)
-            return 1
-        process_events = [json.loads(line) for line in out.splitlines() if line.strip()]
-        if len(process_events) != CONNECTIONS:
-            print(
-                f"smoke FAILED: process mode expected {CONNECTIONS} events, "
-                f"got {len(process_events)}",
-                file=sys.stderr,
-            )
-            return 1
         rows = sorted((e["connection"], round(e["score"], 9)) for e in events)
-        process_rows = sorted(
-            (e["connection"], round(e["score"], 9)) for e in process_events
-        )
-        if rows != process_rows:
-            print("smoke FAILED: process-mode events diverge from the "
-                  "in-process detector", file=sys.stderr)
-            return 1
+        # Object ingest reaches the workers through from_packets blocks, a
+        # different path from the capture's own column blocks.
+        for ingest in ("columnar", "object"):
+            code, out = run(["stream", str(model_dir), str(capture_path),
+                             "--workers", "2", "--worker-mode", "process",
+                             "--ingest", ingest, "--metrics"], capture=True)
+            if code != 0:
+                print(f"smoke FAILED: process-mode {ingest} stream exited non-zero",
+                      file=sys.stderr)
+                return 1
+            process_events = [json.loads(line) for line in out.splitlines() if line.strip()]
+            process_rows = sorted(
+                (e["connection"], round(e["score"], 9)) for e in process_events
+            )
+            if process_rows != rows:
+                print(f"smoke FAILED: process-mode {ingest} events diverge from the "
+                      "in-process detector", file=sys.stderr)
+                return 1
 
     print(f"smoke OK: {len(events)} events from {CONNECTIONS} connections "
           f"through one in-process detector, reproduced identically by "
-          f"2 process shard workers", file=sys.stderr)
+          f"2 process shard workers on columnar and object ingest", file=sys.stderr)
     return 0
 
 
