@@ -5,9 +5,9 @@ with known loss under any single fault — it never wedges".  Every unbounded
 blocking primitive is a wedge waiting for its fault: an ``accept()`` with no
 timeout waits forever for a front-end that died, a ``Queue.get()`` with no
 deadline outlives the peer that would have fed it, a bare ``Event.wait()``
-survives the worker that was supposed to set it.  PR 9's outages (wedged
-instances, SIGKILLed shard workers, slow-loris peers) are only survivable
-because every wait in ``src/repro/serve/`` is bounded.
+survives the worker that was supposed to set it.  The fault matrix (wedged
+and SIGKILLed shard workers) is only survivable because every wait in
+``src/repro/serve/`` is bounded.
 
 Flagged (calls with neither a timeout argument nor a deadline):
 
@@ -24,8 +24,7 @@ Flagged (calls with neither a timeout argument nor a deadline):
 
 Exempt: calls inside a function whose docstring mentions ``deadline`` — the
 documented convention for helpers that arm ``settimeout`` from a monotonic
-deadline themselves (e.g. ``repro.serve.wire``'s frame codec), mirroring
-RL001's ``caller-locked`` docstring markers.  A justified exception carries
+deadline themselves, mirroring RL001's ``caller-locked`` docstring markers.  A justified exception carries
 ``# clap-lint: allow[RL007] reason=...`` as usual.
 """
 

@@ -10,10 +10,7 @@ writing any Python:
 * ``repro-clap stream``    — replay a capture (pcap or NDJSON) through the
   streaming runtime (``--workers``/``--worker-mode process`` shard it across
   processes), emitting one NDJSON event per completed connection (online
-  mode); ``--instances``/``--instance`` fan the stream out to partitioned
-  detector instances instead;
-* ``repro-clap serve-instance`` — run one partitioned-serving detector
-  instance: listen on a socket, serve one front-end connection;
+  mode);
 * ``repro-clap strategies``— list the attack catalogue.
 
 Every subcommand works on ordinary ``.pcap`` files, so captures produced by
@@ -41,15 +38,12 @@ from repro.netstack.pcap import read_packet_columns, read_pcap, write_pcap
 from repro.serve import (
     DropPolicy,
     FaultSpecError,
-    FlowPartitioner,
     FlushPolicy,
-    InstanceConfig,
     ParallelStreamingDetector,
     ReplaySource,
     Tick,
     open_source,
     parse_fault_specs,
-    run_instance,
 )
 from repro.traffic.dataset import BenignDataset
 from repro.traffic.generator import TrafficGenerator
@@ -161,37 +155,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="packets per shard hand-off: an integer pins it, "
                              "'adaptive' (default) grows under backpressure and "
                              "shrinks when flush latency climbs")
-    stream.add_argument("--instances", type=int, default=None,
-                        help="fan the stream out to this many locally spawned "
-                             "partitioned detector instances instead of the "
-                             "in-process sharded runtime")
-    stream.add_argument("--instance", action="append", default=None,
-                        metavar="HOST:PORT",
-                        help="connect to an already-running detector instance "
-                             "(repeatable; see `serve-instance`)")
-    stream.add_argument("--on-instance-failure", choices=("fail", "respawn", "degrade"),
+    stream.add_argument("--on-worker-failure", choices=("fail", "respawn", "degrade"),
                         default="fail",
-                        help="what to do when a detector instance (or process "
-                             "shard worker) is lost mid-stream: fail loudly "
-                             "(default), respawn it, or degrade — rehash its "
-                             "future flows onto the survivors and flag their "
-                             "events")
+                        help="what to do when a process shard worker is lost "
+                             "mid-stream: fail loudly (default), respawn it, or "
+                             "degrade — rehash its future flows onto the "
+                             "survivors and flag their events")
     stream.add_argument("--max-respawns", type=int, default=2,
-                        help="per-instance respawn budget before a loss "
-                             "degrades instead (--on-instance-failure respawn)")
-    stream.add_argument("--io-deadline", type=float, default=30.0,
-                        help="deadline (seconds) on instance socket reads and "
-                             "writes, and on worker stall detection under a "
-                             "non-fail failure policy; 0 disables")
+                        help="per-worker respawn budget before a loss "
+                             "degrades instead (--on-worker-failure respawn)")
+    stream.add_argument("--stall-deadline", type=float, default=30.0,
+                        help="seconds a live worker may make no progress before "
+                             "it is declared wedged, under a non-fail failure "
+                             "policy or fault injection; 0 disables")
     stream.add_argument("--inject-fault", action="append", default=None,
                         metavar="SPEC",
                         help="inject a deterministic fault (repeatable): "
-                             "kill-instance:IDX@N, wedge-instance:IDX@N, "
-                             "kill-worker:IDX@N, wedge-worker:IDX@N, "
-                             "refuse-connect:IDX[*K], drop-frame:TAG#K, "
-                             "corrupt-frame:TAG#K, delay-frame:TAG#K@SECS")
-    stream.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for fault-plan randomness (corruption bytes)")
+                             "kill-worker:IDX@N, wedge-worker:IDX@N")
     stream.add_argument("--replay-rate", type=float, default=None,
                         help="pace the replay at this many packets per second")
     stream.add_argument("--alerts-only", action="store_true",
@@ -202,50 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve through this sequence backend instead of the persisted "
                              "one (process workers receive the converted model via a "
                              "temporary artifact)")
-
-    serve = subparsers.add_parser(
-        "serve-instance",
-        help="run one partitioned-serving detector instance (socket back-end)")
-    serve.add_argument("model", type=Path, help="directory containing the trained model")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="address to listen on (default: loopback)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="port to listen on (default: OS-assigned; printed)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="flow-table shards / worker processes inside this instance; "
-                            "above 1 requires --worker-mode process")
-    serve.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
-                       help="thread (default): one detector in this instance; "
-                            "process: one worker process per shard")
-    serve.add_argument("--threshold", type=float, default=None,
-                       help="override the persisted adversarial-score threshold")
-    serve.add_argument("--max-batch", type=int, default=128,
-                       help="micro-batch size: flush after this many completions")
-    serve.add_argument("--idle-timeout", type=float, default=60.0,
-                       help="evict connections idle for this many stream-seconds")
-    serve.add_argument("--close-grace", type=float, default=1.0,
-                       help="silence after FIN/RST before a connection completes")
-    serve.add_argument("--max-flows", type=int, default=None,
-                       help="bound on concurrently tracked connections")
-    serve.add_argument("--drop-policy", choices=("score", "drop", "sample"),
-                       default="score",
-                       help="what to do with capacity-evicted flows")
-    serve.add_argument("--drop-sample-rate", type=float, default=0.1,
-                       help="fraction of capacity evictions scored under "
-                            "--drop-policy sample")
-    serve.add_argument("--drop-min-packets", type=int, default=0,
-                       help="capacity evictions shorter than this are dropped unscored")
-    serve.add_argument("--subnet-budget", type=int, default=None,
-                       help="per-source-subnet budget of scored capacity evictions")
-    serve.add_argument("--subnet-prefix", type=int, default=24,
-                       help="prefix length grouping sources for --subnet-budget")
-    serve.add_argument("--chunk-size", default="adaptive",
-                       help="packets per shard hand-off inside this instance "
-                            "(integer or 'adaptive')")
-    serve.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"),
-                       default=None,
-                       help="serve through this sequence backend instead of the "
-                            "persisted one")
 
     strategies = subparsers.add_parser("strategies", help="list the 73 evasion strategies")
     strategies.add_argument("--source", default=None,
@@ -419,18 +355,15 @@ class _GracefulShutdown(BaseException):
         self.signum = signum
 
 
-def _print_degradation(detector) -> None:
+def _print_degradation(detector: ParallelStreamingDetector) -> None:
     """One machine-readable stderr line summarising known stream loss."""
-    report_method = getattr(detector, "degradation_report", None)
-    if report_method is None:
-        return
-    report = report_method()
+    report = detector.degradation_report()
     if report:
         print(f"degradation: {json.dumps(report.to_dict())}", file=sys.stderr)
 
 
 def _stream_drop_policy(args: argparse.Namespace) -> DropPolicy:
-    """The admission policy the stream/serve-instance knobs describe."""
+    """The admission policy the stream knobs describe."""
     return DropPolicy(
         mode=args.drop_policy,
         min_packets=args.drop_min_packets,
@@ -456,20 +389,8 @@ def command_stream(args: argparse.Namespace) -> int:
     if args.max_batch < 1:
         print(f"error: --max-batch must be at least 1, got {args.max_batch}", file=sys.stderr)
         return 2
-    endpoints = args.instance or None
-    if args.instances is not None and endpoints is not None:
-        print("error: --instances and --instance are mutually exclusive", file=sys.stderr)
-        return 2
-    partitioned = args.instances is not None or endpoints is not None
-    clap = None
-    if not partitioned:
-        clap = _load_model(args.model, backend=getattr(args, "backend", None))
-        if clap is None:
-            return 2
-    elif endpoints is None and not args.model.exists():
-        # Local instances load the artifact themselves; fail fast here
-        # instead of through N children's handshake timeouts.
-        print(f"error: no model found at {args.model}", file=sys.stderr)
+    clap = _load_model(args.model, backend=getattr(args, "backend", None))
+    if clap is None:
         return 2
     if not args.pcap.exists():
         print(f"error: no capture found at {args.pcap}", file=sys.stderr)
@@ -481,15 +402,10 @@ def command_stream(args: argparse.Namespace) -> int:
                 continue
             print(json.dumps(event.to_dict()))
 
-    def emit_service(detector) -> None:
-        # InstanceLost / DegradedMode announcements, inline with detections.
-        for event in getattr(detector, "service_events", list)():
-            print(json.dumps(event.to_dict()))
-
     fault_plan = None
     if args.inject_fault:
         try:
-            fault_plan = parse_fault_specs(args.inject_fault, seed=args.fault_seed)
+            fault_plan = parse_fault_specs(args.inject_fault)
         except FaultSpecError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -504,74 +420,53 @@ def command_stream(args: argparse.Namespace) -> int:
             tick_interval = args.close_grace if args.close_grace > 0 else None
             source = ReplaySource(source, rate=args.replay_rate,
                                   tick_interval=tick_interval)
-        flush_policy = FlushPolicy(max_batch=args.max_batch,
-                                   max_buffered=max(args.max_batch, 1024))
-        drop_policy = _stream_drop_policy(args)
-        if partitioned:
-            detector: object = FlowPartitioner(
-                args.model if endpoints is None else None,
-                instances=args.instances,
-                endpoints=endpoints,
-                config=InstanceConfig(
-                    workers=args.workers,
-                    worker_mode=args.worker_mode,
-                    flush_policy=flush_policy,
-                    threshold=args.threshold,
-                    idle_timeout=args.idle_timeout,
-                    close_grace=args.close_grace,
-                    max_flows=args.max_flows,
-                    drop_policy=drop_policy,
-                    chunk_size=chunk_size,
-                ),
-                backend=getattr(args, "backend", None),
-                chunk_size=chunk_size,
-                on_instance_failure=args.on_instance_failure,
-                max_respawns=args.max_respawns,
-                io_deadline=args.io_deadline,
-                fault_plan=fault_plan,
-            )
-        else:
-            detector = ParallelStreamingDetector(
-                clap,
-                workers=args.workers,
-                worker_mode=args.worker_mode,
-                flush_policy=flush_policy,
-                threshold=args.threshold,
-                idle_timeout=args.idle_timeout,
-                close_grace=args.close_grace,
-                max_flows=args.max_flows,
-                drop_policy=drop_policy,
-                chunk_size=chunk_size,
-                # Process workers mmap the artifact the CLI already has on
-                # disk; no temporary re-save of the model.  With a --backend
-                # override the on-disk artifact no longer matches the served
-                # pipeline, so let the runtime save the converted model to a
-                # temporary directory for the workers instead.
-                model_dir=(
-                    args.model
-                    if args.worker_mode == "process" and getattr(args, "backend", None) is None
-                    else None
-                ),
-                on_worker_failure=args.on_instance_failure,
-                max_worker_respawns=args.max_respawns,
-                # Stall detection only under a non-fail policy or active fault
-                # injection: the historical fail path never timed a barrier.
-                stall_deadline=(
-                    (args.io_deadline or None)
-                    if args.on_instance_failure != "fail" or fault_plan is not None
-                    else None
-                ),
-                fault_plan=fault_plan,
-            )
-    except ValueError as error:
+        detector = ParallelStreamingDetector(
+            clap,
+            workers=args.workers,
+            worker_mode=args.worker_mode,
+            flush_policy=FlushPolicy(max_batch=args.max_batch,
+                                     max_buffered=max(args.max_batch, 1024)),
+            threshold=args.threshold,
+            idle_timeout=args.idle_timeout,
+            close_grace=args.close_grace,
+            max_flows=args.max_flows,
+            drop_policy=_stream_drop_policy(args),
+            chunk_size=chunk_size,
+            # Process workers mmap the artifact the CLI already has on
+            # disk; no temporary re-save of the model.  With a --backend
+            # override the on-disk artifact no longer matches the served
+            # pipeline, so let the runtime save the converted model to a
+            # temporary directory for the workers instead.
+            model_dir=(
+                args.model
+                if args.worker_mode == "process" and getattr(args, "backend", None) is None
+                else None
+            ),
+            on_worker_failure=args.on_worker_failure,
+            max_worker_respawns=args.max_respawns,
+            # Stall detection only under a non-fail policy or active fault
+            # injection: the fail path never times a barrier.
+            stall_deadline=(
+                (args.stall_deadline or None)
+                if args.on_worker_failure != "fail" or fault_plan is not None
+                else None
+            ),
+            fault_plan=fault_plan,
+        )
+    except (ValueError, OSError) as error:
         # FlowTable/FlushPolicy/DropPolicy validate their knobs; render the
         # message (e.g. "idle_timeout must be positive") instead of a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except (ConnectionError, OSError) as error:
-        # A refused/dead --instance endpoint is an operational error, not a bug.
+
+    def fail(error: Exception) -> int:
+        # Never leak the worker pool: shut it down, then render the message
+        # and the known loss instead of a traceback.
+        _close_quietly(detector)
+        _print_degradation(detector)
         print(f"error: {error}", file=sys.stderr)
         return 2
+
     def _request_shutdown(signum, frame) -> None:
         raise _GracefulShutdown(signum)
 
@@ -589,14 +484,12 @@ def command_stream(args: argparse.Namespace) -> int:
                     streamed += 1
                     detector.ingest(item)
                 emit(detector.events())
-                emit_service(detector)
         except _GracefulShutdown as stop:
             # Hardened shutdown: drain what completed, report partial
             # results and known loss, exit with the conventional code.
             try:
                 detector.close()
                 emit(detector.events())
-                emit_service(detector)
                 _print_degradation(detector)
             except Exception as error:
                 print(f"error: {error}", file=sys.stderr)
@@ -606,26 +499,25 @@ def command_stream(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 128 + stop.signum
-        except (ValueError, RuntimeError, ConnectionError) as error:
-            # A strict-mode parse error (ValueError), a shard-worker failure
-            # (RuntimeError) or a lost instance (ConnectionError) must not leak
-            # the worker pool: shut it down, then render the message instead of
-            # a traceback.
-            _close_quietly(detector)
-            _print_degradation(detector)
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        except (ValueError, RuntimeError) as error:
+            # A strict-mode parse error (ValueError) or a shard-worker
+            # failure (RuntimeError).
+            return fail(error)
         except BaseException:
             _close_quietly(detector)
             raise
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-    # close() also queues the final-drain events, so the events() drain below
-    # delivers them exactly once, in the deterministic close ordering.
-    detector.close()
+    try:
+        # close() also queues the final-drain events, so the events() drain
+        # below delivers them exactly once, in the deterministic close ordering.
+        detector.close()
+    except RuntimeError as error:
+        # A worker failure first seen by the final drain fails the stream
+        # exactly like one seen mid-stream.
+        return fail(error)
     emit(detector.events())
-    emit_service(detector)
     if streamed == 0:
         print(f"error: no TCP packets found in {args.pcap}", file=sys.stderr)
         return 2
@@ -638,52 +530,6 @@ def command_stream(args: argparse.Namespace) -> int:
     if args.metrics:
         print(detector.render_metrics(), file=sys.stderr)
     return 0
-
-
-class _AnnounceAddress:
-    """``ready`` sink for :func:`run_instance`: print the bound address."""
-
-    def put(self, address) -> None:
-        host, port = address
-        print(f"listening on {host}:{port}", flush=True)
-
-
-def command_serve_instance(args: argparse.Namespace) -> int:
-    if args.max_batch < 1:
-        print(f"error: --max-batch must be at least 1, got {args.max_batch}", file=sys.stderr)
-        return 2
-    if not args.model.exists():
-        print(f"error: no model found at {args.model}", file=sys.stderr)
-        return 2
-    try:
-        config = InstanceConfig(
-            workers=args.workers,
-            worker_mode=args.worker_mode,
-            flush_policy=FlushPolicy(max_batch=args.max_batch,
-                                     max_buffered=max(args.max_batch, 1024)),
-            threshold=args.threshold,
-            idle_timeout=args.idle_timeout,
-            close_grace=args.close_grace,
-            max_flows=args.max_flows,
-            drop_policy=_stream_drop_policy(args),
-            chunk_size=_parse_chunk_size(args.chunk_size),
-        )
-        return run_instance(
-            args.model,
-            host=args.host,
-            port=args.port,
-            config=config,
-            backend=args.backend,
-            ready=_AnnounceAddress(),
-        )
-    except ModelManifestError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, RuntimeError, ConnectionError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        return 130
 
 
 def command_strategies(args: argparse.Namespace) -> int:
@@ -702,7 +548,6 @@ _COMMANDS = {
     "train": command_train,
     "score": command_score,
     "stream": command_stream,
-    "serve-instance": command_serve_instance,
     "strategies": command_strategies,
 }
 

@@ -16,23 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.netstack.addresses import ip_to_int
 from repro.netstack.flow import FlowKey
-
-
-def _parse_flow_key(rendered: str) -> FlowKey:
-    """Invert ``str(FlowKey)`` (``"a.b.c.d:p <-> a.b.c.d:p"``)."""
-    left, _, right = rendered.partition(" <-> ")
-    if not right:
-        raise ValueError(f"malformed connection string: {rendered!r}")
-    ip_a, _, port_a = left.rpartition(":")
-    ip_b, _, port_b = right.rpartition(":")
-    return FlowKey(
-        ip_a=ip_to_int(ip_a),
-        port_a=int(port_a),
-        ip_b=ip_to_int(ip_b),
-        port_b=int(port_b),
-    )
 
 
 @dataclass(frozen=True)
@@ -91,26 +75,3 @@ class DetectionResult:
             "packet_count": self.packet_count,
             "degraded": self.degraded,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "DetectionResult":
-        """Inverse of :meth:`to_dict`, exact for every field.
-
-        Scores survive the round trip bit-for-bit because Python's JSON
-        float encoding is shortest-repr: ``float(json.dumps(x)) == x``.
-        The partitioned serving layer relies on this to merge remote
-        instances' events with single-instance-identical scores.
-        """
-        connection = payload["connection"]
-        return cls(
-            key=_parse_flow_key(str(connection)) if connection is not None else None,
-            score=float(payload["score"]),  # type: ignore[arg-type]
-            threshold=float(payload["threshold"]),  # type: ignore[arg-type]
-            is_adversarial=bool(payload["adversarial"]),
-            localized_window=int(payload["localized_window"]),  # type: ignore[call-overload]
-            localized_packets=tuple(
-                int(index) for index in payload["localized_packets"]  # type: ignore[union-attr]
-            ),
-            packet_count=int(payload["packet_count"]),  # type: ignore[call-overload]
-            degraded=bool(payload.get("degraded", False)),
-        )

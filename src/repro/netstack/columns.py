@@ -162,10 +162,9 @@ class BlockLease:
     :func:`unpack_block` builds zero-copy ``frombuffer`` views, so the
     unpacked columns are only valid while the wire buffer they view stays
     mapped.  When that buffer is owned elsewhere — a POSIX shared-memory
-    segment mapped by a process shard worker, a socket receive buffer being
-    recycled — the owner wraps its hold in a ``BlockLease`` and passes it to
-    ``unpack_block``, which registers every produced :class:`PacketColumns`
-    on the lease:
+    segment mapped by a process shard worker — the owner wraps its hold in a
+    ``BlockLease`` and passes it to ``unpack_block``, which registers every
+    produced :class:`PacketColumns` on the lease:
 
     * :meth:`close` (or exiting the lease's ``with`` block) **invalidates**
       every registered block first — each column is replaced by a sentinel
@@ -396,9 +395,9 @@ class PacketColumns:
     # Lazily built, deduplicated FlowKey per row (repeated flows share one
     # object, so downstream dict probes hit the cached hash and identity).
     _flow_keys: list[object] | None = None
-    # Lifetime handle when the arrays view a borrowed buffer (shared memory,
-    # socket receive buffer); holding it here keeps the lease alive exactly
-    # as long as some view of this block is.
+    # Lifetime handle when the arrays view a borrowed buffer (shared
+    # memory); holding it here keeps the lease alive exactly as long as
+    # some view of this block is.
     lease: BlockLease | None = None
 
     def __len__(self) -> int:
@@ -702,15 +701,6 @@ def _wire_view(view: memoryview, dtype: np.dtype, count: int, offset: int) -> np
     return array
 
 
-def is_packet_backed(data: bytes | bytearray | memoryview) -> bool:
-    """Whether a :meth:`PacketColumns.pack_block` payload pickles its packets.
-
-    :func:`unpack_block` unpickles that backing, and unpickling can run
-    arbitrary code, so a receiver of untrusted bytes checks this first.
-    """
-    return _PACK_HEADER.unpack_from(data, 0)[2] == _BACKING_PACKETS
-
-
 def unpack_block(
     data: bytes | bytearray | memoryview, *, lease: BlockLease | None = None
 ) -> PacketColumns:
@@ -719,7 +709,7 @@ def unpack_block(
     Scalar columns are zero-copy ``frombuffer`` views over ``data`` (always
     read-only, even over a writable buffer), so the unpacked block's memory
     is the wire payload itself.  When ``data`` is a borrowed mapping — a
-    shared-memory segment, a recycled receive buffer — pass the owner's
+    shared-memory segment — pass the owner's
     :class:`BlockLease`; the produced columns are registered on it so the
     owner can revoke the views (:meth:`BlockLease.close`) or learn when they
     have all been dropped (``on_release``).

@@ -7,13 +7,6 @@ the flow table considered the connection complete, when it was first/last
 seen).  Connections whose score exceeds the operating threshold are emitted as
 the :class:`Alert` subtype, so callers can dispatch on the event class or on
 :attr:`DetectionEvent.is_alert` interchangeably.
-
-The fault-tolerance layer adds *service events* — :class:`InstanceLost` and
-:class:`DegradedMode` — which describe the serving fleet rather than a
-connection.  They share the ``to_dict`` NDJSON surface (tagged ``"event":
-"instance_lost"`` / ``"degraded_mode"``) so operators see them inline with
-detections, but they are delivered through the partitioner's
-``service_events`` channel, never mixed into the scored-event merge.
 """
 
 from __future__ import annotations
@@ -52,42 +45,6 @@ class Alert(DetectionEvent):
     """A :class:`DetectionEvent` whose connection exceeded the threshold."""
 
 
-@dataclass(frozen=True)
-class InstanceLost:
-    """A detector instance or shard worker died or was declared dead."""
-
-    index: int
-    kind: str  # "instance" | "worker"
-    reason: str
-    policy: str  # how the failure policy handled it
-    packets_lost_inflight: int
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "event": "instance_lost",
-            "index": self.index,
-            "kind": self.kind,
-            "reason": self.reason,
-            "policy": self.policy,
-            "packets_lost_inflight": self.packets_lost_inflight,
-        }
-
-
-@dataclass(frozen=True)
-class DegradedMode:
-    """The stream entered degraded mode: lost capacity rehashed to survivors."""
-
-    survivors: tuple[int, ...]
-    lost: tuple[int, ...]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "event": "degraded_mode",
-            "survivors": list(self.survivors),
-            "lost": list(self.lost),
-        }
-
-
 def make_event(
     result: DetectionResult,
     completed_by: CompletionReason,
@@ -101,20 +58,4 @@ def make_event(
         completed_by=completed_by,
         first_seen=first_seen,
         last_seen=last_seen,
-    )
-
-
-def event_from_dict(payload: dict[str, object]) -> DetectionEvent:
-    """Inverse of :meth:`DetectionEvent.to_dict` (partitioner wire format).
-
-    The subtype is re-derived from the result (``make_event``), so a dict
-    whose ``event`` tag disagrees with its score/threshold still produces a
-    consistent event.
-    """
-    result = DetectionResult.from_dict(payload)
-    return make_event(
-        result,
-        CompletionReason(payload["completed_by"]),
-        float(payload["first_seen"]),  # type: ignore[arg-type]
-        float(payload["last_seen"]),  # type: ignore[arg-type]
     )

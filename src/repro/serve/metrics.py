@@ -97,8 +97,7 @@ class DropPolicy:
     fixed, reproducible fraction of the flood tail is still scored (enough to
     keep seeing what the flood *is*) without burning the inference budget on
     all of it.  The draw hashes the canonical :class:`FlowKey`, so the same
-    flow gets the same verdict at any worker count, in any worker mode, and
-    on any partitioned instance.
+    flow gets the same verdict at any worker count and in any worker mode.
     ``min_packets`` refines ``"score"`` and ``"sample"``: capacity evictions
     shorter than this many packets (e.g. bare SYNs) are dropped outright.
 
@@ -473,7 +472,7 @@ class StreamingMetrics:
             self.backpressure_wait_seconds += seconds
 
     def record_instance_lost(self, packets_lost_inflight: int = 0) -> None:
-        """One instance/worker incarnation was lost, with its in-flight loss."""
+        """One worker incarnation was lost, with its in-flight loss."""
         with self._lock:
             self.instances_lost += 1
             self.packets_lost_inflight += int(packets_lost_inflight)

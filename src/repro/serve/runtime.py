@@ -47,15 +47,21 @@ mode**, and :meth:`close` returns the end-of-stream drain in deterministic
 ``(first_seen, key)`` order (``tests/serve/test_runtime.py``,
 ``tests/serve/test_process_runtime.py``).
 
-Fault tolerance (process mode): ``on_worker_failure`` selects what happens
-when a shard worker process dies, wedges past ``stall_deadline``, or reports
-an internal failure — ``"fail"`` (the historical behaviour: the failure is
-raised on the next ingest/flush/close, every worker still joined), ``"respawn"``
-(the dead worker is replaced from its :class:`_WorkerSpec`, live blocks are
-re-broadcast to the new incarnation, and work that was in flight through the
-dead queue is recorded as a known loss), or ``"degrade"`` (the dead shard's
-slots, and rows not yet handed to it, are rerouted onto the survivors, and
-their events carry ``DetectionResult.degraded=True``).  Every loss is recorded as an
+Fault tolerance (process mode): only the worker holds the write end of its
+result pipe, so a worker that has exited leaves a pipe that reads as ended.
+Every routing step drains the result pipes before it routes, so a death is
+noticed mid-stream rather than only at a barrier, and a worker killed
+mid-report leaves a torn message that fails the read instead of blocking it.
+``on_worker_failure`` selects what happens when a shard worker process dies,
+wedges past ``stall_deadline``, or reports an internal failure — ``"fail"``
+(the failure is raised on every later ingest/poll/flush, and by close()
+only if not raised before or no worker is left to drain; every worker is
+still joined), ``"respawn"`` (the dead worker is replaced from its
+:class:`_WorkerSpec`, live blocks are re-broadcast to the new incarnation,
+and work that was in flight through the dead queue is recorded as a known
+loss), or ``"degrade"`` (the dead shard's slots, and rows not yet handed to
+it, are rerouted onto the survivors, and their events carry
+``DetectionResult.degraded=True``).  Every loss is recorded as an
 :class:`~repro.serve.supervise.InstanceLossRecord` with ``kind="worker"`` and
 counted into the metrics degradation section.  Thread mode has no workers to
 lose, so any policy other than ``"fail"`` is rejected at construction.
@@ -391,12 +397,14 @@ class _ProcessShard:
         self.queue = in_queue
         # Each incarnation reports through a result queue of its own: a
         # worker killed while writing dies holding that queue's write lock,
-        # which must not silence any other worker.
+        # which must not silence any other worker.  ``None`` once the pipe
+        # has ended (the incarnation exited and everything it wrote is read).
         self.results = results
         self.process = process
         self.spec = spec
         self.final_events: list[DetectionEvent] = []
         self.failure: str | None = None
+        self.failure_raised = False
         self.closed = False
         self.lost = False
         self.respawns = 0
@@ -406,10 +414,6 @@ class _ProcessShard:
         self.routed_packets = 0
         self.scored_packets = 0
         self.state: dict[str, object] = {}
-        # Consecutive empty result-queue polls observed with the process
-        # dead; guards against declaring a worker lost while its final
-        # messages are still in flight through the queue's feeder pipe.
-        self.dead_polls = 0
 
 
 class ParallelStreamingDetector:
@@ -657,17 +661,26 @@ class ParallelStreamingDetector:
                 max_flows=per_shard_flows,
                 max_packets=max_packets,
             )
-            in_queue = context.Queue(maxsize=queue_depth)
-            results = context.Queue()
-            process = context.Process(
-                target=_process_worker_main,
-                args=(spec, in_queue, results),
-                name=f"clap-shard-{index}",
-                daemon=True,
+            self._shards.append(
+                _ProcessShard(index, *self._start_worker(spec, f"clap-shard-{index}"), spec)
             )
-            shard = _ProcessShard(index, in_queue, results, process, spec)
-            self._shards.append(shard)
-            process.start()
+
+    def _start_worker(self, spec: _WorkerSpec, name: str) -> tuple:
+        """Start one worker incarnation; returns ``(in_queue, results, process)``."""
+        in_queue = self._mp_context.Queue(maxsize=self._queue_depth)
+        results = self._mp_context.Queue()
+        process = self._mp_context.Process(
+            target=_process_worker_main,
+            args=(spec, in_queue, results),
+            name=name,
+            daemon=True,
+        )
+        process.start()
+        # The worker now holds its own write end.  Closing the parent's copy
+        # makes the pipe read as ended once the worker is gone, so a message
+        # it was killed writing fails the read instead of blocking it.
+        results._writer.close()
+        return in_queue, results, process
 
     # -------------------------------------------------------------- ingestion
     def ingest(self, packet: Packet) -> None:
@@ -761,6 +774,9 @@ class ParallelStreamingDetector:
         pending = self._pending
         if not pending:
             return
+        # A worker that has exited ends its result pipe: draining first hands
+        # it to the failure policy before any row is routed to it.
+        self._drain_results()
         self._pending = []
         columns = self._pending_block
         if columns is None:
@@ -849,7 +865,9 @@ class ParallelStreamingDetector:
                             self._chunker.record_backpressure()
                         continue
                 if not shard.process.is_alive():
-                    self._on_worker_down(shard, "worker process died unexpectedly")
+                    # Its pipe reads as ended once drained: that hands it to
+                    # the failure policy.
+                    self._drain_shard(shard)
                     continue
                 if (
                     self._stall_deadline is not None
@@ -940,38 +958,49 @@ class ParallelStreamingDetector:
     def _drain_results(self) -> None:
         """Consume every result message available right now."""
         for shard in self._shards:
-            while True:
-                try:
-                    # Re-read per message: handling one may respawn the
-                    # worker, which replaces its result queue.
-                    message = shard.results.get_nowait()
-                except queue.Empty:
-                    break
-                self._handle_result(message)
+            self._drain_shard(shard)
+
+    def _drain_shard(self, shard: "_ProcessShard") -> None:
+        """Consume every result message ``shard`` has posted so far.
+
+        An ended pipe means the incarnation has exited: its loss goes to the
+        failure policy (a no-op after a clean ``closed`` handshake).
+        """
+        # Re-read per message: handling one may respawn the worker, which
+        # replaces its result queue.
+        while shard.results is not None:
+            try:
+                message = shard.results.get_nowait()
+            except queue.Empty:
+                return
+            except (EOFError, OSError):
+                shard.results = None
+                self._on_worker_down(shard, "worker process died unexpectedly")
+                continue
+            self._handle_result(message)
 
     def _await_results(self, done) -> None:
         """Pump the result queues until ``done()`` — dead workers included.
 
         A worker that died without its final handshake (kill -9, interpreter
-        abort) is declared failed after a few consecutive empty polls with
-        the process gone, so barriers and close() terminate instead of
-        waiting forever.  When a ``stall_deadline`` is configured, a worker
-        that is alive but has produced nothing for that long while a barrier
-        waits on it is declared wedged and handed to the failure policy the
-        same way.
+        abort) ends its result pipe once everything it wrote has been read,
+        and is handed to the failure policy then, so barriers and close()
+        terminate instead of waiting forever.  When a ``stall_deadline`` is
+        configured, a worker that is alive but has produced nothing for that
+        long while a barrier waits on it is declared wedged and handed to the
+        failure policy the same way.
         """
         last_progress = time.monotonic()
         while not done():
-            readers = [shard.results._reader for shard in self._shards]
-            if not multiprocessing.connection.wait(readers, timeout=0.05):
-                for shard in self._shards:
-                    if shard.closed or shard.lost or shard.process.is_alive():
-                        shard.dead_polls = 0
-                        continue
-                    shard.dead_polls += 1
-                    if shard.dead_polls < 3:
-                        continue
-                    self._on_worker_down(shard, "worker process died unexpectedly")
+            readers = {
+                shard.results._reader: shard
+                for shard in self._shards
+                if shard.results is not None
+            }
+            ready = multiprocessing.connection.wait(list(readers), timeout=0.05)
+            for reader in ready:
+                self._drain_shard(readers[reader])
+            if not ready:
                 if (
                     self._stall_deadline is not None
                     and time.monotonic() - last_progress > self._stall_deadline
@@ -997,33 +1026,30 @@ class ParallelStreamingDetector:
                     last_progress = time.monotonic()
                 continue
             last_progress = time.monotonic()
-            self._drain_results()
 
     # ------------------------------------------------------- worker supervision
     def _apply_worker_faults(self, count: int) -> None:
-        """Fire due injected worker faults from the :class:`FaultPlan`.
-
-        Only ``kill-worker`` / ``wedge-worker`` faults apply at this layer;
-        instance-level kinds belong to the partitioner and are ignored here.
-        """
+        """Fire due injected worker faults from the :class:`FaultPlan`."""
         for kind, index in self._fault_plan.packet_routed(count):
-            if kind not in ("kill-worker", "wedge-worker"):
-                continue
             shard = self._shards[index % self.workers]
             if shard.lost or shard.closed:
                 continue
             if kind == "kill-worker":
                 if shard.process.is_alive():
                     os.kill(shard.process.pid, signal.SIGKILL)
+                    # Let the kill land, so the next routing step sees it
+                    # and the plan replays identically.
+                    shard.process.join(timeout=_WORKER_JOIN_TIMEOUT)
             else:
                 self._put_shard(shard, ("wedge",))
 
     def _on_worker_down(self, shard: "_ProcessShard", reason: str) -> None:
         """Central worker-loss handler: reap, account, then apply the policy.
 
-        Safe to call from any parent-side path that discovers the loss (a
-        stalled put, an empty result poll, a worker-reported failure); the
-        first caller wins, later calls see ``lost``/``closed`` and return.
+        Safe to call from any parent-side path that discovers the loss (an
+        exited process, an ended result pipe, a stalled put, a
+        worker-reported failure); the first caller wins, later calls see
+        ``lost``/``closed`` and return.
         """
         if shard.lost or shard.closed:
             return
@@ -1092,24 +1118,14 @@ class ParallelStreamingDetector:
         known loss before the counters reset.
         """
         spec = replace(shard.spec, generation=shard.spec.generation + 1)
-        in_queue = self._mp_context.Queue(maxsize=self._queue_depth)
-        results = self._mp_context.Queue()
-        process = self._mp_context.Process(
-            target=_process_worker_main,
-            args=(spec, in_queue, results),
-            name=f"clap-shard-{shard.index}r{shard.respawns + 1}",
-            daemon=True,
-        )
-        process.start()
         # Whatever the dead incarnation left unread is stale; its queue may
-        # also be torn mid-message or locked by the dead writer.
-        shard.results.close()
+        # also be torn mid-message or locked by the dead writer, so it is
+        # dropped with the old handle.
+        shard.queue, shard.results, shard.process = self._start_worker(
+            spec, f"clap-shard-{shard.index}r{shard.respawns + 1}"
+        )
         shard.spec = spec
-        shard.queue = in_queue
-        shard.results = results
-        shard.process = process
         shard.respawns += 1
-        shard.dead_polls = 0
         shard.failure = None
         shard.routed_packets = 0
         shard.scored_packets = 0
@@ -1124,7 +1140,7 @@ class ParallelStreamingDetector:
         survivors = [s.index for s in self._shards if not s.lost]
         if not survivors:
             shard.failure = "every shard worker has been lost"
-            raise RuntimeError("every shard worker has been lost")
+            self._raise_worker_failure()
         for slot, target in enumerate(self._proc_route):
             if target == shard.index:
                 self._proc_route[slot] = survivors[slot % len(survivors)]
@@ -1196,7 +1212,9 @@ class ParallelStreamingDetector:
         ``(first_seen, connection key)`` — deterministic at any worker count.
         A worker failure (including one discovered during the drain) still
         joins every worker and releases shared-memory blocks and the
-        temporary model directory before the failure is raised.
+        temporary model directory before the failure is raised.  A failure
+        already raised by ingest/flush is raised again only when no worker
+        is left to drain.
         """
         if self._single is not None:
             if self._closed:
@@ -1222,7 +1240,12 @@ class ParallelStreamingDetector:
             shard.process.join(timeout=_WORKER_JOIN_TIMEOUT)
         self._drain_results()  # late block acks, nothing else outstanding
         self._cleanup_process_pool()
-        self._raise_worker_failure()
+        # A failure the stream already raised is not raised again while
+        # survivors hold a drain to return; with none left, the empty drain
+        # must not pass for a clean end of stream.
+        self._raise_worker_failure(
+            skip_raised=not all(shard.failure is not None or shard.lost for shard in self._shards)
+        )
         final = [event for shard in self._shards for event in shard.final_events]
         final.sort(key=_event_order)
         self._dispatch_many(final)
@@ -1257,9 +1280,12 @@ class ParallelStreamingDetector:
                     self.on_alert(event)  # type: ignore[arg-type]
         self.metrics.record_events(len(events), sum(1 for e in events if e.is_alert))
 
-    def _raise_worker_failure(self) -> None:
+    def _raise_worker_failure(self, skip_raised: bool = False) -> None:
+        """Raise the first recorded worker failure (with ``skip_raised``, the
+        first one not raised yet)."""
         for shard in self._shards:
-            if shard.failure is not None:
+            if shard.failure is not None and not (skip_raised and shard.failure_raised):
+                shard.failure_raised = True
                 raise RuntimeError(f"shard worker {shard.index} failed: {shard.failure}")
 
     # ----------------------------------------------------------------- output

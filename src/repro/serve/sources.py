@@ -52,9 +52,8 @@ def _none_stamp() -> float | None:
 def parse_packet_line(line: str, *, strict: bool = False) -> Packet | None:
     """Parse one NDJSON packet line (``{"ts": <float>, "data": "<hex>"}``).
 
-    The single line-level decoder shared by :class:`NDJSONSource` and the
-    partitioned serving wire protocol (``repro.serve.wire``).  Malformed
-    lines return ``None`` unless ``strict`` is set, in which case they raise
+    The line-level decoder behind :class:`NDJSONSource`.  Malformed lines
+    return ``None`` unless ``strict`` is set, in which case they raise
     ``ValueError``.
     """
     try:

@@ -1,87 +1,33 @@
-"""Supervision primitives: backoff schedules, failure types, degradation reports.
+"""Supervision accounting: the failure policies and what a stream lost.
 
-These are the policy-free building blocks the partitioner and runtime use to
-implement ``--on-instance-failure {fail,respawn,degrade}``:
-
-* :class:`Backoff` — a deterministic bounded exponential backoff schedule
-  (no jitter, so fault-matrix tests replay identically).
-* :class:`InstanceFailure` — the typed error raised under the ``fail``
-  policy.  It subclasses :class:`ConnectionError` so existing CLI error
-  handling (exit code 2) applies unchanged.
-* :class:`InstanceLossRecord` / :class:`DegradationReport` — the honest
-  accounting of what was lost: every record carries the identity
-  ``packets_routed = packets_scored + packets_lost_inflight`` for the lost
-  incarnation.
+The process runtime implements ``--on-worker-failure {fail,respawn,degrade}``
+and records every lost worker incarnation here:
+:class:`InstanceLossRecord` / :class:`DegradationReport` are the honest
+accounting of what was lost — every record carries the identity
+``packets_routed = packets_scored + packets_lost_inflight`` for the lost
+incarnation.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 __all__ = [
-    "Backoff",
     "DegradationReport",
     "FailurePolicy",
-    "InstanceFailure",
     "InstanceLossRecord",
 ]
 
-#: Valid values for ``--on-instance-failure`` / ``on_worker_failure``.
+#: Valid values for ``--on-worker-failure`` / ``on_worker_failure``.
 FailurePolicy = ("fail", "respawn", "degrade")
-
-
-class InstanceFailure(ConnectionError):
-    """A detector instance or shard worker was lost under the ``fail`` policy."""
-
-    def __init__(self, message: str, *, index: int | None = None) -> None:
-        super().__init__(message)
-        self.index = index
-
-
-@dataclass(frozen=True)
-class Backoff:
-    """Deterministic bounded exponential backoff: 0.05, 0.1, 0.2, 0.4 ... capped.
-
-    ``attempts`` is the total number of tries (the first is immediate);
-    ``delays()`` yields the sleep before each retry.
-    """
-
-    attempts: int = 4
-    base_delay: float = 0.05
-    factor: float = 2.0
-    max_delay: float = 2.0
-
-    def delays(self):
-        """Yield the sleep (seconds) preceding each retry attempt."""
-        delay = self.base_delay
-        for _ in range(max(0, self.attempts - 1)):
-            yield min(delay, self.max_delay)
-            delay *= self.factor
-
-    def run(self, attempt, *, retry_on=(OSError,), sleep=time.sleep):
-        """Call ``attempt()`` up to ``attempts`` times, backing off between tries.
-
-        Re-raises the final error if every try fails.  ``attempt`` receives
-        the zero-based try number.
-        """
-        delays = list(self.delays())
-        for try_number in range(self.attempts):
-            try:
-                return attempt(try_number)
-            except retry_on:
-                if try_number >= self.attempts - 1:
-                    raise
-                sleep(delays[try_number])
-        raise RuntimeError("unreachable")  # pragma: no cover
 
 
 @dataclass(frozen=True)
 class InstanceLossRecord:
-    """One lost instance/worker incarnation, with its packet accounting."""
+    """One lost worker incarnation, with its packet accounting."""
 
     index: int
-    kind: str  # "instance" | "worker"
+    kind: str  # "worker"
     reason: str
     policy: str  # the policy that handled the loss
     packets_routed: int
@@ -122,9 +68,6 @@ class DegradationReport:
     @property
     def packets_lost_inflight(self) -> int:
         return sum(loss.packets_lost_inflight for loss in self.losses)
-
-    def record(self, loss: InstanceLossRecord) -> None:
-        self.losses.append(loss)
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,8 @@
-"""PR 9 fault matrix: every fault x policy terminates with known loss.
+"""Fault matrix: every worker fault x policy terminates with known loss.
 
-The acceptance criterion: under any single injected fault — instance
-SIGKILL, shard-worker SIGKILL, torn/corrupted frame, connection refusal,
-wedged peer — the stream terminates within its deadline under each failure
+The acceptance criterion: under any single injected fault — shard-worker
+SIGKILL (mid-stream, mid-report, mid-write of a large report) or a wedged
+worker — the stream terminates within its deadline under each failure
 policy.  ``respawn`` is score-identical at 1e-9 when no packets were in
 flight, ``degrade`` satisfies the accounting identity ``packets_routed =
 packets_scored + packets_lost_inflight`` with every lost packet attributed,
@@ -14,20 +14,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import struct
 import threading
-import time
 
 import pytest
 
-from repro.netstack.flow import flow_key_of, key_slot, packet_stream
+from repro.netstack.flow import packet_stream
 from repro.netstack.pcap import write_pcap
 from repro.serve import (
     FaultPlan,
     FaultSpecError,
-    FlowPartitioner,
     FlushPolicy,
-    InstanceConfig,
-    InstanceFailure,
     ParallelStreamingDetector,
     PcapSource,
     StreamingDetector,
@@ -69,28 +66,10 @@ def _drain_all(target, stream):
     return interim + list(target.events())
 
 
-def _instance_processes():
-    return [
-        p
-        for p in multiprocessing.active_children()
-        if p.name.startswith("clap-instance-")
-    ]
-
-
 def _shard_processes():
     return [
         p for p in multiprocessing.active_children() if p.name.startswith("clap-shard-")
     ]
-
-
-def _assert_identity(partitioner):
-    """packets_routed = packets_scored + packets_lost_inflight, exactly."""
-    report = partitioner.degradation_report()
-    lost = sum(loss.packets_lost_inflight for loss in report.losses)
-    assert partitioner._routed_total == partitioner._scored_total + lost
-    snapshot = partitioner.metrics_snapshot()["degradation"]
-    assert snapshot["packets_routed"] == partitioner._routed_total
-    assert snapshot["packets_scored"] == partitioner._scored_total
 
 
 @pytest.fixture(scope="module")
@@ -107,284 +86,39 @@ def replay_packets():
     )
 
 
-@pytest.fixture(scope="module")
-def baseline_events(trained_clap, replay_packets):
-    detector = StreamingDetector(
-        trained_clap, idle_timeout=IDLE_TIMEOUT, close_grace=CLOSE_GRACE
-    )
-    return _drain_all(detector, replay_packets)
-
-
-def _partitioner(model_dir, *, plan=None, policy="fail", **overrides):
-    options = dict(
-        instances=2,
-        config=InstanceConfig(idle_timeout=IDLE_TIMEOUT, close_grace=CLOSE_GRACE),
-        on_instance_failure=policy,
-        fault_plan=plan,
-        io_deadline=20.0,
-    )
-    options.update(overrides)
-    return FlowPartitioner(model_dir, **options)
-
-
 # ------------------------------------------------------------------ fault plan
 class TestFaultPlan:
     def test_spec_grammar_round_trips(self):
-        plan = parse_fault_specs(
-            [
-                "kill-instance:0@40",
-                "wedge-worker:1@10",
-                "refuse-connect:1*3",
-                "drop-frame:PKTS#2",
-                "delay-frame:ROWS#1@0.5",
-            ],
-            seed=7,
-        )
-        assert plan.packet_routed(40) == [
-            ("kill-instance", 0),
-            ("wedge-worker", 1),
-        ]
-        assert plan.connect_attempt(1) and plan.connect_attempt(1)
-        assert plan.connect_attempt(0) is False
-        assert plan.frame_fault("PKTS") is None
-        assert plan.frame_fault("PKTS") == "drop"
-        assert plan.frame_fault("ROWS") == ("delay", 0.5)
-        kinds = [fired[0] for fired in plan.fired]
-        assert kinds == [
-            "kill-instance",
-            "wedge-worker",
-            "refuse-connect",
-            "refuse-connect",
-            "drop-frame",
-            "delay-frame",
-        ]
+        plan = parse_fault_specs(["kill-worker:0@40", "wedge-worker:1@10"])
+        assert plan.packet_routed(39) == [("wedge-worker", 1)]
+        assert plan.packet_routed(1) == [("kill-worker", 0)]
+        assert plan.fired == [("wedge-worker", 1, 39), ("kill-worker", 0, 40)]
 
     @pytest.mark.parametrize(
         "spec",
         [
-            "kill-instance",
-            "kill-instance:0",
-            "kill-instance:x@3",
-            "drop-frame:PKTS",
-            "delay-frame:PKTS#1",
+            "kill-worker",
+            "kill-worker:0",
+            "kill-worker:x@3",
             "explode:0@1",
+            # Socket-level kinds: the runtime has no sockets to fault.
+            "kill-instance:0@40",
+            "wedge-instance:1@10",
+            "refuse-connect:1",
+            "drop-frame:ROWS#2",
+            "corrupt-frame:ROWS#2",
+            "delay-frame:ROWS#1@0.5",
         ],
     )
-    def test_bad_specs_raise(self, spec):
-        with pytest.raises(FaultSpecError):
+    def test_bad_specs_raise_naming_the_kind(self, spec):
+        with pytest.raises(FaultSpecError, match=spec.partition(":")[0]):
             parse_fault_specs([spec])
 
-    def test_corruption_is_seeded_and_never_a_noop(self):
-        payload = b'{"op": "poll", "now": 1.5}'
-        first = FaultPlan(seed=11).corrupt(payload)
-        second = FaultPlan(seed=11).corrupt(payload)
-        assert first == second
-        assert first != payload
-        assert len(first) == len(payload)
-
     def test_process_fault_fires_exactly_once(self):
-        plan = FaultPlan().kill_instance(0, at_packet=5)
+        plan = FaultPlan().kill_worker(0, at_packet=5)
         assert plan.packet_routed(4) == []
-        assert plan.packet_routed(1) == [("kill-instance", 0)]
+        assert plan.packet_routed(1) == [("kill-worker", 0)]
         assert plan.packet_routed(100) == []
-
-
-# ------------------------------------------------------- instance kill x policy
-class TestInstanceKill:
-    def test_degrade_completes_with_known_loss(
-        self, fault_model_dir, replay_packets, baseline_events
-    ):
-        plan = FaultPlan(seed=3).kill_instance(1, at_packet=30)
-        partitioner = _partitioner(fault_model_dir, plan=plan, policy="degrade")
-        events = _drain_all(partitioner, replay_packets)
-        assert ("kill-instance", 1, 30) in plan.fired
-        report = partitioner.degradation_report()
-        assert report, "a lost instance must produce a non-empty report"
-        assert any(
-            loss.kind == "instance" and loss.policy == "degrade"
-            for loss in report.losses
-        )
-        _assert_identity(partitioner)
-        # Flows rehashed onto survivors carry the explicit degraded flag.
-        assert any(event.result.degraded for event in events)
-        assert report.degraded_flows == sum(
-            1 for event in events if event.result.degraded
-        )
-        # Survivors still scored their share: the event set is a subset of
-        # the baseline with identical scores for the flows that completed.
-        baseline = {row[0]: row for row in _rows(baseline_events)}
-        for key, count, score in _rows(events):
-            assert key in baseline
-            if count == baseline[key][1]:
-                assert abs(score - baseline[key][2]) <= 1e-9
-        kinds = [type(e).__name__ for e in partitioner.service_events()]
-        assert "InstanceLost" in kinds
-        assert "DegradedMode" in kinds
-        assert not _instance_processes()
-
-    def test_fail_raises_and_tears_down(self, fault_model_dir, replay_packets):
-        plan = FaultPlan(seed=3).kill_instance(1, at_packet=30)
-        partitioner = _partitioner(fault_model_dir, plan=plan, policy="fail")
-        with pytest.raises(InstanceFailure) as failure:
-            _drain_all(partitioner, replay_packets)
-        assert failure.value.index == 1
-        partitioner.close()
-        report = partitioner.degradation_report()
-        assert any(loss.policy == "fail" for loss in report.losses)
-        assert not _instance_processes(), "fail must not leak instance processes"
-
-    def test_respawn_is_score_identical_at_a_clean_boundary(
-        self, trained_clap, fault_model_dir, replay_packets
-    ):
-        """SIGKILL with no packets in flight: respawn recovers exactly."""
-        # Split at a connection boundary (spacing 10.0): tearing a
-        # connection across the kill would change its packet grouping.  A
-        # short idle timeout lets poll(76.0) — still before the second
-        # half's first timestamp, so the stream clock is never pushed ahead
-        # of the data — complete and score every first-half flow.
-        idle = 5.0
-        first = [p for p in replay_packets if p.timestamp < 75.0]
-        second = [p for p in replay_packets if p.timestamp >= 75.0]
-        split = len(first)
-        baseline = StreamingDetector(
-            trained_clap, idle_timeout=idle, close_grace=CLOSE_GRACE
-        )
-        expected = _drain_all(baseline, replay_packets)
-        plan = FaultPlan(seed=5)
-        partitioner = _partitioner(
-            fault_model_dir,
-            plan=plan,
-            policy="respawn",
-            chunk_size=1,
-            # Score every completion immediately, so "no packets in flight"
-            # is reachable by waiting for scored to catch up with routed.
-            config=InstanceConfig(
-                idle_timeout=idle,
-                close_grace=CLOSE_GRACE,
-                flush_policy=FlushPolicy(max_batch=1),
-            ),
-        )
-        partitioner.ingest_many(first)
-        # Complete and score everything routed so far: idle-expire every
-        # flow, then wait for the events to flow back.
-        partitioner.poll(76.0)
-        events = []
-        settle_deadline = time.monotonic() + 30.0
-        while partitioner._scored_total < partitioner._routed_total:
-            events.extend(partitioner.events())
-            assert (
-                time.monotonic() < settle_deadline
-            ), "instances never scored the first half"
-            time.sleep(0.02)
-        events.extend(partitioner.events())
-        # Kill the instance that does NOT own the next packet, so the packet
-        # that trips the fault hook is never in flight to the dead peer.
-        owner = partitioner._route[key_slot(flow_key_of(second[0]), 2)]
-        victim = 1 - owner
-        plan.kill_instance(victim, at_packet=split + 1)
-        partitioner.ingest(second[0])
-        # Wait for the death to be detected and the respawn to finish, so no
-        # second-half packet is shipped into the dead incarnation's void.
-        settle_deadline = time.monotonic() + 30.0
-        while partitioner.degradation_report().respawns < 1:
-            events.extend(partitioner.events())
-            assert (
-                time.monotonic() < settle_deadline
-            ), "instance death was never detected"
-            time.sleep(0.02)
-        partitioner.ingest_many(second[1:])
-        events.extend(partitioner.events())
-        partitioner.close()
-        events.extend(partitioner.events())
-        assert any(fired[0] == "kill-instance" for fired in plan.fired)
-        report = partitioner.degradation_report()
-        assert report.respawns == 1
-        assert all(loss.packets_lost_inflight == 0 for loss in report.losses)
-        _assert_rows_match(events, expected)
-        _assert_identity(partitioner)
-        assert not _instance_processes()
-
-
-# ----------------------------------------------------- wedges and frame faults
-class TestWedgeAndFrameFaults:
-    def test_wedged_instance_is_cut_loose_at_close(
-        self, fault_model_dir, replay_packets
-    ):
-        plan = FaultPlan(seed=3).wedge_instance(1, at_packet=30)
-        partitioner = _partitioner(
-            fault_model_dir, plan=plan, policy="degrade", io_deadline=2.0
-        )
-        events = _drain_all(partitioner, replay_packets)
-        assert events, "survivors must still score their flows"
-        report = partitioner.degradation_report()
-        assert report, "a wedged instance must be recorded as lost"
-        _assert_identity(partitioner)
-        assert not _instance_processes()
-
-    def test_corrupt_frame_degrades(self, fault_model_dir, replay_packets):
-        plan = FaultPlan(seed=9).corrupt_frame("ROWS", nth=5)
-        partitioner = _partitioner(fault_model_dir, plan=plan, policy="degrade")
-        events = _drain_all(partitioner, replay_packets)
-        assert ("corrupt-frame", "ROWS", 5) in plan.fired
-        assert events
-        report = partitioner.degradation_report()
-        assert report
-        _assert_identity(partitioner)
-        assert not _instance_processes()
-
-    def test_corrupt_frame_fails_under_fail_policy(
-        self, fault_model_dir, replay_packets
-    ):
-        plan = FaultPlan(seed=9).corrupt_frame("ROWS", nth=5)
-        partitioner = _partitioner(fault_model_dir, plan=plan, policy="fail")
-        with pytest.raises(InstanceFailure):
-            _drain_all(partitioner, replay_packets)
-        partitioner.close()
-        assert not _instance_processes()
-
-    def test_dropped_frame_is_attributed_at_close(
-        self, fault_model_dir, replay_packets
-    ):
-        plan = FaultPlan(seed=9).drop_frame("ROWS", nth=5)
-        partitioner = _partitioner(fault_model_dir, plan=plan, policy="degrade")
-        _drain_all(partitioner, replay_packets)
-        report = partitioner.degradation_report()
-        assert any("unaccounted" in loss.reason for loss in report.losses)
-        _assert_identity(partitioner)
-        assert not _instance_processes()
-
-
-# ------------------------------------------------------------ connect refusals
-class TestConnectRefusal:
-    def test_fail_policy_refusal_raises_without_leaking(self, fault_model_dir):
-        plan = FaultPlan().refuse_connect(0)
-        with pytest.raises(OSError):
-            _partitioner(fault_model_dir, plan=plan, policy="fail")
-        assert not _instance_processes(), (
-            "a startup connect failure must tear down already-spawned instances"
-        )
-
-    def test_respawn_policy_retries_through_a_refusal(
-        self, fault_model_dir, replay_packets, baseline_events
-    ):
-        plan = FaultPlan().refuse_connect(0, times=1)
-        partitioner = _partitioner(fault_model_dir, plan=plan, policy="respawn")
-        events = _drain_all(partitioner, replay_packets)
-        _assert_rows_match(events, baseline_events)
-        assert not partitioner.degradation_report().losses
-        assert not _instance_processes()
-
-    def test_degrade_policy_starts_on_the_survivor(
-        self, fault_model_dir, replay_packets
-    ):
-        plan = FaultPlan().refuse_connect(0, times=10)
-        partitioner = _partitioner(fault_model_dir, plan=plan, policy="degrade")
-        events = _drain_all(partitioner, replay_packets)
-        assert events, "the surviving instance must carry the whole stream"
-        report = partitioner.degradation_report()
-        assert any("startup" in loss.reason for loss in report.losses)
-        _assert_identity(partitioner)
-        assert not _instance_processes()
 
 
 # -------------------------------------------------------- shard worker faults
@@ -408,7 +142,7 @@ class TestWorkerFaults:
     def test_kill_worker_degrade_completes(
         self, trained_clap, fault_model_dir, replay_packets
     ):
-        plan = FaultPlan(seed=3).kill_worker(0, at_packet=30)
+        plan = FaultPlan().kill_worker(0, at_packet=30)
         detector = _worker_detector(
             trained_clap, fault_model_dir, plan=plan, policy="degrade"
         )
@@ -427,7 +161,7 @@ class TestWorkerFaults:
     def test_kill_worker_fail_raises_and_reaps(
         self, trained_clap, fault_model_dir, replay_packets
     ):
-        plan = FaultPlan(seed=3).kill_worker(0, at_packet=30)
+        plan = FaultPlan().kill_worker(0, at_packet=30)
         detector = _worker_detector(
             trained_clap, fault_model_dir, plan=plan, policy="fail"
         )
@@ -436,12 +170,33 @@ class TestWorkerFaults:
         detector.close()
         assert not _shard_processes(), "fail must not leak shard workers"
 
+    def test_kill_worker_fail_raises_again_on_every_later_call(
+        self, trained_clap, fault_model_dir, replay_packets
+    ):
+        plan = FaultPlan().kill_worker(0, at_packet=30)
+        detector = _worker_detector(
+            trained_clap, fault_model_dir, plan=plan, policy="fail"
+        )
+        with pytest.raises(RuntimeError, match="shard worker 0 failed"):
+            detector.ingest_many(replay_packets)
+        # A caller that swallows the first failure must not go on losing the
+        # failed shard's packets without being told.
+        with pytest.raises(RuntimeError, match="shard worker 0 failed"):
+            detector.ingest_many(replay_packets[-5:])
+        with pytest.raises(RuntimeError, match="shard worker 0 failed"):
+            detector.poll()
+        with pytest.raises(RuntimeError, match="shard worker 0 failed"):
+            detector.flush()
+        # close() returns the survivor's drain instead of raising once more.
+        detector.close()
+        assert not _shard_processes(), "fail must not leak shard workers"
+
     def test_kill_worker_respawn_is_score_identical_at_a_clean_boundary(
         self, trained_clap, fault_model_dir, replay_packets
     ):
-        # Same clean-boundary construction as the instance respawn test: a
-        # short idle timeout and a poll that stays behind the second half's
-        # first timestamp, so the stream clock is never distorted.
+        # A clean boundary: a short idle timeout and a poll that stays
+        # behind the second half's first timestamp, so the stream clock is
+        # never distorted.
         idle = 5.0
         first = [p for p in replay_packets if p.timestamp < 75.0]
         second = [p for p in replay_packets if p.timestamp >= 75.0]
@@ -473,6 +228,34 @@ class TestWorkerFaults:
         assert report.respawns == 1
         assert all(loss.packets_lost_inflight == 0 for loss in report.losses)
         _assert_rows_match(events, expected)
+        assert not _shard_processes()
+
+    @pytest.mark.parametrize("policy", ["degrade", "respawn"])
+    def test_mid_stream_kill_is_handled_before_close(
+        self, trained_clap, fault_model_dir, replay_packets, policy
+    ):
+        """A worker killed mid-stream is handed to the policy by the next
+        routing step, not at the next barrier or close(): degrade rehashes
+        its flows onto the survivor, respawn replaces it."""
+        plan = FaultPlan().kill_worker(0, at_packet=30)
+        detector = _worker_detector(
+            trained_clap, fault_model_dir, plan=plan, policy=policy
+        )
+        detector.ingest_many(replay_packets[:30])
+        assert ("kill-worker", 0, 30) in plan.fired
+        detector._shards[0].process.join(timeout=10.0)  # the kill has landed
+        detector.ingest_many(replay_packets[30:])
+        detector.poll()  # a routing step with no barrier behind it
+        report = detector.degradation_report()
+        (loss,) = report.losses
+        assert loss.kind == "worker" and loss.policy == policy
+        if policy == "respawn":
+            assert report.respawns == 1
+        else:
+            events = detector.flush() + list(detector.events())
+            assert detector.degradation_report().degraded_flows > 0
+            assert any(event.result.degraded for event in events)
+        detector.close()
         assert not _shard_processes()
 
     def test_flush_barrier_events_count_once_toward_the_loss_identity(
@@ -564,10 +347,51 @@ class TestWorkerFaults:
         assert detector.degradation_report().respawns == 1
         assert not _shard_processes()
 
+    def test_worker_killed_mid_write_of_a_large_report_does_not_wedge(
+        self, trained_clap, fault_model_dir, replay_packets, monkeypatch
+    ):
+        """A worker SIGKILLed while writing a report larger than the pipe
+        buffer leaves a torn message behind; reading it must end in a
+        respawn, not block the parent forever."""
+        real_post = runtime_module._post
+
+        def post_torn_and_die(out_queue, message):
+            if message[0] == "flush_done" and message[1] == 0 and message[-1] == 0:
+                # With the write lock held no queued message is mid-write;
+                # declare a 1 MiB report, write 4 KiB of it, and die.
+                out_queue._wlock.acquire()
+                os.write(
+                    out_queue._writer.fileno(), struct.pack("!i", 1 << 20) + bytes(4096)
+                )
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_post(out_queue, message)
+
+        monkeypatch.setattr(runtime_module, "_post", post_torn_and_die)
+        detector = _worker_detector(
+            trained_clap,
+            fault_model_dir,
+            policy="respawn",
+            start_method="fork",  # the workers inherit the patched _post
+        )
+        done = {}
+
+        def stream():
+            detector.ingest_many(replay_packets)
+            done["flushed"] = detector.flush()
+            done["final"] = detector.close()
+
+        runner = threading.Thread(target=stream, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive(), "the parent blocked on a torn result message"
+        assert "final" in done
+        assert detector.degradation_report().respawns == 1
+        assert not _shard_processes()
+
     def test_wedged_worker_is_declared_lost(
         self, trained_clap, fault_model_dir, replay_packets
     ):
-        plan = FaultPlan(seed=3).wedge_worker(0, at_packet=30)
+        plan = FaultPlan().wedge_worker(0, at_packet=30)
         detector = _worker_detector(
             trained_clap,
             fault_model_dir,
@@ -584,7 +408,7 @@ class TestWorkerFaults:
     def test_backpressure_wait_on_a_wedged_worker_is_counted(
         self, trained_clap, fault_model_dir, replay_packets
     ):
-        plan = FaultPlan(seed=3).wedge_worker(0, at_packet=30)
+        plan = FaultPlan().wedge_worker(0, at_packet=30)
         detector = _worker_detector(
             trained_clap,
             fault_model_dir,

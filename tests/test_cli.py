@@ -394,6 +394,28 @@ class TestStreamCommand:
             p for p in multiprocessing.active_children() if p.name.startswith("clap-shard-")
         ]
 
+    def test_stream_worker_killed_on_the_last_packet_fails_cleanly(
+        self, trained_model_dir, tmp_path, capsys
+    ):
+        """Under --on-worker-failure fail, a worker death first seen by the
+        final drain exits 2 with the degradation report, not a traceback."""
+        capture = tmp_path / "kill.pcap"
+        main(["generate", str(capture), "--connections", "6", "--seed", "29"])
+        last = len(read_pcap(capture))
+        capsys.readouterr()
+        code = main(["stream", str(trained_model_dir), str(capture),
+                     "--workers", "2", "--worker-mode", "process",
+                     "--inject-fault", f"kill-worker:1@{last}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "degradation: " in err
+        assert "shard worker 1 failed" in err
+        import multiprocessing
+
+        assert not [
+            p for p in multiprocessing.active_children() if p.name.startswith("clap-shard-")
+        ]
+
     def test_stream_metrics_summary_on_stderr(self, trained_model_dir, tmp_path, capsys):
         capture = tmp_path / "met.pcap"
         main(["generate", str(capture), "--connections", "3", "--seed", "11"])

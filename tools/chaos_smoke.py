@@ -1,17 +1,18 @@
 #!/usr/bin/env python
-"""Chaos smoke test for CI: kill an instance mid-stream, finish anyway.
+"""Chaos smoke test for CI: kill a shard worker mid-stream, finish anyway.
 
 Synthesise a capture, train a deliberately tiny model, then replay the
-capture through ``repro stream --instances 2`` while a deterministic fault
-plan SIGKILLs one of the two detector instances mid-stream.  Under
-``--on-instance-failure degrade`` the run must still exit 0, emit events
-for the surviving (and rehashed) flows, and print a machine-readable
-``degradation:`` line whose accounting satisfies the identity
+capture through ``repro stream --workers 2 --worker-mode process`` while a
+deterministic fault plan SIGKILLs one of the two shard workers mid-stream.
+Under ``--on-worker-failure degrade`` the run must still exit 0, emit events
+for the surviving flows, rehash the lost worker's flows onto the survivor
+(``degraded_flows > 0``), and print a machine-readable ``degradation:`` line
+with a loss of kind ``worker`` whose accounting satisfies the identity
 
     packets_routed = packets_scored + packets_lost_inflight
 
-for every recorded loss.  Under ``--on-instance-failure fail`` the same
-fault must exit non-zero — with the degradation report still printed — so
+for every recorded loss.  Under ``--on-worker-failure fail`` the same fault
+must exit non-zero — with the degradation report still printed — so
 operators can choose loud failure over silent loss.
 
 Run with:  PYTHONPATH=src python tools/chaos_smoke.py
@@ -29,8 +30,8 @@ from pathlib import Path
 from repro.cli import main as cli_main
 
 CONNECTIONS = 30
-INSTANCES = 2
-KILL_SPEC = "kill-instance:1@40"
+KILL_SPEC = "kill-worker:1@40"
+WORKERS = ["--workers", "2", "--worker-mode", "process"]
 
 
 def run(argv: list) -> tuple:
@@ -62,11 +63,11 @@ def _check_identity(report: dict) -> str | None:
         lost = loss["packets_lost_inflight"]
         if routed != scored + lost:
             return (
-                f"accounting identity violated for instance {loss['index']}: "
+                f"accounting identity violated for worker {loss['index']}: "
                 f"routed={routed} scored={scored} lost_inflight={lost}"
             )
         if lost < 0:
-            return f"negative in-flight loss for instance {loss['index']}"
+            return f"negative in-flight loss for worker {loss['index']}"
     return None
 
 
@@ -89,16 +90,14 @@ def main() -> int:
             print("chaos smoke FAILED: train exited non-zero", file=sys.stderr)
             return 1
 
-        # Degrade mode: one instance SIGKILLed mid-stream must still be a
+        # Degrade mode: one worker SIGKILLed mid-stream must still be a
         # clean exit with every lost packet attributed.
-        code, out, err = run(["stream", str(model_dir), str(capture_path),
-                              "--instances", str(INSTANCES),
-                              "--on-instance-failure", "degrade",
-                              "--inject-fault", KILL_SPEC,
-                              "--fault-seed", "11"])
+        code, out, err = run(["stream", str(model_dir), str(capture_path), *WORKERS,
+                              "--on-worker-failure", "degrade",
+                              "--inject-fault", KILL_SPEC])
         if code != 0:
             print(f"chaos smoke FAILED: degrade-mode stream exited {code} "
-                  "(must survive a single instance kill)", file=sys.stderr)
+                  "(must survive a single worker kill)", file=sys.stderr)
             return 1
         events = _events(out)
         if not events:
@@ -115,21 +114,23 @@ def main() -> int:
             print(f"chaos smoke FAILED: {problem}", file=sys.stderr)
             return 1
         kinds = {loss["kind"] for loss in report["losses"]}
-        if "instance" not in kinds:
-            print(f"chaos smoke FAILED: expected an instance loss, got {kinds}",
+        if "worker" not in kinds:
+            print(f"chaos smoke FAILED: expected a worker loss, got {kinds}",
                   file=sys.stderr)
+            return 1
+        if report["degraded_flows"] <= 0:
+            print("chaos smoke FAILED: no flow was rehashed onto the surviving "
+                  "worker mid-stream", file=sys.stderr)
             return 1
 
         # Fail mode: the same fault must be loud — non-zero exit, report
         # still printed, nothing wedged.
-        code, _, err = run(["stream", str(model_dir), str(capture_path),
-                            "--instances", str(INSTANCES),
-                            "--on-instance-failure", "fail",
-                            "--inject-fault", KILL_SPEC,
-                            "--fault-seed", "11"])
+        code, _, err = run(["stream", str(model_dir), str(capture_path), *WORKERS,
+                            "--on-worker-failure", "fail",
+                            "--inject-fault", KILL_SPEC])
         if code == 0:
             print("chaos smoke FAILED: fail-mode stream exited 0 despite a "
-                  "killed instance", file=sys.stderr)
+                  "killed worker", file=sys.stderr)
             return 1
         if _degradation(err) is None:
             print("chaos smoke FAILED: fail-mode exit carried no degradation "
@@ -138,8 +139,9 @@ def main() -> int:
 
     lost = report["packets_lost_inflight"]
     print(f"chaos smoke OK: survived {KILL_SPEC} in degrade mode with "
-          f"{len(events)} events, {lost} in-flight packets lost and "
-          f"attributed; fail mode refused loudly", file=sys.stderr)
+          f"{len(events)} events, {report['degraded_flows']} flows rehashed, "
+          f"{lost} in-flight packets lost and attributed; fail mode refused "
+          "loudly", file=sys.stderr)
     return 0
 
 
