@@ -1,9 +1,10 @@
 """RL003: hot-path array construction must pin its dtype.
 
-PR 6's ``set_compute_dtype`` contract promises that the float64 serving mode
-replays the reference arithmetic bit-for-bit and that the float32 mode never
-silently widens.  Both promises die quietly the moment a hot-path buffer is
-created with NumPy's *default* dtype, or a float64 **scalar** sneaks into
+The ``set_compute_dtype`` contract promises that the float64 serving mode
+runs the training arithmetic (the gate loop in ``nn/gru.py`` picks only its
+sigmoid by dtype) and that the float32 mode never silently widens.  Both
+promises die quietly the moment a hot-path buffer is created with NumPy's
+*default* dtype, or a float64 **scalar** sneaks into
 float32 arithmetic: under NEP 50 a Python float literal is harmless
 (``f32_array * 2.0`` stays float32) but a NumPy scalar is not
 (``f32_array * np.sqrt(2.0)`` promotes to float64, because ``np.sqrt`` of a

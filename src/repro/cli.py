@@ -35,6 +35,7 @@ from repro.core.config import ClapConfig
 from repro.core.pipeline import Clap
 from repro.netstack.flow import assemble_connections
 from repro.netstack.pcap import read_packet_columns, read_pcap, write_pcap
+from repro.nn.backend import available_backends, serving_backends
 from repro.serve import (
     DropPolicy,
     FaultSpecError,
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--ae-epochs", type=int, default=None, help="override autoencoder epochs")
     train.add_argument("--no-gate-weights", action="store_true",
                        help="train without the GRU context stage (intra-packet features only)")
-    train.add_argument("--backend", choices=("gru", "quantized-gru"), default="gru",
+    train.add_argument("--backend", choices=available_backends(), default="gru",
                        help="sequence backend to persist: the float64 GRU (default) or "
                             "its int8 weight-quantized conversion (trained as a GRU, "
                             "quantized before the autoencoder/threshold stages)")
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--ingest", choices=("columnar", "object"), default="columnar",
                        help="pcap read path: vectorized columnar (default) or "
                             "per-record object parsing (the reference)")
-    score.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"), default=None,
+    score.add_argument("--backend", choices=serving_backends(), default=None,
                        help="serve through this sequence backend instead of the persisted "
                             "one (converted in memory; scores stay within the documented "
                             "equivalence tolerance)")
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit only threshold-exceeding connections")
     stream.add_argument("--metrics", action="store_true",
                         help="print the runtime metrics summary to stderr at end of stream")
-    stream.add_argument("--backend", choices=("gru", "gru-f32", "quantized-gru"), default=None,
+    stream.add_argument("--backend", choices=serving_backends(), default=None,
                         help="serve through this sequence backend instead of the persisted "
                              "one (process workers receive the converted model via a "
                              "temporary artifact)")

@@ -1,6 +1,6 @@
 """Equivalence-tolerance gates for alternative sequence backends.
 
-The float64 ``gru`` backend is the oracle: its fused packed loop is
+The float64 ``gru`` backend is the oracle: its packed gate loop is
 bit-identical to the seed implementation, so its adversarial scores define
 ground truth.  A reduced-precision serving path (``gru-f32``,
 ``quantized-gru``) is admissible only if, on a scoring corpus,

@@ -175,7 +175,7 @@ class ContextProfileBuilder:
         if self.include_amplification:
             parts.append(amplification)
         if self.include_gate_weights and self.rnn is not None and raw.shape[0] > 0:
-            update_gates, reset_gates = self.rnn.gate_activations(scaled)
+            update_gates, reset_gates, _ = self.rnn.gate_activations_concat([scaled])
             parts.extend([update_gates, reset_gates])
         else:
             hidden = self.rnn.hidden_size if self.rnn is not None else 0
@@ -226,28 +226,21 @@ class ContextProfileBuilder:
 
         hidden = self.rnn.hidden_size if self.rnn is not None else 0
         use_gates = self.include_gate_weights and self.rnn is not None
-        concat_update = concat_reset = None
         if use_gates:
+            # Gates land directly in one (total_packets, hidden) matrix per
+            # gate, in the same row layout as concat_scaled.
             scaled_arrays = [
                 concat_scaled[bounds[index] : bounds[index + 1]]
                 for index in range(len(connections))
             ]
-            # Prefer the concatenated fast path (gates land directly in one
-            # (total_packets, hidden) matrix per gate, no per-connection
-            # concatenate); fall back to the per-sequence protocol method for
-            # duck-typed backends that only implement gate_activations_batch.
-            concat_gates = getattr(self.rnn, "gate_activations_concat", None)
-            if concat_gates is not None:
-                concat_update, concat_reset, gate_bounds = concat_gates(scaled_arrays, counts)
-                gate_pairs = [
-                    (
-                        concat_update[gate_bounds[index] : gate_bounds[index + 1]],
-                        concat_reset[gate_bounds[index] : gate_bounds[index + 1]],
-                    )
-                    for index in range(len(connections))
-                ]
-            else:
-                gate_pairs = self.rnn.gate_activations_batch(scaled_arrays, counts)
+            concat_update, concat_reset, _ = self.rnn.gate_activations_concat(scaled_arrays)
+            gate_pairs = [
+                (
+                    concat_update[bounds[index] : bounds[index + 1]],
+                    concat_reset[bounds[index] : bounds[index + 1]],
+                )
+                for index in range(len(connections))
+            ]
         else:
             gate_pairs = [
                 (np.zeros((count, hidden)), np.zeros((count, hidden)))
@@ -258,16 +251,6 @@ class ContextProfileBuilder:
         if self.include_amplification:
             parts.append(concat_amplification)
         if use_gates:
-            # One concatenate per gate; the per-connection copy loop this
-            # replaces scattered thousands of tiny row-range assignments.
-            # (The fast path above already produced the concatenated gates.)
-            if concat_update is None:
-                if gate_pairs:
-                    concat_update = np.concatenate([pair[0] for pair in gate_pairs], axis=0)
-                    concat_reset = np.concatenate([pair[1] for pair in gate_pairs], axis=0)
-                else:
-                    concat_update = np.zeros((0, hidden), dtype=np.float64)
-                    concat_reset = np.zeros((0, hidden), dtype=np.float64)
             parts.extend([concat_update, concat_reset])
         concat_profiles = (
             np.hstack(parts)

@@ -28,7 +28,6 @@ The 32 Table-7 features are computed from these columns by
 
 from __future__ import annotations
 
-import pickle
 import struct
 import weakref
 from dataclasses import dataclass
@@ -97,17 +96,13 @@ def _field_dtype(name: str) -> np.dtype:
 #: ``pack_block`` wire format (version 1): a fixed little-endian header —
 #: magic, version, materialisation-backing kind, row count, backing section
 #: length — followed by every ``_ARRAY_FIELDS`` column as raw contiguous
-#: bytes (sizes derived from the row count and each field's fixed dtype),
-#: then the backing section.  ``RAW`` backing ships per-row capture lengths
-#: plus the compacted raw packet bytes (offsets are rebuilt by a cumulative
-#: sum on unpack); ``PACKETS`` backing pickles the original ``Packet``
-#: objects; ``NONE`` drops materialisation entirely.
+#: bytes (sizes derived from the row count and each field's fixed dtype).
+#: The only backing kind is ``NONE`` (no materialisation, an empty backing
+#: section): shard workers read columns and never materialise packets.
 _PACK_MAGIC = b"CPB"
 _PACK_VERSION = 1
 _PACK_HEADER = struct.Struct("<3sBBxxxQQ")
 _BACKING_NONE = 0
-_BACKING_RAW = 1
-_BACKING_PACKETS = 2
 
 
 class BlockLeaseClosedError(RuntimeError):
@@ -635,24 +630,18 @@ class PacketColumns:
 
 
     # ------------------------------------------------------------ wire format
-    def pack_block(
-        self, indices: np.ndarray | None = None, *, backing: str = "auto"
-    ) -> bytes:
+    def pack_block(self, indices: np.ndarray | None = None) -> bytes:
         """Serialise (a row subset of) this block into the compact wire format.
 
         The process-backed streaming runtime ships capture blocks to shard
         workers with this instead of pickling packet objects: every scalar
-        column crosses the process boundary as raw array bytes, and the
-        materialisation backing travels as the compacted raw packet bytes
-        (buffer-backed blocks) or the pickled originals (packet-backed
-        blocks).  ``indices`` selects rows (in the given order); ``None``
-        packs the whole block.  ``backing="none"`` omits materialisation —
-        smallest wire size, but :meth:`packet`/``materialize()`` on the
-        unpacked side will fail.  :func:`unpack_block` is the exact inverse:
+        column crosses the process boundary as raw array bytes.  The
+        materialisation backing (raw packet bytes or ``Packet`` objects)
+        stays behind, so :meth:`packet`/``materialize()`` on the unpacked
+        side fail.  ``indices`` selects rows (in the given order); ``None``
+        packs the whole block.  :func:`unpack_block` is the exact inverse:
         every column round-trips bit for bit.
         """
-        if backing not in ("auto", "none"):
-            raise ValueError(f"unknown backing mode {backing!r} (expected auto or none)")
         idx: np.ndarray | None = None
         if indices is not None:
             idx = np.asarray(indices, dtype=np.int64)
@@ -664,27 +653,8 @@ class PacketColumns:
             sections.append(
                 np.ascontiguousarray(selected, dtype=_field_dtype(name)).tobytes()
             )
-        kind = _BACKING_NONE
-        payload = b""
-        if backing == "auto" and self.buffer is not None:
-            kind = _BACKING_RAW
-            lengths = self.lengths if idx is None else self.lengths[idx]
-            offsets = self.offsets if idx is None else self.offsets[idx]
-            lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-            total = int(lengths.sum())
-            ends = np.cumsum(lengths)
-            # Compact the selected spans: gather[i] walks each row's source
-            # span contiguously into the new buffer.
-            gather = np.repeat(offsets - (ends - lengths), lengths) + np.arange(total)
-            payload = lengths.tobytes() + np.ascontiguousarray(self.buffer[gather]).tobytes()
-        elif backing == "auto" and self.packets is not None:
-            kind = _BACKING_PACKETS
-            selected_packets = (
-                self.packets if idx is None else [self.packets[i] for i in idx.tolist()]
-            )
-            payload = pickle.dumps(selected_packets, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _PACK_HEADER.pack(_PACK_MAGIC, _PACK_VERSION, kind, n, len(payload))
-        return b"".join([header, *sections, payload])
+        header = _PACK_HEADER.pack(_PACK_MAGIC, _PACK_VERSION, _BACKING_NONE, n, 0)
+        return b"".join([header, *sections])
 
 
 def _wire_view(view: memoryview, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
@@ -715,29 +685,19 @@ def unpack_block(
     have all been dropped (``on_release``).
     """
     view = memoryview(data)
-    magic, version, kind, n, backing_len = _PACK_HEADER.unpack_from(view, 0)
+    magic, version, kind, n, _ = _PACK_HEADER.unpack_from(view, 0)
     if magic != _PACK_MAGIC:
         raise ValueError("not a packed PacketColumns block (bad magic)")
     if version != _PACK_VERSION:
         raise ValueError(f"unsupported packed-block version {version}")
+    if kind != _BACKING_NONE:
+        raise ValueError(f"unknown packed-block backing kind {kind}")
     position = _PACK_HEADER.size
     kwargs: dict[str, object] = {}
     for name in _ARRAY_FIELDS:
         dtype = _field_dtype(name)
         kwargs[name] = _wire_view(view, dtype, n, position)
         position += dtype.itemsize * n
-    if kind == _BACKING_RAW:
-        lengths = _wire_view(view, np.dtype(np.int64), n, position)
-        position += 8 * n
-        raw_size = backing_len - 8 * n
-        kwargs["buffer"] = _wire_view(view, np.dtype(np.uint8), raw_size, position)
-        ends = np.cumsum(lengths)
-        kwargs["offsets"] = ends - lengths
-        kwargs["lengths"] = lengths
-    elif kind == _BACKING_PACKETS:
-        kwargs["packets"] = pickle.loads(view[position : position + backing_len])
-    elif kind != _BACKING_NONE:
-        raise ValueError(f"unknown packed-block backing kind {kind}")
     columns = PacketColumns(**kwargs)
     if lease is not None:
         lease.adopt(columns)

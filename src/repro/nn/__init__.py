@@ -34,9 +34,6 @@ from repro.nn.gru import (
     GRUSequenceClassifier,
     GruForwardResult,
     GruStepCache,
-    PackedPlan,
-    PackedPlanCache,
-    build_packed_plan,
 )
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.losses import L1Loss, MSELoss, SoftmaxCrossEntropy
@@ -55,15 +52,12 @@ __all__ = [
     "L1Loss",
     "MSELoss",
     "Optimizer",
-    "PackedPlan",
-    "PackedPlanCache",
     "QuantizedGruBackend",
     "SGD",
     "SequenceBackend",
     "SoftmaxCrossEntropy",
     "available_backends",
     "backend_from_state_dict",
-    "build_packed_plan",
     "convert_backend",
     "get_activation",
     "get_backend",

@@ -17,10 +17,10 @@ directory alone via ``Clap.load(..., mmap_mode="r")``.
 Shipped backends:
 
 ``gru``
-    :class:`GruBackend`, the reference implementation — the float64 fused
+    :class:`GruBackend`, the reference implementation — the float64
     packed-inference GRU (:class:`repro.nn.gru.GRUSequenceClassifier`).
 ``gru-f32``
-    A *serving variant* of ``gru``: identical float64 master weights, fused
+    A *serving variant* of ``gru``: identical float64 master weights, gate
     loop computed in float32 (cast once at conversion).  Not a persisted
     identity — saving writes ``gru``.
 ``quantized-gru``
@@ -51,7 +51,6 @@ __all__ = [
     "get_backend",
     "available_backends",
     "serving_backends",
-    "trainable_backends",
     "backend_from_state_dict",
     "backend_name_from_state",
     "convert_backend",
@@ -65,12 +64,12 @@ __all__ = [
 class SequenceBackend(Protocol):
     """What stages (b)-(d) require of a gate-activation model.
 
-    ``gate_activations_batch(sequences, lengths)`` returns one
-    ``(update, reset)`` pair of ``(time_i, hidden)`` arrays per input
-    sequence; ``gate_activations_concat`` is the optional concatenated fast
-    path the batched profile builder prefers when present.  ``train_batch``
-    is the training hook (inference-only backends raise and point at
-    ``training_backend``, the name of the backend to train instead).
+    ``gate_activations_concat(sequences)`` returns ``(update, reset,
+    bounds)``: the gates of every ``(time_i, input)`` sequence stacked into
+    two ``(sum(time_i), hidden)`` matrices, sequence ``i`` owning rows
+    ``bounds[i]:bounds[i + 1]``.  ``train_batch`` is the training hook
+    (inference-only backends raise and point at ``training_backend``, the
+    name of the backend to train instead).
     """
 
     backend_name: str
@@ -79,15 +78,9 @@ class SequenceBackend(Protocol):
     input_size: int
     hidden_size: int
 
-    def gate_activations(self, sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def gate_activations_batch(
-        self,
-        sequences: Sequence[np.ndarray],
-        lengths: Sequence[int] | None = None,
-        *,
-        chunk_size: int = 64,
-    ) -> list[tuple[np.ndarray, np.ndarray]]: ...
+    def gate_activations_concat(
+        self, sequences: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
     def train_batch(
         self,
@@ -124,12 +117,7 @@ def get_backend(name: str) -> Type:
 
 
 def available_backends() -> list[str]:
-    """Registered (persistable) backend names, sorted."""
-    return sorted(_BACKENDS)
-
-
-def trainable_backends() -> list[str]:
-    """Backend names ``repro-clap train --backend`` accepts."""
+    """Registered (persistable) backend names, sorted: what ``train --backend`` accepts."""
     return sorted(_BACKENDS)
 
 
@@ -140,7 +128,7 @@ def serving_backends() -> list[str]:
 
 @register_backend
 class GruBackend(GRUSequenceClassifier):
-    """The reference :class:`SequenceBackend`: the fused packed-loop GRU.
+    """The reference :class:`SequenceBackend`: the packed-loop GRU.
 
     Identical to :class:`~repro.nn.gru.GRUSequenceClassifier` (it *is* one);
     the subclass exists so the registry has a canonical entry and so
@@ -155,12 +143,12 @@ class QuantizedGruBackend(GruBackend):
     The input and recurrent weight matrices are stored as int8 with one
     symmetric scale per gate block (update/reset/candidate — 3 scales per
     matrix); biases and the classifier head stay full-precision.  At load the
-    int8 blocks are dequantized once and the fused inference loop runs in
+    int8 blocks are dequantized once and the inference gate loop runs in
     float32 (float accumulation — no integer arithmetic at serving time, the
     int8 payload is the persistence/memory format).
 
     The master parameter arrays hold the float64 image of the dequantized
-    float32 weights, so ``predict_classes`` and the float32 fused loop see
+    float32 weights, so ``predict_classes`` and the float32 gate loop see
     exactly the same (quantized) weights.  ``train_batch`` raises: train a
     ``gru`` backend and convert (``training_backend`` points there).
     """

@@ -20,7 +20,6 @@ the paper cites for its GRU:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -53,136 +52,19 @@ def decode_backend_name(value: np.ndarray | None, default: str = "gru") -> str:
     return bytes(np.asarray(value, dtype=np.uint8)).decode("utf-8")
 
 
-def _sigmoid_exact_inplace(
-    x: np.ndarray, exp_buf: np.ndarray, denom_buf: np.ndarray, mask_buf: np.ndarray
-) -> None:
-    """In-place replica of :func:`repro.nn.activations.sigmoid`.
-
-    Performs the exact same operations as the allocating stable sigmoid
-    (``z = exp(-|x|)``; positive branch ``1/(1+z)``, negative branch
-    ``z/(1+z)``) so the float64 fused loop stays *bit-identical* to the
-    oracle, but writes every intermediate into preallocated scratch.
-    """
-    np.greater_equal(x, 0.0, out=mask_buf)
-    np.abs(x, out=exp_buf)
-    np.negative(exp_buf, out=exp_buf)
-    np.exp(exp_buf, out=exp_buf)  # z = exp(-|x|)
-    np.add(exp_buf, 1.0, out=denom_buf)  # 1 + z
-    np.divide(exp_buf, denom_buf, out=x)  # z / (1 + z) everywhere ...
-    np.divide(1.0, denom_buf, out=x, where=mask_buf)  # ... then 1/(1+z) where x >= 0
+#: Sequences per padded chunk in :meth:`GRUSequenceClassifier.gate_activations_concat`:
+#: bounds the padding waste of batching long and short connections together.
+GATE_CHUNK_SIZE = 64
 
 
-def _sigmoid_fast_inplace(x: np.ndarray) -> None:
-    """In-place ``1 / (1 + exp(-x))`` for the float32 serving mode.
+def _sigmoid_f32(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` for the float32 serving mode.
 
     The unstable formulation saturates to exactly 0/1 a few ulps earlier
-    than the branch-stable one — far below the float32 tolerance gate — and
-    costs half the ufunc passes of the exact replica.
+    than the branch-stable :func:`repro.nn.activations.sigmoid` — far below
+    the float32 tolerance gate — and costs half its ufunc passes.
     """
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x += 1.0
-    np.divide(1.0, x, out=x)
-
-
-# ---------------------------------------------------------------------------
-# Packed plans: the length-sorted chunking behind gate_activations_batch
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    """One padded chunk of a packed plan."""
-
-    indices: tuple[int, ...]  # original sequence indices, ascending length
-    lengths: np.ndarray  # (rows,) int64, ascending
-    max_time: int
-    alive_from: tuple[int, ...]  # per step: first alive lane (suffix start)
-
-
-@dataclass(frozen=True)
-class PackedPlan:
-    """Everything :meth:`GRUSequenceClassifier.gate_activations_batch` must
-    otherwise recompute per batch: the length argsort, the chunk boundaries,
-    each chunk's padded width and its per-step alive-lane suffix starts.
-    """
-
-    count: int
-    chunk_size: int
-    empty: tuple[int, ...]  # indices of zero-length sequences
-    chunks: tuple[ChunkPlan, ...]
-    bounds: np.ndarray  # (count + 1,) int64 row offsets in input order
-    total_steps: int
-
-
-def build_packed_plan(lengths: np.ndarray, chunk_size: int) -> PackedPlan:
-    """Build the packed plan for one length vector.
-
-    The stable argsort reproduces the order the previous per-batch
-    ``list.sort`` produced, so chunk membership — and therefore every gate
-    value — is unchanged by plan caching.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    chunk_size = max(int(chunk_size), 1)
-    nonempty = np.flatnonzero(lengths > 0)
-    order = nonempty[np.argsort(lengths[nonempty], kind="stable")]
-    chunks: list[ChunkPlan] = []
-    for start in range(0, order.size, chunk_size):
-        chosen = order[start : start + chunk_size]
-        chunk_lengths = lengths[chosen].copy()
-        max_time = int(chunk_lengths[-1])
-        alive = np.searchsorted(chunk_lengths, np.arange(max_time), side="right")
-        chunks.append(
-            ChunkPlan(
-                indices=tuple(int(index) for index in chosen),
-                lengths=chunk_lengths,
-                max_time=max_time,
-                alive_from=tuple(int(value) for value in alive),
-            )
-        )
-    bounds = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return PackedPlan(
-        count=int(lengths.shape[0]),
-        chunk_size=chunk_size,
-        empty=tuple(int(index) for index in np.flatnonzero(lengths == 0)),
-        chunks=tuple(chunks),
-        bounds=bounds,
-        total_steps=int(bounds[-1]),
-    )
-
-
-class PackedPlanCache:
-    """LRU memo of :class:`PackedPlan` keyed on the batch's length vector.
-
-    The issue-level key is the length *histogram*; keying on the exact length
-    vector is a refinement of that key which additionally lets the argsort and
-    scatter offsets be reused verbatim.  Streaming micro-batches repeat flush
-    shapes (the flush policy caps them at ``max_batch``), so steady-state
-    serving hits this cache instead of re-deriving the chunking every flush.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = max(int(maxsize), 1)
-        self._plans: "OrderedDict[tuple[int, bytes], PackedPlan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, lengths: np.ndarray, chunk_size: int) -> PackedPlan:
-        key = (int(chunk_size), np.ascontiguousarray(lengths, dtype=np.int64).tobytes())
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.hits += 1
-            self._plans.move_to_end(key)
-            return plan
-        self.misses += 1
-        plan = build_packed_plan(lengths, chunk_size)
-        self._plans[key] = plan
-        while len(self._plans) > self.maxsize:
-            self._plans.popitem(last=False)
-        return plan
-
-    def info(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "size": len(self._plans)}
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -239,11 +121,12 @@ class GRULayer:
     def set_compute_dtype(self, dtype) -> None:
         """Select the inference compute dtype for :meth:`gates_packed`.
 
-        ``float64`` (the default) keeps the fused loop bit-identical to the
-        masked :meth:`forward` oracle; ``float32`` casts the parameters once
-        (cached until the next training step or state load) and halves the
-        memory traffic of the recurrence.  Training always runs in float64 —
-        the master parameters are never narrowed.
+        ``float64`` (the default) runs the training arithmetic, stable
+        sigmoid included, so the gates match the masked :meth:`forward` to
+        1e-9; ``float32`` casts the parameters once (cached until the next
+        training step or state load), halves the memory traffic of the
+        recurrence and swaps in the cheaper unstable sigmoid.  Training
+        always runs in float64 — the master parameters are never narrowed.
         """
         resolved = np.dtype(dtype)
         if resolved.name not in COMPUTE_DTYPES:
@@ -330,8 +213,9 @@ class GRULayer:
 
         ``need_caches=False`` skips the per-step backward caches for
         inference-only passes.  Gates-only callers should prefer
-        :meth:`gates_packed`, the fused inference loop that skips hidden
-        states, caches and finished lanes entirely.
+        :meth:`gates_packed`, the inference loop that skips hidden-state
+        history, caches and finished lanes entirely; this masked forward is
+        its test oracle.
         """
         batch, time, _ = inputs.shape
         hidden = np.zeros((batch, self.hidden_size), dtype=np.float64)
@@ -355,13 +239,7 @@ class GRULayer:
         )
 
     def gates_packed(
-        self,
-        inputs: np.ndarray,
-        lengths: np.ndarray,
-        *,
-        alive_from: Sequence[int] | None = None,
-        out_update: np.ndarray | None = None,
-        out_reset: np.ndarray | None = None,
+        self, inputs: np.ndarray, lengths: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Update/reset gates for a padded batch sorted by ascending length.
 
@@ -374,17 +252,10 @@ class GRULayer:
         total step work drops from ``batch * max_len`` to ``sum(lengths)``
         lane-steps.
 
-        The step loop is fused: the one ``h_prev @ U`` matmul lands in a
-        preallocated scratch row-block, the stable sigmoid / tanh / convex
-        hidden update all run in place, and the gates are written straight
-        into the (optionally caller-provided) output buffers — no per-step
-        temporaries.  In the float64 compute mode every operation replays the
-        previous allocating loop's arithmetic exactly, so results are
-        bit-identical; the float32 mode (see :meth:`set_compute_dtype`) is the
-        tolerance-gated serving fast path.
-
-        ``alive_from`` lets a cached :class:`PackedPlan` supply the per-step
-        suffix starts so the ``searchsorted`` is not recomputed per batch.
+        The compute dtype (see :meth:`set_compute_dtype`) picks the weights
+        and the sigmoid: the stable :func:`~repro.nn.activations.sigmoid` in
+        float64, ``1 / (1 + exp(-x))`` in float32.  Gates are returned in
+        float64 either way.
         """
         batch, time, _ = inputs.shape
         lengths = np.asarray(lengths)
@@ -403,59 +274,33 @@ class GRULayer:
                     f"lengths[{index - 1}]={int(lengths[index - 1])}"
                 )
         h = self.hidden_size
-        two_h = 2 * h
         weight_input, weight_hidden, bias = self._compute_params()
         dtype = weight_input.dtype
-        exact = dtype == np.float64
-        if inputs.dtype != dtype:
-            inputs = inputs.astype(dtype)
+        activate = sigmoid if dtype == np.float64 else _sigmoid_f32
         hidden = np.zeros((batch, h), dtype=dtype)
-        if out_update is None:
-            out_update = np.zeros((batch, time, h), dtype=np.float64)
-        if out_reset is None:
-            out_reset = np.zeros((batch, time, h), dtype=np.float64)
-        projected = inputs.reshape(batch * time, self.input_size) @ weight_input
-        projected += bias
-        projected = projected.reshape(batch, time, 3 * h)
-        if alive_from is None:
-            alive_from = [
-                int(value)
-                for value in np.searchsorted(lengths, np.arange(time), side="right")
-            ]
-        # Per-call scratch: the recurrent projection, the sigmoid buffers and
-        # the convex-update factor are sliced per step instead of reallocated.
-        scratch = np.empty((batch, 3 * h), dtype=dtype)
-        sig_exp = np.empty((batch, two_h), dtype=dtype)
-        sig_denom = np.empty((batch, two_h), dtype=dtype)
-        sig_mask = np.empty((batch, two_h), dtype=bool)
-        one_minus = np.empty((batch, h), dtype=dtype)
+        update_gates = np.zeros((batch, time, h), dtype=np.float64)
+        reset_gates = np.zeros((batch, time, h), dtype=np.float64)
+        projected = (
+            inputs.astype(dtype, copy=False).reshape(batch * time, self.input_size)
+            @ weight_input
+            + bias
+        ).reshape(batch, time, 3 * h)
+        alive_from = np.searchsorted(lengths, np.arange(time), side="right")
         for t in range(time):
-            start = alive_from[t]
-            h_prev = hidden[start:]
-            gates = np.matmul(h_prev, weight_hidden, out=scratch[start:])
+            start = int(alive_from[t])
             projected_input = projected[start:, t, :]
-            zr = gates[:, :two_h]
-            zr += projected_input[:, :two_h]
-            if exact:
-                _sigmoid_exact_inplace(
-                    zr, sig_exp[start:], sig_denom[start:], sig_mask[start:]
-                )
-            else:
-                _sigmoid_fast_inplace(zr)
-            update_gate = zr[:, :h]
-            reset_gate = zr[:, h:]
-            candidate = gates[:, two_h:]
-            candidate *= reset_gate
-            candidate += projected_input[:, two_h:]
-            np.tanh(candidate, out=candidate)
-            out_update[start:, t, :] = update_gate
-            out_reset[start:, t, :] = reset_gate
-            keep = one_minus[start:]
-            np.subtract(1.0, update_gate, out=keep)
-            h_prev *= keep
-            candidate *= update_gate
-            h_prev += candidate
-        return out_update, out_reset
+            h_prev = hidden[start:]
+            projected_hidden = h_prev @ weight_hidden
+            gates = activate(projected_input[:, : 2 * h] + projected_hidden[:, : 2 * h])
+            update_gate = gates[:, :h]
+            reset_gate = gates[:, h:]
+            candidate = np.tanh(
+                projected_input[:, 2 * h :] + reset_gate * projected_hidden[:, 2 * h :]
+            )
+            hidden[start:] = (1.0 - update_gate) * h_prev + update_gate * candidate
+            update_gates[start:, t, :] = update_gate
+            reset_gates[start:, t, :] = reset_gate
+        return update_gates, reset_gates
 
     # ---------------------------------------------------------------- backward
     def backward(
@@ -534,8 +379,8 @@ class GRUSequenceClassifier:
 
     The classifier is trained to predict, for every packet of a connection,
     the reference state label (22 classes).  After training,
-    :meth:`gate_activations` exposes the per-packet update/reset gate values
-    that become the inter-packet context part of the context profile.
+    :meth:`gate_activations_concat` exposes the per-packet update/reset gate
+    values that become the inter-packet context part of the context profile.
 
     The class is also the reference :class:`repro.nn.backend.SequenceBackend`
     implementation (``backend_name``/``trainable`` below are the protocol's
@@ -574,21 +419,16 @@ class GRUSequenceClassifier:
         # Keep the sub-modules viewing the same arrays as ``self.parameters``.
         self.gru.parameters = self.parameters
         self.head.parameters = self.parameters
-        self._plan_cache = PackedPlanCache()
 
     # ------------------------------------------------------------ compute mode
     @property
     def compute_dtype(self) -> np.dtype:
-        """The inference compute dtype of the fused gate loop."""
+        """The inference compute dtype of the gate loop."""
         return self.gru.compute_dtype
 
     def set_compute_dtype(self, dtype) -> None:
         """Select the inference compute dtype (see :meth:`GRULayer.set_compute_dtype`)."""
         self.gru.set_compute_dtype(dtype)
-
-    def plan_cache_info(self) -> dict[str, int]:
-        """Hit/miss counters of the packed-plan cache (observability hook)."""
-        return self._plan_cache.info()
 
     # ----------------------------------------------------------------- forward
     def forward(
@@ -604,105 +444,45 @@ class GRUSequenceClassifier:
         logits, _ = self.forward(inputs, mask)
         return np.argmax(logits, axis=-1)
 
-    def gate_activations(self, sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Update and reset gate activations for one un-padded sequence.
-
-        ``sequence`` has shape (time, input_size); the returned arrays have
-        shape (time, hidden_size).  Runs the same packed inference loop as
-        :meth:`gate_activations_batch` (one fully-alive lane), so the two
-        entry points are one implementation.
-        """
-        update_gates, reset_gates = self.gru.gates_packed(
-            sequence[None, :, :], np.array([sequence.shape[0]], dtype=np.int64)
-        )
-        return update_gates[0], reset_gates[0]
-
-    def gate_activations_batch(
-        self,
-        sequences: Sequence[np.ndarray],
-        lengths: Sequence[int] | None = None,
-        *,
-        chunk_size: int = 64,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def gate_activations_concat(
+        self, sequences: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Update/reset gate activations for a batch of variable-length sequences.
 
-        ``sequences`` is a list of (time_i, input_size) arrays; the result is a
-        list of ``(update_gates, reset_gates)`` pairs, each of shape
-        (time_i, hidden_size), in the same order.  Sequences are zero-padded to
-        a common length and run through the GRU in a single length-packed
-        forward pass per chunk (:meth:`GRULayer.gates_packed`), which replaces
-        ``len(sequences)`` tiny per-step matmuls with one
-        (alive-lanes, input) x (input, 3*hidden) product per time step.
+        ``sequences`` is a list of (time_i, input_size) arrays.  Returns
+        ``(update, reset, bounds)``: both gate matrices have shape
+        ``(sum(time_i), hidden_size)`` and sequence ``i`` owns rows
+        ``bounds[i]:bounds[i + 1]`` — the hand-off layout of the batched
+        profile builder.
 
-        To bound the padding waste of mixing very long and very short
-        connections in one padded tensor, sequences are ordered by length and
-        processed in chunks of at most ``chunk_size``; results are scattered
-        back to the original order.  Gate values for real steps are identical
-        to per-sequence :meth:`gate_activations` calls.
-
-        The sort/chunk/scatter bookkeeping comes from a :class:`PackedPlan`
-        memoized per length vector (:class:`PackedPlanCache`), so repeated
-        batch shapes — the steady state of the streaming flush loop — skip
-        straight to the padded forward passes.  The returned pairs are views
-        into the concatenated gate matrices of
-        :meth:`gate_activations_concat`.
+        Non-empty sequences are ordered by length (stable) and run in chunks
+        of at most :data:`GATE_CHUNK_SIZE`, each zero-padded to its longest
+        member and passed through :meth:`GRULayer.gates_packed` — one
+        (alive-lanes, hidden) x (hidden, 3*hidden) product per time step
+        instead of one tiny forward per sequence.  Chunking bounds the
+        padding waste of mixing long and short connections.
         """
-        concat_update, concat_reset, bounds = self.gate_activations_concat(
-            sequences, lengths, chunk_size=chunk_size
-        )
-        return [
-            (
-                concat_update[bounds[index] : bounds[index + 1]],
-                concat_reset[bounds[index] : bounds[index + 1]],
+        lengths = np.array([len(sequence) for sequence in sequences], dtype=np.int64)
+        bounds = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        concat_update = np.empty((int(bounds[-1]), self.hidden_size), dtype=np.float64)
+        concat_reset = np.empty((int(bounds[-1]), self.hidden_size), dtype=np.float64)
+        nonempty = np.flatnonzero(lengths > 0)
+        order = nonempty[np.argsort(lengths[nonempty], kind="stable")]
+        for first in range(0, order.size, GATE_CHUNK_SIZE):
+            chosen = order[first : first + GATE_CHUNK_SIZE]
+            chunk_lengths = lengths[chosen]
+            # Padded in the compute dtype so gates_packed never re-casts.
+            inputs = np.zeros(
+                (chosen.size, int(chunk_lengths[-1]), self.input_size),
+                dtype=self.compute_dtype,
             )
-            for index in range(len(sequences))
-        ]
-
-    def gate_activations_concat(
-        self,
-        sequences: Sequence[np.ndarray],
-        lengths: Sequence[int] | None = None,
-        *,
-        chunk_size: int = 64,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated update/reset gates for a batch, in input order.
-
-        Returns ``(update, reset, bounds)`` where both gate matrices have
-        shape ``(sum(lengths), hidden)`` and sequence ``i`` owns rows
-        ``bounds[i]:bounds[i + 1]`` — the exact hand-off layout the batched
-        profile builder needs, produced without the per-sequence copies and
-        final ``np.concatenate`` of the list API.
-        """
-        if lengths is None:
-            lengths_arr = np.array(
-                [int(sequence.shape[0]) for sequence in sequences], dtype=np.int64
-            )
-        else:
-            lengths_arr = np.asarray(lengths, dtype=np.int64)
-        if lengths_arr.shape[0] != len(sequences):
-            raise ValueError("sequences and lengths must have the same size")
-        hidden = self.hidden_size
-        plan = self._plan_cache.get(lengths_arr, chunk_size)
-        bounds = plan.bounds
-        concat_update = np.empty((plan.total_steps, hidden), dtype=np.float64)
-        concat_reset = np.empty((plan.total_steps, hidden), dtype=np.float64)
-        compute_dtype = self.gru.compute_dtype
-        for chunk in plan.chunks:
-            rows = len(chunk.indices)
-            # Padded in the compute dtype so the fused loop never re-casts;
-            # rows past a lane's length are only ever written, never read.
-            inputs = np.zeros((rows, chunk.max_time, self.input_size), dtype=compute_dtype)
-            for row, index in enumerate(chunk.indices):
-                length = int(chunk.lengths[row])
-                inputs[row, :length] = sequences[index][:length]
-            update_gates, reset_gates = self.gru.gates_packed(
-                inputs, chunk.lengths, alive_from=chunk.alive_from
-            )
-            for row, index in enumerate(chunk.indices):
-                length = int(chunk.lengths[row])
-                offset = int(bounds[index])
-                concat_update[offset : offset + length] = update_gates[row, :length]
-                concat_reset[offset : offset + length] = reset_gates[row, :length]
+            for row, index in enumerate(chosen):
+                inputs[row, : chunk_lengths[row]] = sequences[index]
+            update_gates, reset_gates = self.gru.gates_packed(inputs, chunk_lengths)
+            for row, index in enumerate(chosen):
+                rows = slice(bounds[index], bounds[index + 1])
+                concat_update[rows] = update_gates[row, : chunk_lengths[row]]
+                concat_reset[rows] = reset_gates[row, : chunk_lengths[row]]
         return concat_update, concat_reset, bounds
 
     # ---------------------------------------------------------------- training

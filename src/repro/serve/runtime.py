@@ -142,12 +142,6 @@ _BLOCK_CACHE_DEPTH = 8
 _WORKER_JOIN_TIMEOUT = 10.0
 
 
-def _pack(columns: PacketColumns) -> bytes:
-    """A capture block as shard workers receive it: every column, and no
-    raw-packet backing — workers never materialise packets."""
-    return columns.pack_block(backing="none")
-
-
 def _emit_nothing(events: list[DetectionEvent]) -> None:
     """Dispatch sink for the final drain: close() dispatches it sorted."""
 
@@ -895,7 +889,7 @@ class ParallelStreamingDetector:
         block_id = id(columns)
         if block_id in self._live_blocks:
             return
-        ref = self._block_ref(block_id, _pack(columns))
+        ref = self._block_ref(block_id, columns.pack_block())
         for shard in self._shards:
             self._put_shard(shard, ("block", block_id, ref))
         self._live_blocks[block_id] = columns
@@ -1130,7 +1124,7 @@ class ParallelStreamingDetector:
         shard.routed_packets = 0
         shard.scored_packets = 0
         for block_id, columns in self._live_blocks.items():
-            if not self._put_shard(shard, ("block", block_id, ("bytes", _pack(columns)))):
+            if not self._put_shard(shard, ("block", block_id, ("bytes", columns.pack_block()))):
                 raise RuntimeError("respawned worker died before re-registration")
         self._worker_respawns += 1
         self.metrics.record_respawn()

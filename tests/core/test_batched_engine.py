@@ -25,8 +25,11 @@ from repro.core.engine import BatchInferenceEngine
 from repro.features.profile import stack_profiles, stacked_window_count
 from repro.netstack.flow import Connection, FlowKey
 from repro.netstack.packet import Direction
+from repro.nn import gru as gru_module
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.session import TcpSessionBuilder
+
+from tests.nn.gate_oracle import masked_forward_gates
 
 TOLERANCE = 1e-9
 
@@ -183,32 +186,25 @@ class TestBatchedProfileBuilder:
 
 
 class TestGateActivationBatch:
-    def test_matches_single_sequence_calls(self, trained_clap, rng):
+    def test_matches_the_masked_forward(self, trained_clap, rng):
         rnn = trained_clap.builder.rnn
         lengths = [1, 2, 3, 7, 19, 40, 0, 5]
         sequences = [rng.normal(size=(n, rnn.input_size)) for n in lengths]
-        batched = rnn.gate_activations_batch(sequences)
-        for sequence, (update, reset) in zip(sequences, batched):
-            assert update.shape == (sequence.shape[0], rnn.hidden_size)
-            if sequence.shape[0] == 0:
-                continue
-            ref_update, ref_reset = rnn.gate_activations(sequence)
-            assert np.max(np.abs(update - ref_update)) < TOLERANCE
-            assert np.max(np.abs(reset - ref_reset)) < TOLERANCE
+        update, reset, bounds = rnn.gate_activations_concat(sequences)
+        ref_update, ref_reset, ref_bounds = masked_forward_gates(rnn, sequences)
+        assert np.array_equal(bounds, ref_bounds)
+        assert update.shape == (sum(lengths), rnn.hidden_size)
+        assert np.max(np.abs(update - ref_update)) < TOLERANCE
+        assert np.max(np.abs(reset - ref_reset)) < TOLERANCE
 
-    def test_chunking_preserves_order(self, trained_clap, rng):
+    def test_chunking_preserves_order(self, trained_clap, rng, monkeypatch):
         rnn = trained_clap.builder.rnn
         sequences = [rng.normal(size=(n % 9 + 1, rnn.input_size)) for n in range(20)]
-        chunked = rnn.gate_activations_batch(sequences, chunk_size=3)
-        whole = rnn.gate_activations_batch(sequences, chunk_size=1000)
-        for (u1, r1), (u2, r2) in zip(chunked, whole):
-            assert np.max(np.abs(u1 - u2)) < TOLERANCE
-            assert np.max(np.abs(r1 - r2)) < TOLERANCE
-
-    def test_length_mismatch_raises(self, trained_clap, rng):
-        rnn = trained_clap.builder.rnn
-        with pytest.raises(ValueError):
-            rnn.gate_activations_batch([rng.normal(size=(3, rnn.input_size))], [3, 4])
+        monkeypatch.setattr(gru_module, "GATE_CHUNK_SIZE", 3)
+        update, reset, _ = rnn.gate_activations_concat(sequences)
+        ref_update, ref_reset, _ = masked_forward_gates(rnn, sequences)
+        assert np.max(np.abs(update - ref_update)) < TOLERANCE
+        assert np.max(np.abs(reset - ref_reset)) < TOLERANCE
 
 
 class TestStackProfilesStrides:

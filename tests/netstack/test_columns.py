@@ -219,10 +219,10 @@ class TestPackBlock:
         columns = read_packet_columns(capture)
         unpacked = unpack_block(columns.pack_block())
         self._assert_columns_equal(columns, unpacked)
-        # Raw backing survives: every row still materialises to the exact
-        # wire bytes (offsets were compacted, not lost).
-        for index in (0, len(columns) // 2, len(columns) - 1):
-            assert unpacked.packet(index).to_bytes() == columns.packet(index).to_bytes()
+        # Columns only: the raw packet bytes stay behind.
+        assert unpacked.buffer is None
+        with pytest.raises(ValueError):
+            unpacked.packet(0)
 
     def test_row_subset_packs_in_the_requested_order(self, capture):
         from repro.netstack.columns import unpack_block
@@ -232,30 +232,17 @@ class TestPackBlock:
         unpacked = unpack_block(columns.pack_block(picks))
         assert np.array_equal(unpacked.timestamp, columns.timestamp[picks])
         assert np.array_equal(unpacked.seq, columns.seq[picks])
-        assert unpacked.packet(1).to_bytes() == columns.packet(2).to_bytes()
 
-    def test_packet_backed_block_keeps_originals(self):
+    def test_packet_backed_block_packs_columns_only(self):
         from repro.netstack.columns import unpack_block
 
         packets = packet_stream(TrafficGenerator(seed=8).generate_connections(3))
-        packets[0].injected = True
         columns = PacketColumns.from_packets(packets)
         unpacked = unpack_block(columns.pack_block())
         self._assert_columns_equal(columns, unpacked)
-        views = unpacked.views()
-        assert views[0].injected is True  # ground truth rode the pickle backing
-        assert unpacked.packet(0).tcp.seq == packets[0].tcp.seq
-
-    def test_backing_none_strips_materialisation(self, capture):
-        from repro.netstack.columns import unpack_block
-
-        columns = read_packet_columns(capture)
-        unpacked = unpack_block(columns.pack_block(backing="none"))
-        self._assert_columns_equal(columns, unpacked)
+        assert unpacked.packets is None
         with pytest.raises(ValueError):
             unpacked.packet(0)
-        with pytest.raises(ValueError):
-            columns.pack_block(backing="frozen")
 
     def test_unpacked_views_extract_identically(self, capture):
         """The process-pool guarantee: features computed from an unpacked
@@ -278,5 +265,12 @@ class TestPackBlock:
 
         empty = unpack_block(PacketColumns.empty().pack_block())
         assert len(empty) == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad magic"):
             unpack_block(b"XXX" + bytes(32))
+        header = bytearray(PacketColumns.empty().pack_block())
+        header[3] = 2  # version
+        with pytest.raises(ValueError, match="version 2"):
+            unpack_block(bytes(header))
+        header[3], header[4] = 1, 1  # a materialisation backing kind
+        with pytest.raises(ValueError, match="backing kind 1"):
+            unpack_block(bytes(header))

@@ -1,4 +1,4 @@
-"""The SequenceBackend protocol, registry, packed plans and quantization."""
+"""The SequenceBackend protocol, registry, gate oracle and quantization."""
 
 import numpy as np
 import pytest
@@ -19,12 +19,14 @@ from repro.nn.backend import (
 from repro.nn.gru import (
     GRULayer,
     GRUSequenceClassifier,
-    PackedPlanCache,
-    build_packed_plan,
     decode_backend_name,
     encode_backend_name,
 )
 from repro.nn.serialization import load_state, save_state
+
+from tests.nn.gate_oracle import masked_forward_gates
+
+ORACLE_LENGTHS = (1, 2, 3, 7, 19, 40, 0, 5)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,16 @@ def trained_backend():
 def sequences():
     rng = np.random.default_rng(42)
     return [rng.normal(size=(length, 5)) for length in (4, 17, 9, 1, 30, 9)]
+
+
+def gates(model, sequences) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated (update, reset) gates of one entry-point call."""
+    update, reset, _ = model.gate_activations_concat(sequences)
+    return update, reset
+
+
+def assert_gates_equal(left, right) -> None:
+    assert np.array_equal(left[0], right[0]) and np.array_equal(left[1], right[1])
 
 
 # ---------------------------------------------------------------------------
@@ -80,84 +92,37 @@ class TestRegistry:
 
 
 class TestGruBackendOracle:
-    def test_batched_gates_match_the_sequential_oracle(self, trained_backend, sequences):
-        """gate_activations_batch (fused, packed, plan-cached) must stay
-        1e-9-equivalent to the per-sequence gate_activations oracle."""
-        batched = trained_backend.gate_activations_batch(sequences)
-        for sequence, (update, reset) in zip(sequences, batched):
-            oracle_update, oracle_reset = trained_backend.gate_activations(sequence)
-            np.testing.assert_allclose(update, oracle_update, atol=1e-9, rtol=0)
-            np.testing.assert_allclose(reset, oracle_reset, atol=1e-9, rtol=0)
+    @pytest.fixture
+    def oracle_sequences(self):
+        rng = np.random.default_rng(43)
+        return [rng.normal(size=(length, 5)) for length in ORACLE_LENGTHS]
 
-    def test_concat_gates_match_batched_views(self, trained_backend, sequences):
-        update, reset, bounds = trained_backend.gate_activations_concat(sequences)
-        batched = trained_backend.gate_activations_batch(sequences)
-        assert bounds[-1] == sum(len(s) for s in sequences)
-        for index, (pair_update, pair_reset) in enumerate(batched):
-            assert np.array_equal(update[bounds[index] : bounds[index + 1]], pair_update)
-            assert np.array_equal(reset[bounds[index] : bounds[index + 1]], pair_reset)
+    def test_concat_gates_match_the_masked_forward(self, trained_backend, oracle_sequences):
+        """The packed, chunked serving loop stays 1e-9-equivalent to the
+        masked training forward, zero-length sequences included."""
+        update, reset, bounds = trained_backend.gate_activations_concat(oracle_sequences)
+        oracle_update, oracle_reset, oracle_bounds = masked_forward_gates(
+            trained_backend, oracle_sequences
+        )
+        assert np.array_equal(bounds, oracle_bounds)
+        assert update.shape == (sum(ORACLE_LENGTHS), trained_backend.hidden_size)
+        np.testing.assert_allclose(update, oracle_update, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(reset, oracle_reset, atol=1e-9, rtol=0)
 
     def test_float32_mode_stays_close_and_is_reversible(self, trained_backend, sequences):
-        reference = trained_backend.gate_activations_batch(sequences)
+        reference = gates(trained_backend, sequences)
         f32 = convert_backend(trained_backend, "gru-f32")
         assert serving_backend_name(f32) == "gru-f32"
         assert f32.backend_name == "gru"  # persisted identity is unchanged
-        for (ref_u, ref_r), (got_u, got_r) in zip(
-            reference, f32.gate_activations_batch(sequences)
-        ):
-            assert got_u.dtype == np.float64  # outputs stay float64 views
-            np.testing.assert_allclose(got_u, ref_u, atol=1e-5, rtol=0)
-            np.testing.assert_allclose(got_r, ref_r, atol=1e-5, rtol=0)
+        for ref, got in zip(reference, gates(f32, sequences), strict=True):
+            assert got.dtype == np.float64  # outputs stay float64
+            np.testing.assert_allclose(got, ref, atol=1e-5, rtol=0)
         f32.set_compute_dtype("float64")
-        back = f32.gate_activations_batch(sequences)
-        for (ref_u, ref_r), (got_u, got_r) in zip(reference, back):
-            assert np.array_equal(got_u, ref_u) and np.array_equal(got_r, ref_r)
+        assert_gates_equal(gates(f32, sequences), reference)
 
     def test_invalid_compute_dtype_is_rejected(self, trained_backend):
         with pytest.raises(ValueError, match="float16"):
             trained_backend.gru.set_compute_dtype("float16")
-
-
-# ---------------------------------------------------------------------------
-# Packed plans
-# ---------------------------------------------------------------------------
-
-
-class TestPackedPlans:
-    def test_plan_covers_every_nonempty_lane_once(self):
-        lengths = np.array([3, 0, 12, 7, 0, 1, 12])
-        plan = build_packed_plan(lengths, chunk_size=3)
-        covered = [i for chunk in plan.chunks for i in chunk.indices]
-        assert sorted(covered + list(plan.empty)) == list(range(len(lengths)))
-        assert plan.total_steps == int(lengths.sum())
-        for chunk in plan.chunks:
-            assert list(chunk.lengths) == sorted(chunk.lengths)
-
-    def test_cache_hits_on_repeated_length_multisets(self):
-        cache = PackedPlanCache(maxsize=4)
-        lengths = np.array([5, 2, 9])
-        first = cache.get(lengths, 64)
-        second = cache.get(np.array([5, 2, 9]), 64)
-        assert first is second
-        assert cache.info() == {"hits": 1, "misses": 1, "size": 1}
-        cache.get(np.array([5, 2, 9]), 32)  # different chunking: a new plan
-        assert cache.info()["misses"] == 2
-
-    def test_cache_evicts_least_recently_used(self):
-        cache = PackedPlanCache(maxsize=2)
-        a = cache.get(np.array([1]), 64)
-        cache.get(np.array([2]), 64)
-        cache.get(np.array([3]), 64)  # evicts [1]
-        assert cache.get(np.array([1]), 64) is not a
-        assert cache.info()["size"] == 2
-
-    def test_classifier_reuses_plans_across_batches(self, trained_backend, sequences):
-        model = GruBackend.from_state_dict(trained_backend.state_dict())
-        model.gate_activations_batch(sequences)
-        before = model.plan_cache_info()
-        model.gate_activations_batch([np.asarray(s) for s in sequences])
-        after = model.plan_cache_info()
-        assert after["hits"] > before["hits"]
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +173,11 @@ class TestQuantization:
         quantized = QuantizedGruBackend.quantize(trained_backend)
         assert quantized.backend_name == "quantized-gru"
         assert not quantized.trainable and quantized.training_backend == "gru"
-        reference = trained_backend.gate_activations_batch(sequences)
-        first = quantized.gate_activations_batch(sequences)
-        second = quantized.gate_activations_batch(sequences)
-        for (a_u, a_r), (b_u, b_r) in zip(first, second):
-            assert np.array_equal(a_u, b_u) and np.array_equal(a_r, b_r)
-        for (ref_u, ref_r), (got_u, got_r) in zip(reference, first):
-            np.testing.assert_allclose(got_u, ref_u, atol=0.05, rtol=0)
-            np.testing.assert_allclose(got_r, ref_r, atol=0.05, rtol=0)
+        reference = gates(trained_backend, sequences)
+        first = gates(quantized, sequences)
+        assert_gates_equal(gates(quantized, sequences), first)
+        for ref, got in zip(reference, first, strict=True):
+            np.testing.assert_allclose(got, ref, atol=0.05, rtol=0)
 
     def test_train_batch_refuses(self, trained_backend):
         quantized = QuantizedGruBackend.quantize(trained_backend)
@@ -236,12 +198,9 @@ class TestQuantization:
         save_state(path, state)
         mapped = backend_from_state_dict(dict(load_state(path, mmap_mode="r")))
 
-        reference = quantized.gate_activations_batch(sequences)
+        reference = gates(quantized, sequences)
         for candidate in (eager, mapped):
-            for (ref_u, ref_r), (got_u, got_r) in zip(
-                reference, candidate.gate_activations_batch(sequences)
-            ):
-                assert np.array_equal(got_u, ref_u) and np.array_equal(got_r, ref_r)
+            assert_gates_equal(gates(candidate, sequences), reference)
 
     def test_unquantized_state_dict_refuses(self):
         bare = QuantizedGruBackend(4, 4, 2, seed=0)
@@ -258,20 +217,12 @@ class TestConvertBackend:
     def test_gru_clone_is_bitwise(self, trained_backend, sequences):
         clone = convert_backend(trained_backend, "gru")
         assert clone is not trained_backend
-        for (ref_u, ref_r), (got_u, got_r) in zip(
-            trained_backend.gate_activations_batch(sequences),
-            clone.gate_activations_batch(sequences),
-        ):
-            assert np.array_equal(got_u, ref_u) and np.array_equal(got_r, ref_r)
+        assert_gates_equal(gates(clone, sequences), gates(trained_backend, sequences))
 
     def test_quantized_round_trip_preserves_payload(self, trained_backend, sequences):
         quantized = convert_backend(trained_backend, "quantized-gru")
         again = convert_backend(quantized, "quantized-gru")
-        for (a_u, a_r), (b_u, b_r) in zip(
-            quantized.gate_activations_batch(sequences),
-            again.gate_activations_batch(sequences),
-        ):
-            assert np.array_equal(a_u, b_u) and np.array_equal(a_r, b_r)
+        assert_gates_equal(gates(again, sequences), gates(quantized, sequences))
 
     def test_dequantized_gru_serves_the_quantized_weights(self, trained_backend):
         quantized = convert_backend(trained_backend, "quantized-gru")

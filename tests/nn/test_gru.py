@@ -5,6 +5,8 @@ import pytest
 
 from repro.nn.gru import GRULayer, GRUSequenceClassifier
 
+from tests.nn.gate_oracle import masked_forward_gates
+
 
 class TestGRULayerForward:
     def test_output_shapes(self):
@@ -99,11 +101,16 @@ class TestGRUSequenceClassifier:
         mask[:, 0] = 0.0  # first step is unpredictable
         assert model.accuracy(inputs, targets, mask) > 0.85
 
-    def test_gate_activations_shape_for_single_sequence(self):
+    def test_gate_activations_match_the_masked_forward(self):
         model = GRUSequenceClassifier(4, 6, 3, seed=0)
-        update, reset = model.gate_activations(np.zeros((9, 4)))
-        assert update.shape == (9, 6)
-        assert reset.shape == (9, 6)
+        rng = np.random.default_rng(8)
+        sequences = [rng.normal(size=(length, 4)) for length in (1, 2, 3, 7, 19, 40, 0, 5)]
+        update, reset, bounds = model.gate_activations_concat(sequences)
+        assert update.shape == reset.shape == (77, 6)
+        assert list(bounds) == [0, 1, 3, 6, 13, 32, 72, 72, 77]
+        oracle_update, oracle_reset, _ = masked_forward_gates(model, sequences)
+        np.testing.assert_allclose(update, oracle_update, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(reset, oracle_reset, atol=1e-9, rtol=0)
 
     def test_state_dict_round_trip(self):
         model = GRUSequenceClassifier(3, 4, 5, seed=9)

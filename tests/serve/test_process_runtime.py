@@ -31,7 +31,6 @@ from repro.serve import (
     StreamingMetrics,
     Tick,
 )
-from repro.serve.runtime import _pack
 from repro.traffic.generator import TrafficGenerator
 
 from tests.serve.test_flood import FLOOD_SIZE, MAX_FLOWS, syn_flood
@@ -716,7 +715,7 @@ class TestZeroCopyAccounting:
         from repro.serve.runtime import _SHM_MIN_BYTES
 
         columns, views = self._flood_views(1024)
-        payload_bytes = len(_pack(columns))
+        payload_bytes = len(columns.pack_block())
         assert payload_bytes >= _SHM_MIN_BYTES  # the workload must take the shm path
         snapshot = self._replay(trained_clap, clap_model_dir, views)
         shm = snapshot["shared_memory"]
@@ -733,7 +732,7 @@ class TestZeroCopyAccounting:
         from repro.serve.runtime import _SHM_MIN_BYTES
 
         columns, views = self._flood_views(64)
-        payload_bytes = len(_pack(columns))
+        payload_bytes = len(columns.pack_block())
         assert payload_bytes < _SHM_MIN_BYTES
         snapshot = self._replay(trained_clap, clap_model_dir, views)
         shm = snapshot["shared_memory"]
