@@ -15,8 +15,9 @@ runtime); a ``workers=1, object`` row keeps the per-``Packet`` reference
 measurable.
 
 The ``worker`` rows run one in-process detector; ``process`` workers each
-own a core — the model is loaded read-only via mmap and capture blocks ship
-as packed column slices.  Since the setup/steady split, each row's fixed costs
+own a core — the model is loaded read-only via mmap, the caller's thread
+assembles connections and each batch ships as one packed column block.
+Since the setup/steady split, each row's fixed costs
 (detector construction, worker spawn, the process pool's artifact save and
 per-worker model map) are measured into a separate ``Setup (s)`` column and
 the ``Packets/Second`` column is the steady-state ingest rate; the old
@@ -95,9 +96,10 @@ def test_table3_throughput(experiment, benchmark):
         f" ColumnPacketView handles over pre-parsed PacketColumns (the"
         f" PcapSource serving path; scores identical to the object rows),"
         f" 'object' streams full Packet objects (the pre-columnar reference)."
-        f"  Process rows spawn one OS process per shard (GIL-free scaling):"
-        f" each worker maps the model read-only (mmap) and receives packed"
-        f" column-block slices.  'Setup (s)' isolates each row's fixed costs"
+        f"  Process rows assemble on the caller's thread and spawn scoring"
+        f" worker processes (GIL-free scaling): each worker maps the model"
+        f" read-only (mmap) and receives each batch as one packed column"
+        f" block.  'Setup (s)' isolates each row's fixed costs"
         f" (detector construction, worker spawn, the process pool's artifact"
         f" save and per-worker model map) from the steady-state"
         f" 'Packets/Second'; 'Total Pkt/s' is the old all-inclusive figure."

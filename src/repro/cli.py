@@ -8,9 +8,9 @@ writing any Python:
 * ``repro-clap train``     — train CLAP on a benign capture and persist the model;
 * ``repro-clap score``     — score a capture with a persisted model (forensic mode);
 * ``repro-clap stream``    — replay a capture (pcap or NDJSON) through the
-  streaming runtime (``--workers``/``--worker-mode process`` shard it across
-  processes), emitting one NDJSON event per completed connection (online
-  mode);
+  streaming runtime (``--workers``/``--worker-mode process`` score its
+  batches in worker processes), emitting one NDJSON event per completed
+  connection (online mode);
 * ``repro-clap strategies``— list the attack catalogue.
 
 Every subcommand works on ordinary ``.pcap`` files, so captures produced by
@@ -114,11 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--threshold", type=float, default=None,
                         help="override the persisted adversarial-score threshold")
     stream.add_argument("--workers", type=int, default=1,
-                        help="flow-table shards / worker processes; above 1 requires "
+                        help="scoring worker processes; above 1 requires "
                              "--worker-mode process")
     stream.add_argument("--worker-mode", choices=("thread", "process"), default="thread",
                         help="thread (default): one detector on the ingest thread; "
-                             "process: one worker process per shard (one core each, "
+                             "process: the ingest thread assembles and batches, "
+                             "worker processes score the batches (one core each, "
                              "model shared via read-only mmap)")
     stream.add_argument("--source", choices=("auto", "pcap", "ndjson"), default="auto",
                         help="input format; auto picks by file extension")
@@ -152,16 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "beyond it without evicting everyone else's budget")
     stream.add_argument("--subnet-prefix", type=int, default=24,
                         help="prefix length grouping sources for --subnet-budget")
-    stream.add_argument("--chunk-size", default="adaptive",
-                        help="packets per shard hand-off: an integer pins it, "
-                             "'adaptive' (default) grows under backpressure and "
-                             "shrinks when flush latency climbs")
+    stream.add_argument("--chunk-size", default=512,
+                        help="result-drain cadence in process mode: the worker "
+                             "results are collected every this many ingested "
+                             "packets (a positive integer, default 512)")
     stream.add_argument("--on-worker-failure", choices=("fail", "respawn", "degrade"),
                         default="fail",
                         help="what to do when a process shard worker is lost "
                              "mid-stream: fail loudly (default), respawn it, or "
-                             "degrade — rehash its future flows onto the "
-                             "survivors and flag their events")
+                             "degrade — the survivors score every later batch")
     stream.add_argument("--max-respawns", type=int, default=2,
                         help="per-worker respawn budget before a loss "
                              "degrades instead (--on-worker-failure respawn)")
@@ -374,16 +374,15 @@ def _stream_drop_policy(args: argparse.Namespace) -> DropPolicy:
     )
 
 
-def _parse_chunk_size(value: str | int) -> str | int:
-    """``--chunk-size``: 'adaptive' or a positive integer."""
-    if value == "adaptive":
-        return value
+def _parse_chunk_size(value: str | int) -> int:
+    """``--chunk-size``: a positive integer."""
     try:
-        return int(value)
+        size = int(value)
     except (TypeError, ValueError):
-        raise ValueError(
-            f"--chunk-size must be an integer or 'adaptive', got {value!r}"
-        ) from None
+        size = 0
+    if size < 1:
+        raise ValueError(f"--chunk-size must be a positive integer, got {value!r}")
+    return size
 
 
 def command_stream(args: argparse.Namespace) -> int:

@@ -42,11 +42,6 @@ class DetectionResult:
         first (empty when nothing could be localised).
     packet_count:
         Number of packets in the scored connection.
-    degraded:
-        ``True`` when the connection was scored by a survivor instance after
-        its home instance was lost mid-stream (partitioned serving's
-        ``degrade`` failure policy) — the score may not be identical to an
-        unfaulted run and deployments should weigh it accordingly.
     """
 
     key: FlowKey | None
@@ -56,7 +51,6 @@ class DetectionResult:
     localized_window: int
     localized_packets: tuple[int, ...]
     packet_count: int
-    degraded: bool = False
 
     @property
     def localized_packet(self) -> int:
@@ -73,5 +67,4 @@ class DetectionResult:
             "localized_window": self.localized_window,
             "localized_packets": list(self.localized_packets),
             "packet_count": self.packet_count,
-            "degraded": self.degraded,
         }

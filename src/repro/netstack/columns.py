@@ -29,9 +29,8 @@ The 32 Table-7 features are computed from these columns by
 from __future__ import annotations
 
 import struct
-import weakref
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -103,124 +102,6 @@ _PACK_MAGIC = b"CPB"
 _PACK_VERSION = 1
 _PACK_HEADER = struct.Struct("<3sBBxxxQQ")
 _BACKING_NONE = 0
-
-
-class BlockLeaseClosedError(RuntimeError):
-    """A column was read after the :class:`BlockLease` backing it was closed."""
-
-
-class _ClosedColumn:
-    """Sentinel installed over every column of an invalidated block.
-
-    Any read — indexing, iteration, array conversion, attribute access —
-    raises :class:`BlockLeaseClosedError`, so a view that outlives its lease
-    fails deterministically instead of reading unmapped (or recycled) memory.
-    """
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def _raise(self) -> None:
-        raise BlockLeaseClosedError(
-            f"column {self._name!r} was read after its BlockLease was closed"
-        )
-
-    def __getitem__(self, index: object) -> None:
-        self._raise()
-
-    def __len__(self) -> int:
-        self._raise()
-        return 0  # pragma: no cover - unreachable
-
-    def __iter__(self) -> None:
-        self._raise()
-
-    def __array__(self, dtype: object = None, copy: object = None) -> None:
-        self._raise()
-
-    def __getattr__(self, attribute: str) -> None:
-        self._raise()
-
-
-def _invalidate_columns(columns: "PacketColumns") -> None:
-    """Swap every array of ``columns`` for a :class:`_ClosedColumn` sentinel."""
-    for name in (*_ARRAY_FIELDS, "buffer", "offsets", "lengths"):
-        if getattr(columns, name, None) is not None:
-            setattr(columns, name, _ClosedColumn(name))
-
-
-class BlockLease:
-    """Lifetime handle for the borrowed buffer behind unpacked blocks.
-
-    :func:`unpack_block` builds zero-copy ``frombuffer`` views, so the
-    unpacked columns are only valid while the wire buffer they view stays
-    mapped.  When that buffer is owned elsewhere — a POSIX shared-memory
-    segment mapped by a process shard worker — the owner wraps its hold in a
-    ``BlockLease`` and passes it to ``unpack_block``, which registers every
-    produced :class:`PacketColumns` on the lease:
-
-    * :meth:`close` (or exiting the lease's ``with`` block) **invalidates**
-      every registered block first — each column is replaced by a sentinel
-      that raises :class:`BlockLeaseClosedError` on any read — and then
-      releases the buffer hold.  Use it to revoke views early.
-    * :meth:`release` drops the buffer hold *without* invalidation; it is the
-      refcount-style path for when the columns are already unreachable (e.g.
-      a ``weakref.finalize`` on the block).
-
-    Either way the ``on_release`` callback fires exactly once, which is where
-    the buffer's owner unmaps/recycles it (the streaming runtime's extension
-    of the shared-memory ack protocol: a segment is returned for unmapping
-    only after every column view on it has been released or revoked).
-    """
-
-    __slots__ = ("_blocks", "_on_release", "_closed", "__weakref__")
-
-    def __init__(self, on_release: Callable[[], None] | None = None) -> None:
-        self._blocks: list[weakref.ref] = []
-        self._on_release = on_release
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def adopt(self, columns: "PacketColumns") -> None:
-        """Register ``columns`` as viewing this lease's buffer."""
-        if self._closed:
-            raise BlockLeaseClosedError("cannot adopt columns into a closed BlockLease")
-        self._blocks.append(weakref.ref(columns))
-
-    def close(self) -> None:
-        """Revoke every registered view, then release the buffer hold."""
-        if self._closed:
-            return
-        for ref in self._blocks:
-            columns = ref()
-            if columns is not None:
-                _invalidate_columns(columns)
-        self.release()
-
-    def release(self) -> None:
-        """Release the buffer hold without invalidating columns.
-
-        Safe only when the registered columns are unreachable (or known to
-        never be read again); :meth:`close` is the deterministic variant.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._blocks.clear()
-        if self._on_release is not None:
-            callback, self._on_release = self._on_release, None
-            callback()
-
-    def __enter__(self) -> "BlockLease":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 class ColumnPacketView:
@@ -390,10 +271,6 @@ class PacketColumns:
     # Lazily built, deduplicated FlowKey per row (repeated flows share one
     # object, so downstream dict probes hit the cached hash and identity).
     _flow_keys: list[object] | None = None
-    # Lifetime handle when the arrays view a borrowed buffer (shared
-    # memory); holding it here keeps the lease alive exactly as long as
-    # some view of this block is.
-    lease: BlockLease | None = None
 
     def __len__(self) -> int:
         return self.timestamp.shape[0]
@@ -558,7 +435,7 @@ class PacketColumns:
         """One :class:`~repro.netstack.flow.FlowKey` per row, deduplicated.
 
         Built once per block: packets of the same flow share one key object,
-        so every later dict probe (flow table, shard router) short-circuits
+        so every later dict probe (the flow table) short-circuits
         on identity instead of re-hashing and comparing 4-tuples.
         """
         if self._flow_keys is None:
@@ -596,19 +473,28 @@ class PacketColumns:
             self.buffer[start:stop].tobytes(), timestamp=float(self.timestamp[index])
         )
 
-    def views(self) -> list[ColumnPacketView]:
+    def views(self, directions: Sequence[Direction] | None = None) -> list[ColumnPacketView]:
         """Per-packet view handles, in row order (bulk-constructed).
 
         Packet-backed columns seed each view's ``direction`` and ``injected``
         from the original packet (attack ground truth survives the columnar
         round trip); wire-backed columns start with the parser defaults.
+        Explicit ``directions`` (one per row) are for rows whose connections
+        are already assembled: they set each view's direction, and the views
+        build their flow keys only on demand.
         """
         cls = ColumnPacketView
+        if directions is not None:
+            keys: list[object | None] = [None] * len(self)
+        else:
+            keys = self.flow_keys()
+            if self.packets is not None:
+                directions = [packet.direction for packet in self.packets]
+            else:
+                directions = [Direction.CLIENT_TO_SERVER] * len(self)
         if self.packets is not None:
-            directions = [packet.direction for packet in self.packets]
             injected = [packet.injected for packet in self.packets]
         else:
-            directions = [Direction.CLIENT_TO_SERVER] * len(self)
             injected = [False] * len(self)
         return [
             cls(self, index, ts, flag, src, dst, sport, dport, key, direction, marked)
@@ -620,7 +506,7 @@ class PacketColumns:
                     self.dst.tolist(),
                     self.src_port.tolist(),
                     self.dst_port.tolist(),
-                    self.flow_keys(),
+                    keys,
                     directions,
                     injected,
                     strict=True,
@@ -633,9 +519,9 @@ class PacketColumns:
     def pack_block(self, indices: np.ndarray | None = None) -> bytes:
         """Serialise (a row subset of) this block into the compact wire format.
 
-        The process-backed streaming runtime ships capture blocks to shard
-        workers with this instead of pickling packet objects: every scalar
-        column crosses the process boundary as raw array bytes.  The
+        The process-backed streaming runtime ships each batch of connections
+        to a scoring worker with this instead of pickling packet objects:
+        every scalar column crosses the process boundary as raw array bytes.  The
         materialisation backing (raw packet bytes or ``Packet`` objects)
         stays behind, so :meth:`packet`/``materialize()`` on the unpacked
         side fail.  ``indices`` selects rows (in the given order); ``None``
@@ -660,10 +546,9 @@ class PacketColumns:
 def _wire_view(view: memoryview, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
     """A zero-copy, **read-only** array over one wire-format section.
 
-    ``frombuffer`` inherits the buffer's writability — a shared-memory
-    mapping is writable, and a stray in-place write there would corrupt the
-    block under every other worker's feet — so the view is always pinned
-    read-only, matching the bytes-backed case.
+    ``frombuffer`` inherits the buffer's writability, so the view is pinned
+    read-only even over a writable buffer (a ``bytearray``): the unpacked
+    block never writes through to the wire payload.
     """
     array = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
     if array.flags.writeable:
@@ -671,18 +556,12 @@ def _wire_view(view: memoryview, dtype: np.dtype, count: int, offset: int) -> np
     return array
 
 
-def unpack_block(
-    data: bytes | bytearray | memoryview, *, lease: BlockLease | None = None
-) -> PacketColumns:
+def unpack_block(data: bytes | bytearray | memoryview) -> PacketColumns:
     """Rebuild a :class:`PacketColumns` from :meth:`PacketColumns.pack_block`.
 
     Scalar columns are zero-copy ``frombuffer`` views over ``data`` (always
     read-only, even over a writable buffer), so the unpacked block's memory
-    is the wire payload itself.  When ``data`` is a borrowed mapping — a
-    shared-memory segment — pass the owner's
-    :class:`BlockLease`; the produced columns are registered on it so the
-    owner can revoke the views (:meth:`BlockLease.close`) or learn when they
-    have all been dropped (``on_release``).
+    is the wire payload itself.
     """
     view = memoryview(data)
     magic, version, kind, n, _ = _PACK_HEADER.unpack_from(view, 0)
@@ -698,11 +577,7 @@ def unpack_block(
         dtype = _field_dtype(name)
         kwargs[name] = _wire_view(view, dtype, n, position)
         position += dtype.itemsize * n
-    columns = PacketColumns(**kwargs)
-    if lease is not None:
-        lease.adopt(columns)
-        columns.lease = lease
-    return columns
+    return PacketColumns(**kwargs)
 
 
 def _fold_checksum(totals: np.ndarray) -> np.ndarray:

@@ -14,15 +14,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
-import numpy as np
-
 from repro.netstack.addresses import int_to_ip
 from repro.netstack.columns import ColumnPacketView
 from repro.netstack.packet import Direction, Packet
 from repro.netstack.tcp import TcpFlags
 
 _CLOSING_FLAGS = TcpFlags.FIN | TcpFlags.RST
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -80,27 +77,6 @@ def flow_key_of(packet) -> FlowKey:
     if fast is not None:
         return fast()
     return FlowKey.from_packet(packet)
-
-
-def flow_slot(ip_a, port_a, ip_b, port_b, slots: int):
-    """Shard slot in ``[0, slots)`` of canonical flow keys: one key's Python
-    ints (an int) or a block's ``key_*`` columns (an ``intp`` array).
-
-    A fixed 64-bit mix (splitmix64's finaliser), not ``hash(FlowKey)``, so
-    every process, host and ``PYTHONHASHSEED`` agrees on a flow's slot.
-    """
-    if isinstance(ip_a, np.ndarray):  # wrap modulo 2**64 as the masked ints do
-        ip_a, port_a, ip_b, port_b = map(np.uint64, (ip_a, port_a, ip_b, port_b))
-    mixed = ((((ip_a << 16) | port_a) * 0x9E3779B97F4A7C15) ^ ((ip_b << 16) | port_b)) & _MASK64
-    mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & _MASK64
-    slot = (mixed ^ (mixed >> 31)) % slots
-    return slot.astype(np.intp) if isinstance(slot, np.ndarray) else slot
-
-
-def key_slot(key: FlowKey, slots: int) -> int:
-    """:func:`flow_slot` of one :class:`FlowKey`."""
-    return flow_slot(key.ip_a, key.port_a, key.ip_b, key.port_b, slots)
 
 
 @dataclass
@@ -312,20 +288,15 @@ class FlowTable:
         return self._clock
 
     # ------------------------------------------------------------- ingestion
-    def add(
-        self, packet: Packet, key: FlowKey | None = None
-    ) -> list[tuple[Connection, CompletionReason]]:
+    def add(self, packet: Packet) -> list[tuple[Connection, CompletionReason]]:
         """Route ``packet`` and return every connection completed by it.
 
         Completions triggered by this packet include the connection it closed
         by reusing a 5-tuple, connections whose close-grace/idle timers
-        expired as stream time advanced, and capacity evictions.  Callers
-        that already computed the packet's :class:`FlowKey` (e.g. a router
-        that hashed it to pick a shard) may pass it to skip recomputing it.
+        expired as stream time advanced, and capacity evictions.
         """
         completed: list[tuple[Connection, CompletionReason]] = []
-        if key is None:
-            key = flow_key_of(packet)
+        key = flow_key_of(packet)
         entry = self._flows.get(key)
         flags = packet.flags
         starts_new = (flags & TcpFlags.SYN) and not (flags & TcpFlags.ACK)

@@ -13,10 +13,11 @@ Figure 3, layered as a streaming runtime:
   :class:`FlushPolicy` and emits typed :class:`DetectionEvent`/:class:`Alert`
   objects via iterator and callback APIs;
 * :class:`ParallelStreamingDetector` (:mod:`repro.serve.runtime`) — the one
-  fan-out: routes packets, hash-partitioned by flow key, to per-shard worker
-  processes behind bounded queues and funnels events into one ordered
-  stream, with :class:`DropPolicy` handling of capacity floods and
-  :class:`StreamingMetrics` backpressure monitoring (:mod:`repro.serve.metrics`).
+  fan-out: assembles and batches like the single detector, ships each batch
+  to a scoring worker process (at most ``queue_depth`` in flight per worker)
+  and funnels the events back into one stream, with :class:`DropPolicy`
+  handling of capacity floods and :class:`StreamingMetrics` backpressure
+  monitoring (:mod:`repro.serve.metrics`).
 
 The fault-tolerance layer rides on the process runtime: :class:`FaultPlan`
 (:mod:`repro.serve.faults`) injects deterministic worker kills and wedges,
@@ -29,12 +30,7 @@ from repro.core.results import DetectionResult
 from repro.netstack.flow import CompletionReason, FlowTable
 from repro.serve.events import Alert, DetectionEvent, make_event
 from repro.serve.faults import FaultPlan, FaultSpecError, parse_fault_specs
-from repro.serve.metrics import (
-    AdaptiveChunker,
-    DropPolicy,
-    LatencyHistogram,
-    StreamingMetrics,
-)
+from repro.serve.metrics import DropPolicy, LatencyHistogram, StreamingMetrics
 from repro.serve.runtime import ParallelStreamingDetector
 from repro.serve.supervise import DegradationReport, FailurePolicy, InstanceLossRecord
 from repro.serve.sources import (
@@ -49,7 +45,6 @@ from repro.serve.sources import (
 from repro.serve.streaming import FlushPolicy, StreamingDetector
 
 __all__ = [
-    "AdaptiveChunker",
     "Alert",
     "CompletionReason",
     "DegradationReport",

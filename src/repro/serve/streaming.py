@@ -45,7 +45,7 @@ def drain_pending(
     """Score ``pending`` in ``max_batch``-sized engine calls (in place).
 
     The one chunked flush loop shared by :class:`StreamingDetector` and the
-    sharded runtime's per-shard workers.  ``emit`` receives each chunk's
+    process runtime's workers (which pass one whole batch).  ``emit`` receives each chunk's
     events as soon as that engine call completes, so an early chunk's alert
     never waits behind the scoring of later chunks.  A chunk is dequeued only
     after its engine call succeeded — an exception leaves it buffered and the

@@ -59,7 +59,6 @@ class DegradationReport:
 
     losses: list = field(default_factory=list)
     respawns: int = 0
-    degraded_flows: int = 0
     teardown_errors: list = field(default_factory=list)
 
     def __bool__(self) -> bool:
@@ -73,7 +72,6 @@ class DegradationReport:
         return {
             "losses": [loss.to_dict() for loss in self.losses],
             "respawns": self.respawns,
-            "degraded_flows": self.degraded_flows,
             "packets_lost_inflight": self.packets_lost_inflight,
             "teardown_errors": list(self.teardown_errors),
         }

@@ -274,3 +274,56 @@ class TestPackBlock:
         header[3], header[4] = 1, 1  # a materialisation backing kind
         with pytest.raises(ValueError, match="backing kind 1"):
             unpack_block(bytes(header))
+
+
+class TestUnpackedColumns:
+    """``unpack_block`` maps the wire payload in place, read-only."""
+
+    @staticmethod
+    def _packed(count: int = 64) -> bytes:
+        from repro.traffic.flood import syn_flood_columns
+
+        return syn_flood_columns(count).pack_block()
+
+    def test_unpacked_columns_are_read_only_views(self):
+        from repro.netstack.columns import unpack_block
+
+        columns = unpack_block(self._packed())
+        assert columns.timestamp.flags.writeable is False
+        assert columns.src.flags.writeable is False
+        with pytest.raises(ValueError):
+            columns.timestamp[0] = 0.0
+        with pytest.raises(ValueError):
+            columns.flags[:] = 0
+
+    def test_read_only_even_over_a_writable_buffer(self):
+        from repro.netstack.columns import unpack_block
+
+        columns = unpack_block(bytearray(self._packed()))
+        assert columns.seq.flags.writeable is False
+        with pytest.raises(ValueError):
+            columns.seq[3] = 99
+
+    def test_columns_view_the_wire_payload_zero_copy(self):
+        from repro.netstack.columns import unpack_block
+
+        payload = bytearray(self._packed(16))
+        columns = unpack_block(payload)
+        raw = np.frombuffer(payload, dtype=np.uint8)
+        # Every scalar column maps the wire payload in place — no copies.
+        for name in ("timestamp", "src", "seq", "key_port_b"):
+            assert np.shares_memory(getattr(columns, name), raw), name
+
+
+class TestViews:
+    def test_explicit_directions_set_each_view(self, capture):
+        from repro.netstack.packet import Direction
+
+        columns = read_packet_columns(capture)
+        directions = [
+            Direction.SERVER_TO_CLIENT if index % 3 else Direction.CLIENT_TO_SERVER
+            for index in range(len(columns))
+        ]
+        views = columns.views(directions)
+        assert [view.direction for view in views] == directions
+        assert [view.flow_key() for view in views] == columns.flow_keys()

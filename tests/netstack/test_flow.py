@@ -1,19 +1,12 @@
 """Unit tests for flow keys and connection assembly."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import repro
 from repro.netstack.flow import (
     ConnectionAssembler,
     FlowKey,
     assemble_connections,
-    flow_slot,
-    key_slot,
     split_connections,
 )
 from repro.netstack.packet import Direction
@@ -99,59 +92,6 @@ class TestAssembler:
         assembler = ConnectionAssembler()
         assembler.add_all(packets + shifted)
         assert len(assembler.connections()) == 2
-
-
-def _client_server_keys(count, seed=0):
-    """Canonical keys shaped like real traffic: many clients on ephemeral
-    ports, a few servers on two well-known ports."""
-    rng = np.random.default_rng(seed)
-    client_ip = rng.integers(0x0A000000, 0x0A010000, count)
-    client_port = rng.integers(32768, 61000, count)
-    server_ip = rng.choice(rng.integers(0, 2**32, 50), count)
-    server_port = rng.choice([80, 443], count)
-    swap = (client_ip > server_ip) | ((client_ip == server_ip) & (client_port > server_port))
-    return (
-        np.where(swap, server_ip, client_ip),
-        np.where(swap, server_port, client_port),
-        np.where(swap, client_ip, server_ip),
-        np.where(swap, client_port, server_port),
-    )
-
-
-class TestFlowSlot:
-    def test_scalar_and_column_forms_agree(self):
-        rng = np.random.default_rng(7)
-        columns = [rng.integers(0, 2**32, 500), rng.integers(0, 2**16, 500)] * 2
-        for slots in (1, 2, 3, 8):
-            array = flow_slot(*columns, slots)
-            scalars = [
-                key_slot(FlowKey(*(int(column[row]) for column in columns)), slots)
-                for row in range(500)
-            ]
-            assert array.tolist() == scalars
-            assert all(0 <= slot < slots for slot in scalars)
-
-    @pytest.mark.parametrize("workers", range(2, 9))
-    def test_shard_loads_stay_within_ten_percent(self, workers):
-        loads = np.bincount(flow_slot(*_client_server_keys(20_000), workers), minlength=workers)
-        mean = loads.mean()
-        assert np.all(np.abs(loads - mean) <= 0.1 * mean), loads
-
-    def test_slots_do_not_depend_on_the_hash_seed(self):
-        script = (
-            "from repro.netstack.flow import flow_slot; "
-            "print([flow_slot(ip, 1000 + ip, 7 * ip, 443, 5) for ip in range(1, 200)])"
-        )
-
-        source_root = os.path.dirname(os.path.dirname(repro.__file__))
-
-        def slots(seed):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source_root)
-            return subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-            ).stdout
-
-        assert slots("0") == slots("1")
 
 
 class TestSplit:

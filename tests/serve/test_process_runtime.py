@@ -1,16 +1,19 @@
-"""Process-backed shard pool: thread/process equivalence, parity, cleanup.
+"""Process scoring workers: thread/process equivalence, parity, cleanup.
 
 The process pool's acceptance criteria: ``worker_mode="process"`` at workers ∈
-{1, 2, 4} emits the identical event set (same keys, scores within 1e-9, same
+{1, 2, 4} emits the identical event set (same keys, scores bit for bit, same
 ``(first_seen, key)`` close order) as the in-process thread runtime, on both
-columnar and object ingest; metrics aggregate across processes; and the
-lifecycle bugs (run() leaking workers on a source error, close() after a
-worker failure) stay fixed.
+columnar and object ingest, because the parent makes one detector's
+assembly, admission and batching decisions and the workers only score;
+metrics aggregate across processes; and the lifecycle bugs (run() leaking
+workers on a source error, close() after a worker failure) stay fixed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -106,8 +109,7 @@ class TestProcessEquivalence:
             close_grace=1e9,
         )
         got = _rows(_drain_all(process, stream()))
-        assert [row[:2] for row in got] == [row[:2] for row in expected]
-        assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, expected))
+        assert got == expected
 
     @pytest.mark.parametrize(("worker_mode", "workers"), [("thread", 1), ("process", 2)])
     def test_tiny_read_blocks_give_the_same_events(
@@ -356,34 +358,53 @@ class TestMetricsParity:
         assert snapshots["single"] == snapshots["processes"]
         assert snapshots["single"]["completions_by_reason"]["drain"] == len(connections)
 
-    def test_flood_metrics_agree_across_worker_counts_and_modes(
-        self, trained_clap, clap_model_dir
+    @pytest.mark.parametrize(
+        "drop_policy",
+        [DropPolicy(mode="drop"), DropPolicy(subnet_budget=40)],
+        ids=["drop", "subnet-budget"],
+    )
+    def test_flood_events_and_completions_agree_across_worker_counts_and_modes(
+        self, trained_clap, clap_model_dir, drop_policy
     ):
+        """One flow table and one admission state make every capacity
+        decision, whatever the worker count: the same flows are evicted,
+        dropped or admitted, so the events and the completion counters equal
+        the in-process detector's."""
         flood = syn_flood(FLOOD_SIZE)
-        snapshots = {}
+        outcomes = {}
         for label, kwargs in {
-            "single": dict(workers=1),
-            "processes": dict(workers=2, worker_mode="process", model_dir=clap_model_dir),
+            "thread": dict(workers=1),
+            "process-1": dict(workers=1, worker_mode="process", model_dir=clap_model_dir),
+            "process-2": dict(workers=2, worker_mode="process", model_dir=clap_model_dir),
         }.items():
             detector = ParallelStreamingDetector(
                 trained_clap,
                 idle_timeout=1e9,
                 close_grace=1e9,
                 max_flows=MAX_FLOWS,
-                drop_policy=DropPolicy(mode="drop"),
+                drop_policy=drop_policy,
                 **kwargs,
             )
             detector.ingest_many(flood)
             detector.close()
+            events = sorted(
+                (str(e.result.key), e.completed_by.value, e.result.packet_count, e.result.score)
+                for e in detector.events()
+            )
             snap = detector.metrics_snapshot()
-            # Eviction *victims* differ across shard counts (documented), but
-            # the accounting identities must hold everywhere.
             reasons = snap["completions_by_reason"]
             assert reasons["capacity"] + reasons["drain"] == FLOOD_SIZE
-            assert snap["capacity_drops"] == reasons["capacity"]
-            assert snap["events_emitted"] == reasons["drain"]
-            snapshots[label] = sum(snap["packets_ingested"])
-        assert set(snapshots.values()) == {FLOOD_SIZE}
+            assert sum(snap["packets_ingested"]) == FLOOD_SIZE
+            assert snap["events_emitted"] == len(events)
+            outcomes[label] = (events, reasons, snap["capacity_drops"], snap["subnet_drops"])
+        events, reasons, capacity_drops, subnet_drops = outcomes["thread"]
+        assert capacity_drops == reasons["capacity"] - len(
+            [event for event in events if event[1] == "capacity"]
+        )
+        if drop_policy.subnet_budget is not None:
+            assert subnet_drops > 0  # the budget is exercised
+        assert outcomes["process-1"] == outcomes["thread"]
+        assert outcomes["process-2"] == outcomes["thread"]
 
     def test_process_snapshot_populates_occupancy_and_latency(
         self, trained_clap, clap_model_dir
@@ -404,7 +425,7 @@ class TestMetricsParity:
         assert sum(snapshot["packets_ingested"]) == len(stream)
         assert snapshot["connections_scored"] == len(connections)
         assert snapshot["flush_latency"]["count"] > 0
-        assert snapshot["shard_occupancy"] == [0, 0, 0]
+        assert snapshot["shard_occupancy"] == [0]  # one flow table, drained
         assert detector.render_metrics()  # renders without error
 
 
@@ -527,32 +548,6 @@ class TestLifecycle:
             detector.close()
         assert not _shard_processes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_revisited_block_past_the_cache_window_is_rebroadcast(
-        self, trained_clap, clap_model_dir, workers
-    ):
-        """Review regression: parent and worker block caches must evict in
-        lockstep (strict FIFO).  A block revisited after _BLOCK_CACHE_DEPTH
-        newer blocks used to stay 'live' on the parent (move_to_end) while
-        the workers had already evicted it — rows then failed with KeyError
-        on valid input.  Now it is re-broadcast and the stream completes,
-        equivalent to the in-process runtime."""
-        connections = _sequential_connections(12)
-        blocks = [
-            PacketColumns.from_packets(_packet_stream([connection])).views()
-            for connection in connections
-        ]
-        # Half of block 0, then 11 further blocks (evicting block 0 from the
-        # FIFO window), then block 0's remainder.
-        items = blocks[0][:3]
-        for views in blocks[1:]:
-            items.extend(views)
-        items.extend(blocks[0][3:])
-
-        _assert_matches_one_detector(
-            trained_clap, clap_model_dir, items, workers, idle_timeout=1e9, close_grace=1e9
-        )
-
     def test_validation(self, trained_clap):
         with pytest.raises(ValueError):
             ParallelStreamingDetector(trained_clap, worker_mode="fibers")
@@ -580,8 +575,8 @@ def _feed(detector, items):
 
 def _assert_matches_one_detector(trained_clap, model_dir, items, workers, **options):
     """The process runtime's events equal one in-process StreamingDetector's:
-    same keys, completion reasons, first-seen times, packet counts and
-    localised packets, scores within 1e-9."""
+    same keys, completion reasons, first-seen times, packet counts,
+    localised packets and scores."""
 
     def rows(events):
         return sorted(
@@ -608,20 +603,20 @@ def _assert_matches_one_detector(trained_clap, model_dir, items, workers, **opti
     )
     got = rows(_feed(process, items))
     assert expected
-    assert [row[:5] for row in got] == [row[:5] for row in expected]
-    assert all(abs(a[5] - b[5]) < 1e-9 for a, b in zip(got, expected, strict=True))
+    assert got == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 class TestBlockRouting:
-    """Routing steps hand each shard its rows of a block in one message; these
-    cases move step and block boundaries around and must not change a score."""
+    """Batches gather their rows from whichever capture blocks hold them;
+    these cases move block boundaries and timer expiries around and must not
+    change a score."""
 
     def test_tiny_read_blocks(self, trained_clap, clap_model_dir, tmp_path, workers):
         path = tmp_path / "capture.pcap"
         write_pcap(path, _packet_stream(TrafficGenerator(seed=78).generate_connections(16)))
         items = list(PcapSource(path, block_bytes=4096))
-        assert len({id(view.columns) for view in items}) > 8  # past the block cache
+        assert len({id(view.columns) for view in items}) > 8  # batches span blocks
         _assert_matches_one_detector(trained_clap, clap_model_dir, items, workers)
 
     def test_tick_between_rows_of_one_block(self, trained_clap, clap_model_dir, workers):
@@ -653,17 +648,56 @@ class TestBlockRouting:
         )
 
 
+class TestCallerRuns:
+    def test_parent_scores_a_batch_when_every_worker_is_full(
+        self, trained_clap, clap_model_dir
+    ):
+        """With its one worker stopped on a batch, the parent scores the next
+        batch itself instead of waiting, and every event still equals one
+        in-process detector's."""
+        connections = _sequential_connections(12)
+        options = dict(flush_policy=FlushPolicy(max_batch=4), idle_timeout=1e9, close_grace=0.5)
+        expected = _rows(_drain_all(StreamingDetector(trained_clap, **options), _packet_stream(connections)))
+        pushed = []
+        detector = ParallelStreamingDetector(
+            trained_clap,
+            workers=1,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            queue_depth=1,
+            on_event=pushed.append,
+            **options,
+        )
+        detector.flush()  # the worker is up
+        worker = detector._shards[0].process
+        os.kill(worker.pid, signal.SIGSTOP)
+        try:
+            # Connection i completes when connection i + 1 starts: the first
+            # nine make two batches, the worker's and the parent's.
+            detector.ingest_many(_packet_stream(connections[:9]))
+            assert sorted(str(e.result.key) for e in pushed) == sorted(
+                str(connection.key) for connection in connections[4:8]
+            )
+        finally:
+            os.kill(worker.pid, signal.SIGCONT)
+        detector.ingest_many(_packet_stream(connections[9:]))
+        detector.close()
+        assert _rows(pushed) == expected
+        assert detector.degradation_report().losses == []
+
+
 class TestWorkerStateMerging:
     def test_snapshot_folds_worker_structs(self):
-        """Pure-unit check of the cross-process metrics merge."""
-        local = StreamingMetrics(shard_count=1)
-        local.record_completions([(None, CompletionReason.DRAIN)])
+        """Pure-unit check of the cross-process metrics merge: a worker ships
+        its engine-call counters; everything else is the parent's."""
+        local = StreamingMetrics()
         local.record_flush(3, 0.002)
-        local.record_drop(2)
-        local.record_pending_depth(7)
 
-        parent = StreamingMetrics(shard_count=2)
-        parent.record_ingest(0, 10)
+        parent = StreamingMetrics()
+        parent.set_ingested(0, 10)
+        parent.record_completions([(None, CompletionReason.DRAIN)])
+        parent.record_drop(2)
+        parent.record_pending_depth(7)
         parent.record_events(3, 1)
         parent.absorb_worker_state(0, local.worker_state())
         snap = parent.snapshot()
@@ -678,65 +712,3 @@ class TestWorkerStateMerging:
         assert parent.snapshot()["connections_scored"] == 3
         rendered = parent.render()
         assert "scored=3" in rendered and "n=1" in rendered
-
-
-class TestZeroCopyAccounting:
-    """The block data path's copy ledger (the scale-out acceptance check).
-
-    Blocks at or above the shared-memory threshold are broadcast once as a
-    POSIX shm segment and **mapped** by every process worker — zero payload
-    copies after the broadcast, observable as ``payload_bytes_copied == 0``.
-    Blocks under the threshold ride the pipe, which inherently copies; the
-    same counter proves it is actually measuring.
-    """
-
-    def _flood_views(self, rows):
-        from repro.traffic.flood import syn_flood_columns
-
-        columns = syn_flood_columns(rows)
-        return columns, columns.views()
-
-    def _replay(self, trained_clap, clap_model_dir, views):
-        detector = ParallelStreamingDetector(
-            trained_clap,
-            workers=2,
-            worker_mode="process",
-            model_dir=clap_model_dir,
-            idle_timeout=1e9,
-            close_grace=0.5,
-            max_flows=32,
-            drop_policy=DropPolicy(mode="drop"),
-        )
-        detector.ingest_many(views)
-        detector.close()
-        return detector.metrics_snapshot()
-
-    def test_shm_blocks_are_never_copied(self, trained_clap, clap_model_dir):
-        from repro.serve.runtime import _SHM_MIN_BYTES
-
-        columns, views = self._flood_views(1024)
-        payload_bytes = len(columns.pack_block())
-        assert payload_bytes >= _SHM_MIN_BYTES  # the workload must take the shm path
-        snapshot = self._replay(trained_clap, clap_model_dir, views)
-        shm = snapshot["shared_memory"]
-        assert shm["segments_created"] == 1
-        assert shm["bytes_broadcast"] == payload_bytes
-        assert shm["segments_high_water"] >= 1
-        # The zero-copy contract: across both workers, not one payload byte
-        # was copied after the broadcast — every column is a segment mapping.
-        assert shm["payload_bytes_copied"] == 0
-
-    def test_small_blocks_ride_the_pipe_and_count_their_copies(
-        self, trained_clap, clap_model_dir
-    ):
-        from repro.serve.runtime import _SHM_MIN_BYTES
-
-        columns, views = self._flood_views(64)
-        payload_bytes = len(columns.pack_block())
-        assert payload_bytes < _SHM_MIN_BYTES
-        snapshot = self._replay(trained_clap, clap_model_dir, views)
-        shm = snapshot["shared_memory"]
-        assert shm["segments_created"] == 0
-        assert shm["bytes_broadcast"] == 0
-        # Each of the two workers materialised its own pipe copy.
-        assert shm["payload_bytes_copied"] == 2 * payload_bytes

@@ -167,7 +167,6 @@ class TestTrainAndScore:
             assert set(entry) == {
                 "connection", "score", "threshold", "adversarial",
                 "localized_window", "localized_packets", "packet_count",
-                "degraded",
             }
 
     def test_score_backend_override_stays_within_tolerance(
@@ -423,7 +422,7 @@ class TestStreamCommand:
         assert main(["stream", str(trained_model_dir), str(capture),
                      "--workers", "2", "--worker-mode", "process", "--metrics"]) == 0
         err = capsys.readouterr().err
-        assert "shards=2" in err
+        assert "shards=1" in err  # one flow table in the parent, two scoring workers
         assert "flush latency" in err
 
     def test_stream_drop_policy_validation(self, trained_model_dir, tmp_path, capsys):
@@ -433,6 +432,17 @@ class TestStreamCommand:
             build_parser().parse_args(
                 ["stream", str(trained_model_dir), str(capture), "--drop-policy", "maybe"]
             )
+
+    @pytest.mark.parametrize("value", ["0", "-3", "adaptive"])
+    def test_stream_chunk_size_must_be_a_positive_integer(
+        self, trained_model_dir, tmp_path, capsys, value
+    ):
+        capture = tmp_path / "chunk.pcap"
+        main(["generate", str(capture), "--connections", "2", "--seed", "3"])
+        capsys.readouterr()
+        code = main(["stream", str(trained_model_dir), str(capture), "--chunk-size", value])
+        assert code == 2
+        assert "--chunk-size must be a positive integer" in capsys.readouterr().err
 
     def test_stream_missing_capture_fails_cleanly(self, trained_model_dir, tmp_path, capsys):
         assert main(["stream", str(trained_model_dir), str(tmp_path / "nope.pcap")]) == 2

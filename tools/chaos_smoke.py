@@ -2,18 +2,21 @@
 """Chaos smoke test for CI: kill a shard worker mid-stream, finish anyway.
 
 Synthesise a capture, train a deliberately tiny model, then replay the
-capture through ``repro stream --workers 2 --worker-mode process`` while a
+capture through ``repro stream --workers 2 --worker-mode process`` (batches
+of four connections, so batches are in flight when the fault lands) while a
 deterministic fault plan SIGKILLs one of the two shard workers mid-stream.
 Under ``--on-worker-failure degrade`` the run must still exit 0, emit events
-for the surviving flows, rehash the lost worker's flows onto the survivor
-(``degraded_flows > 0``), and print a machine-readable ``degradation:`` line
-with a loss of kind ``worker`` whose accounting satisfies the identity
+for connections that complete after the kill, and print a machine-readable
+``degradation:`` line with a loss of kind ``worker`` whose accounting
+satisfies the identity
 
     packets_routed = packets_scored + packets_lost_inflight
 
-for every recorded loss.  Under ``--on-worker-failure fail`` the same fault
-must exit non-zero — with the degradation report still printed — so
-operators can choose loud failure over silent loss.
+for every recorded loss.  The survivor scores every later batch, so every
+packet of the capture is either in an event or in a lost batch.  Under
+``--on-worker-failure fail`` the same fault must exit non-zero — with the
+degradation report still printed — so operators can choose loud failure
+over silent loss.
 
 Run with:  PYTHONPATH=src python tools/chaos_smoke.py
 """
@@ -28,10 +31,12 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
+from repro.netstack.pcap import read_packet_columns
 
 CONNECTIONS = 30
-KILL_SPEC = "kill-worker:1@40"
-WORKERS = ["--workers", "2", "--worker-mode", "process"]
+KILL_AT = 40
+KILL_SPEC = f"kill-worker:1@{KILL_AT}"
+WORKERS = ["--workers", "2", "--worker-mode", "process", "--max-batch", "4"]
 
 
 def run(argv: list) -> tuple:
@@ -118,9 +123,18 @@ def main() -> int:
             print(f"chaos smoke FAILED: expected a worker loss, got {kinds}",
                   file=sys.stderr)
             return 1
-        if report["degraded_flows"] <= 0:
-            print("chaos smoke FAILED: no flow was rehashed onto the surviving "
-                  "worker mid-stream", file=sys.stderr)
+        capture = read_packet_columns(capture_path)
+        kill_time = float(capture.timestamp[KILL_AT - 1])
+        later = [event for event in events if event["last_seen"] > kill_time]
+        if not later:
+            print("chaos smoke FAILED: no event for a connection that completed "
+                  "after the kill", file=sys.stderr)
+            return 1
+        scored = sum(event["packet_count"] for event in events)
+        if scored + report["packets_lost_inflight"] != len(capture):
+            print(f"chaos smoke FAILED: {scored} packets scored + "
+                  f"{report['packets_lost_inflight']} lost in flight != "
+                  f"{len(capture)} in the capture", file=sys.stderr)
             return 1
 
         # Fail mode: the same fault must be loud — non-zero exit, report
@@ -139,7 +153,7 @@ def main() -> int:
 
     lost = report["packets_lost_inflight"]
     print(f"chaos smoke OK: survived {KILL_SPEC} in degrade mode with "
-          f"{len(events)} events, {report['degraded_flows']} flows rehashed, "
+          f"{len(events)} events ({len(later)} completed after the kill), "
           f"{lost} in-flight packets lost and attributed; fail mode refused "
           "loudly", file=sys.stderr)
     return 0

@@ -73,7 +73,7 @@ def main() -> int:
             )
             return 1
 
-        rows = sorted((e["connection"], round(e["score"], 9)) for e in events)
+        rows = sorted((e["connection"], e["score"]) for e in events)
         # Object ingest reaches the workers through from_packets blocks, a
         # different path from the capture's own column blocks.
         for ingest in ("columnar", "object"):
@@ -85,9 +85,7 @@ def main() -> int:
                       file=sys.stderr)
                 return 1
             process_events = [json.loads(line) for line in out.splitlines() if line.strip()]
-            process_rows = sorted(
-                (e["connection"], round(e["score"], 9)) for e in process_events
-            )
+            process_rows = sorted((e["connection"], e["score"]) for e in process_events)
             if process_rows != rows:
                 print(f"smoke FAILED: process-mode {ingest} events diverge from the "
                       "in-process detector", file=sys.stderr)
