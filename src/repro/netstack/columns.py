@@ -7,14 +7,15 @@ batched scoring path.  This module keeps a capture block as **structured
 NumPy columns** instead:
 
 * :func:`parse_packet_columns` turns a block buffer plus record offsets into
-  a :class:`PacketColumns` — every fixed IP/TCP header field is sliced out of
-  a gathered ``(n, 20)`` byte matrix, IP/TCP checksums are validated with two
-  prefix-sum passes over the whole block, and the dominant TCP option layouts
-  (no options; a lone Timestamp with NOP padding) are recognised vectorized.
-  Only genuinely irregular records (exotic options, reserved bits, truncated
-  headers) fall back to the per-packet reference parser, whose semantics the
-  fast path reproduces **exactly** — equality is enforced by
-  ``tests/features/test_columnar_equivalence.py``.
+  a :class:`PacketColumns`, reading each byte of the block once: every fixed
+  IP/TCP header field is sliced out of a gathered ``(n, 20)`` byte matrix,
+  IP/TCP checksums are validated from ``np.add.reduceat`` word sums over each
+  header and segment (one pass per byte parity), and TCP options made of NOP,
+  MSS, window scale, SACK-permitted and Timestamp are decoded by one
+  vectorized cursor walk.  Only genuinely irregular records (other options,
+  reserved bits, truncated headers) fall back to the per-packet reference
+  parser, whose semantics the fast path reproduces **exactly** — equality is
+  enforced by ``tests/features/test_columnar_equivalence.py``.
 * :class:`ColumnPacketView` is a per-packet handle over one column row.  It
   exposes just enough of the :class:`Packet` surface (timestamps, flag bits,
   addresses/ports, direction) for flow assembly and the streaming runtime,
@@ -35,6 +36,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.netstack.options import (
+    OptionKind,
     decode_options,
     encode_options,
     summarize_feature_options,
@@ -587,40 +589,120 @@ def _fold_checksum(totals: np.ndarray) -> np.ndarray:
     return folded
 
 
-class _BlockSums:
-    """O(1) big-endian 16-bit word sums over arbitrary spans of one buffer.
+#: Longest span whose word sum fits a ``uint32`` accumulator:
+#: 65,535 words of 0xFFFF sum to just under 2**32.
+_UINT32_SPAN_BYTES = 131_070
 
-    For a span starting at ``a``, the word sum is
-    ``sum(bytes) + 255 * sum(bytes at even positions relative to a)`` —
-    bytes at even relative offsets are the high halves of the words (and the
-    implicit zero pad of an odd-length span costs nothing).  Two prefix sums
-    (all bytes; bytes at even absolute indices) therefore answer any
-    ``(start, length)`` range in O(1), which is what lets IP/TCP checksums
-    for a whole block verify in a handful of NumPy operations.
+
+def _word_sums(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Exact big-endian 16-bit word sum of ``data[start:start + length]`` per
+    span (int64); an odd trailing byte is the high half of a zero-padded word.
+
+    Spans at even offsets sum whole words of the buffer itself, spans at odd
+    offsets whole words of the buffer shifted by one byte; each parity reads
+    the buffer once (:func:`_whole_word_sums`).
     """
+    sums = np.zeros(starts.shape[0], dtype=np.int64)
+    if sums.size == 0:
+        return sums
+    accumulator = np.uint32 if int(lengths.max()) <= _UINT32_SPAN_BYTES else np.uint64
+    for parity in (0, 1):
+        rows = np.flatnonzero(starts % 2 == parity)
+        if rows.size:
+            sums[rows] = _whole_word_sums(
+                data[parity:], (starts[rows] - parity) // 2, lengths[rows] // 2, accumulator
+            )
+    odd = np.flatnonzero(lengths % 2 == 1)
+    sums[odd] += data[starts[odd] + lengths[odd] - 1].astype(np.int64) << 8
+    return sums
 
-    def __init__(self, data: np.ndarray) -> None:
-        size = data.shape[0]
-        # A byte-sum prefix fits int32 as long as size * 255 < 2**31; halving
-        # the prefix width halves the memory traffic of the dominant pass.
-        dtype = np.int32 if size < 8_000_000 else np.int64
-        self._all = np.empty(size + 1, dtype=dtype)
-        self._all[0] = 0
-        np.cumsum(data, dtype=dtype, out=self._all[1:])
-        evens = data[0::2]
-        self._even = np.empty(evens.shape[0] + 1, dtype=dtype)
-        self._even[0] = 0
-        np.cumsum(evens, dtype=dtype, out=self._even[1:])
 
-    def word_sum(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        stops = starts + lengths
-        total = (self._all[stops] - self._all[starts]).astype(np.int64)
-        # Number of even absolute indices below x is (x + 1) // 2.
-        even_index_sum = (
-            self._even[(stops + 1) // 2] - self._even[(starts + 1) // 2]
-        ).astype(np.int64)
-        even_relative = np.where(starts % 2 == 0, even_index_sum, total - even_index_sum)
-        return total + 255 * even_relative
+def _whole_word_sums(
+    body: np.ndarray, first: np.ndarray, count: np.ndarray, accumulator: type
+) -> np.ndarray:
+    """Sums of ``count`` big-endian words from word ``first`` of ``body``.
+
+    The words are copied once into an aligned ``accumulator`` array, one
+    zero word longer so a span may end on the buffer's last byte, and
+    ``np.add.reduceat`` sums every span over interleaved ``(first, stop)``
+    indices.  Results at the stop indices (the gaps between spans) are
+    discarded.
+    """
+    size = body.shape[0] // 2
+    words = np.empty(size + 1, dtype=accumulator)
+    words[:size] = body[: 2 * size].view(">u2")
+    words[size] = 0
+    stop = first + count
+    bounds = np.stack((first, stop), axis=1).ravel()
+    spans = np.add.reduceat(words, bounds, dtype=accumulator)[0::2].astype(np.int64)
+    # ``reduceat`` returns ``words[first]`` for an empty range.
+    return np.where(count > 0, spans, 0)
+
+
+#: Option length the vectorized walk accepts per kind; 0 sends the row to
+#: the per-row oracle (EOL, SACK blocks, MD5, user timeout, unknown kinds).
+_WALK_LENGTH = np.zeros(256, dtype=np.int64)
+_WALK_LENGTH[OptionKind.NOP] = 1
+_WALK_LENGTH[OptionKind.MSS] = 4
+_WALK_LENGTH[OptionKind.WINDOW_SCALE] = 3
+_WALK_LENGTH[OptionKind.SACK_PERMITTED] = 2
+_WALK_LENGTH[OptionKind.TIMESTAMP] = 10
+
+
+def _walk_options(
+    data: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Walk the TCP options areas ``data[starts[i]:stops[i]]`` in lockstep.
+
+    Each step reads the option under every row's cursor and advances it.
+    Only NOP, MSS, WS, SACK-permitted and Timestamp with their exact lengths
+    are decoded, the first option of each kind winning; every byte of such a
+    row is consumed by an option, so re-encoding it reproduces the wire
+    bytes.  Any other byte under a cursor stops that row.  Returns
+    ``(unwalked, mss, ws_shift, ts_present, tsval, tsecr)``, one entry per
+    area: ``unwalked`` marks the rows left to the per-row oracle, whose other
+    entries are partial.
+    """
+    n = starts.shape[0]
+    unwalked = np.zeros(n, dtype=bool)
+    mss = np.zeros(n, dtype=np.float64)
+    ws_shift = np.zeros(n, dtype=np.float64)
+    ts_present = np.zeros(n, dtype=bool)
+    tsval = np.zeros(n, dtype=np.int64)
+    tsecr = np.zeros(n, dtype=np.int64)
+    mss_seen = np.zeros(n, dtype=bool)
+    ws_seen = np.zeros(n, dtype=bool)
+    cursor = starts.copy()
+    last = data.shape[0] - 1
+    rows = np.arange(n)
+    while rows.size:
+        at = cursor[rows]
+        kind = data[at]
+        length = _WALK_LENGTH[kind]
+        # A multi-byte option's length byte must match and fit the area.
+        declared = data[np.minimum(at + 1, last)]
+        ok = (length == 1) | (
+            (length > 1) & (declared == length) & (at + length <= stops[rows])
+        )
+        unwalked[rows[~ok]] = True
+        rows, at, kind, length = rows[ok], at[ok], kind[ok], length[ok]
+
+        take = (kind == OptionKind.MSS) & ~mss_seen[rows]
+        mss[rows[take]] = (data[at[take] + 2].astype(np.int64) << 8) | data[at[take] + 3]
+        mss_seen[rows[take]] = True
+        take = (kind == OptionKind.WINDOW_SCALE) & ~ws_seen[rows]
+        ws_shift[rows[take]] = data[at[take] + 2]
+        ws_seen[rows[take]] = True
+        take = (kind == OptionKind.TIMESTAMP) & ~ts_present[rows]
+        if take.any():
+            values = _gather(data, at[take] + 2, 8)
+            ts_present[rows[take]] = True
+            tsval[rows[take]] = _be32(values, 0)
+            tsecr[rows[take]] = _be32(values, 4)
+
+        cursor[rows] = at + length
+        rows = rows[cursor[rows] < stops[rows]]
+    return unwalked, mss, ws_shift, ts_present, tsval, tsecr
 
 
 def _gather(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -663,7 +745,10 @@ def parse_packet_columns(
     validity is what re-serialisation would verify (so records whose parse is
     lossy — reserved flag bits, non-canonical or truncated options — are
     delegated to the per-packet oracle), and option summaries honour the
-    first-well-formed-option rule.
+    first-well-formed-option rule.  Checksums come from one word-sum pass
+    (:func:`_word_sums`) over every IP header and TCP segment; options areas
+    go through the vectorized walk (:func:`_walk_options`), and only the rows
+    it cannot finish reach ``decode_options``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -743,70 +828,57 @@ def parse_packet_columns(
     # which is what checksum re-verification serialises.
     canonical = ~has_options & (data_offset >= 5)
 
-    ts_layout = has_options & (data_offset == 8)
-    if ts_layout.any():
-        rows = np.flatnonzero(ts_layout)
-        opts = _gather(data, offsets[rows] + tcp_start[rows] + 20, 12)
-        # Layout A: Timestamp first, NOP-padded (what ``encode_options``
-        # emits); layout B: Linux-style leading NOPs.
-        layout_a = (opts[:, 0] == 8) & (opts[:, 1] == 10) & (opts[:, 10] == 1) & (opts[:, 11] == 1)
-        layout_b = (opts[:, 0] == 1) & (opts[:, 1] == 1) & (opts[:, 2] == 8) & (opts[:, 3] == 10)
-        for layout, base in ((layout_a, 2), (layout_b, 4)):
-            if not layout.any():
-                continue
-            sel = rows[layout]
-            values = opts[layout]
-            ts_present[sel] = True
-            tsval[sel] = (
-                (values[:, base] << 24)
-                | (values[:, base + 1] << 16)
-                | (values[:, base + 2] << 8)
-                | values[:, base + 3]
-            )
-            tsecr[sel] = (
-                (values[:, base + 4] << 24)
-                | (values[:, base + 5] << 16)
-                | (values[:, base + 6] << 8)
-                | values[:, base + 7]
-            )
-            canonical[sel] = True
-
-    slow_options = np.flatnonzero(has_options & ~canonical)
-    for row in slow_options:
-        start = int(offsets[row] + tcp_start[row] + 20)
-        stop = int(offsets[row] + tcp_start[row] + data_offset[row] * 4)
+    option_rows = np.flatnonzero(has_options)
+    option_start = offsets[option_rows] + tcp_start[option_rows] + TCP_BASE_HEADER_LENGTH
+    option_stop = offsets[option_rows] + tcp_start[option_rows] + data_offset[option_rows] * 4
+    (
+        unwalked,
+        mss[option_rows],
+        ws_shift[option_rows],
+        ts_present[option_rows],
+        tsval[option_rows],
+        tsecr[option_rows],
+    ) = _walk_options(data, option_start, option_stop)
+    canonical[option_rows[~unwalked]] = True
+    for row, start, stop in zip(
+        option_rows[unwalked].tolist(),
+        option_start[unwalked].tolist(),
+        option_stop[unwalked].tolist(),
+        strict=True,
+    ):
         raw = data[start:stop].tobytes()
         options = decode_options(raw)
         canonical[row] = encode_options(options) == raw
         mss_o, ts_o, ws_o, ut_o, _md5_o = summarize_feature_options(options)
-        if mss_o is not None:
-            mss[row] = float(mss_o.value)
-        if ws_o is not None:
-            ws_shift[row] = float(ws_o.shift)
-        if ut_o is not None:
-            ut_timeout[row] = float(ut_o.timeout)
-        if ts_o is not None:
-            ts_present[row] = True
-            tsval[row] = ts_o.tsval
-            tsecr[row] = ts_o.tsecr
+        mss[row] = float(mss_o.value) if mss_o is not None else 0.0
+        ws_shift[row] = float(ws_o.shift) if ws_o is not None else 0.0
+        ut_timeout[row] = float(ut_o.timeout) if ut_o is not None else 0.0
+        ts_present[row] = ts_o is not None
+        tsval[row] = ts_o.tsval if ts_o is not None else 0
+        tsecr[row] = ts_o.tsecr if ts_o is not None else 0
 
     # ----------------------------------------------------- checksum validation
-    sums = _BlockSums(data)
     reserved_ip = (flags_fragment & 0x8000) != 0
     ip_span = np.where(ip_options, ihl * 4, 20)
     ip_regular = ~reserved_ip & ~((ihl > 5) & (lengths < ihl * 4))
-    ip_total = sums.word_sum(offsets, ip_span) - ip_checksum
+    segment_len = lengths - tcp_start
+    # One word-sum pass over every IP header and TCP segment of the block.
+    spans = _word_sums(
+        data,
+        np.stack((offsets, offsets + tcp_start), axis=1).ravel(),
+        np.stack((ip_span, segment_len), axis=1).ravel(),
+    )
+    ip_total = spans[0::2] - ip_checksum
     ip_computed = 0xFFFF - _fold_checksum(ip_total)
     ip_ok = ip_regular & (ip_computed == ip_checksum)
 
     reserved_tcp = (offset_reserved_flags & 0x0E00) != 0
     options_dropped = (data_offset > 5) & ~has_options
     tcp_regular = ~reserved_tcp & ~options_dropped & canonical
-    segment_len = lengths - tcp_start
     pseudo = (
         (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF) + 6 + segment_len
     )
-    tcp_total = sums.word_sum(offsets + tcp_start, segment_len) - tcp_checksum + pseudo
+    tcp_total = spans[1::2] - tcp_checksum + pseudo
     tcp_computed = 0xFFFF - _fold_checksum(tcp_total)
     tcp_ok = tcp_regular & (tcp_computed == tcp_checksum)
 

@@ -12,11 +12,11 @@ Two read paths are offered:
 * :meth:`PcapReader.records` / :meth:`PcapReader.packets` — the classic
   one-object-per-record iterator, kept as the reference implementation;
 * :meth:`PcapReader.read_columns` / :meth:`PcapReader.iter_column_blocks` —
-  the columnar fast path: the file is read in large blocks, record headers
-  are sliced out of the block buffer (one ``read`` per block instead of two
-  per record) and the records are handed to
-  :func:`repro.netstack.columns.parse_packet_columns` for vectorized
-  TCP/IPv4 parsing.
+  the columnar fast path: the file is read in large blocks (one ``read`` per
+  block instead of two per record), a scan walks the record chain with one
+  ``struct`` unpack per record header, and the block's records are handed to
+  :func:`repro.netstack.columns.parse_packet_columns`, which parses them all
+  vectorized in one pass over the block.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ class PcapReader:
         over into the next block, and a truncated trailing record is dropped,
         exactly as the iterator path does.
         """
-        endian = "little" if self._little_endian else "big"
+        # The captured length is the third u32 of each 16-byte record header.
+        captured_at = struct.Struct(("<" if self._little_endian else ">") + "8xI").unpack_from
         # Bytes still unread in the file: a record claiming more than this is
         # truncated (or has a corrupt length) and is dropped like the object
         # path drops it — without first buffering the whole remaining file.
@@ -197,7 +198,7 @@ class PcapReader:
             position = 0
             end = len(buffer)
             while position + _RECORD_HEADER.size <= end:
-                captured = int.from_bytes(buffer[position + 8 : position + 12], endian)
+                (captured,) = captured_at(buffer, position)
                 record_end = position + _RECORD_HEADER.size + captured
                 if record_end > end:
                     if record_end - end > file_remaining:

@@ -7,9 +7,13 @@ than the object path — the regression this guards against is someone adding
 per-packet Python back under the vectorized pipeline.  A second leg streams
 the same capture in small read blocks, so most connections span several
 blocks, and fails if any train of column views reaches the per-packet
-reference extractor.  Correctness of the columnar path is covered by the
-equivalence test suite; this script is purely a performance tripwire, so the
-thresholds are deliberately loose for noisy CI runners.
+reference extractor.  A third leg re-writes the capture with one odd-length
+record in front, so every record starts at the other byte parity, parses
+both captures whole-file and in small blocks, and fails unless all columns
+agree across the four parses (the checksum word sums read odd- and
+even-offset spans differently).  Correctness of the columnar path is
+otherwise covered by the equivalence test suite; the timing thresholds are
+deliberately loose for noisy CI runners.
 
 Run with:  PYTHONPATH=src python tools/ingest_smoke.py
 """
@@ -20,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
@@ -28,9 +34,9 @@ from benchmarks.test_ingest_breakdown import (  # noqa: E402
     render_breakdown,
 )
 from repro.features.fields import RawFeatureExtractor  # noqa: E402
-from repro.netstack.columns import ColumnPacketView  # noqa: E402
+from repro.netstack.columns import _ARRAY_FIELDS, ColumnPacketView, PacketColumns  # noqa: E402
 from repro.netstack.flow import assemble_connections, packet_stream  # noqa: E402
-from repro.netstack.pcap import write_pcap  # noqa: E402
+from repro.netstack.pcap import PcapReader, PcapWriter, write_pcap  # noqa: E402
 from repro.serve.sources import PcapSource  # noqa: E402
 from repro.traffic.generator import TrafficGenerator  # noqa: E402
 
@@ -38,6 +44,11 @@ CONNECTIONS = 80
 #: Read-block size of the multi-block leg: small enough that most smoke
 #: connections straddle a block boundary.
 SMALL_BLOCK_BYTES = 4096
+#: A 20-byte IPv4 header of a UDP packet plus one byte: both parsers drop it,
+#: and with its 16-byte record header it shifts every later record by an odd
+#: 37 bytes.
+ODD_RECORD_DATA = bytes([0x45, 0, 0, 21, 0, 0, 0, 0, 64, 17]) + b"\x00" * 11
+PCAP_GLOBAL_HEADER_BYTES = 24
 
 
 def multi_block_failures(path: Path) -> list[str]:
@@ -69,6 +80,33 @@ def multi_block_failures(path: Path) -> list[str]:
     return failures
 
 
+def parity_failures(path: Path) -> list[str]:
+    """Parse ``path`` and a copy with one odd-length record in front, each
+    whole-file and in small blocks; report columns that differ."""
+    shifted = path.with_name("shifted.pcap")
+    with PcapWriter(shifted) as writer:
+        writer.write_raw(ODD_RECORD_DATA, 0.0)
+    with open(shifted, "ab") as handle:
+        handle.write(path.read_bytes()[PCAP_GLOBAL_HEADER_BYTES:])
+    parses = {}
+    for capture in (path, shifted):
+        for block_bytes in (-1, SMALL_BLOCK_BYTES):
+            with PcapReader(capture) as reader:
+                blocks = list(reader.iter_column_blocks(block_bytes=block_bytes))
+            parses[f"{capture.name}@{block_bytes}"] = PacketColumns.concatenate(blocks)
+    whole = parses[f"{path.name}@-1"]
+    failures = []
+    if not np.all((parses[f"{shifted.name}@-1"].offsets - whole.offsets) % 2 == 1):
+        failures.append("the odd-length record did not flip every record's parity")
+    for label, columns in parses.items():
+        for name in _ARRAY_FIELDS:
+            if not np.array_equal(getattr(columns, name), getattr(whole, name)):
+                failures.append(f"column {name} of {label} differs from the whole-file parse")
+    print(f"parity leg: {len(parses)} parses of {len(whole)} rows compared on "
+          f"{len(_ARRAY_FIELDS)} columns", file=sys.stderr)
+    return failures
+
+
 def main() -> int:
     connections = TrafficGenerator(seed=99).generate_connections(CONNECTIONS)
     packets = packet_stream(connections)
@@ -77,6 +115,7 @@ def main() -> int:
         write_pcap(path, packets)
         rows = measure_ingest_breakdown(path, len(packets), repeats=2)
         failures = multi_block_failures(path)
+        failures += parity_failures(path)
     print(render_breakdown(rows, len(packets)))
     by_stage = {stage: (obj, col) for stage, obj, col in rows}
     if by_stage["features only"][1] <= 2.0 * by_stage["features only"][0]:
@@ -88,8 +127,9 @@ def main() -> int:
     for failure in failures:
         print(f"ingest smoke FAILED: {failure}", file=sys.stderr)
     if not failures:
-        print("ingest smoke OK: columnar path is not slower than the object path "
-              "and keeps multi-block connections", file=sys.stderr)
+        print("ingest smoke OK: columnar path is not slower than the object path, "
+              "keeps multi-block connections and parses both parities alike",
+              file=sys.stderr)
     return 1 if failures else 0
 
 
