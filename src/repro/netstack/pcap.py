@@ -165,13 +165,12 @@ class PcapReader:
             return struct.pack("=H", 1)[0] == 1
         return self._byteorder == "<"
 
-    def _scan_blocks(
-        self, block_bytes: int
-    ) -> Iterator[tuple[bytes, list[int], list[int]]]:
+    def _scan_blocks(self, block_bytes: int) -> Iterator[tuple[bytes, list[int]]]:
         """Carve whole records out of large file blocks.
 
-        Yields ``(buffer, data_starts, captured_lengths)`` per block, where
-        ``data_starts`` point just past each 16-byte record header.  This is
+        Yields ``(buffer, data_starts)`` per block, where ``data_starts``
+        point just past each 16-byte record header (whose captured lengths
+        :meth:`_block_columns` gathers, vectorized).  This is
         the bulk replacement for the two ``read()`` calls per record that
         :meth:`records` makes; a record straddling a block boundary is carried
         over into the next block, and a truncated trailing record is dropped,
@@ -179,6 +178,7 @@ class PcapReader:
         """
         # The captured length is the third u32 of each 16-byte record header.
         captured_at = struct.Struct(("<" if self._little_endian else ">") + "8xI").unpack_from
+        header = _RECORD_HEADER.size
         # Bytes still unread in the file: a record claiming more than this is
         # truncated (or has a corrupt length) and is dropped like the object
         # path drops it — without first buffering the whole remaining file.
@@ -194,28 +194,27 @@ class PcapReader:
             if not buffer:
                 return
             starts: list[int] = []
-            caplens: list[int] = []
+            append = starts.append
             position = 0
             end = len(buffer)
-            while position + _RECORD_HEADER.size <= end:
-                (captured,) = captured_at(buffer, position)
-                record_end = position + _RECORD_HEADER.size + captured
+            while position + header <= end:
+                data_start = position + header
+                record_end = data_start + captured_at(buffer, position)[0]
                 if record_end > end:
                     if record_end - end > file_remaining:
                         # The rest of the file cannot complete this record:
                         # truncated/corrupt trailing record, drop it.
                         carry = b""
                         if starts:
-                            yield buffer, starts, caplens
+                            yield buffer, starts
                         return
                     break
-                starts.append(position + _RECORD_HEADER.size)
-                caplens.append(captured)
+                append(data_start)
                 position = record_end
             carry = buffer[position:]
             if starts:
                 read_size = block_bytes
-                yield buffer, starts, caplens
+                yield buffer, starts
             elif chunk:
                 # A single record larger than the block: grow the next read
                 # geometrically so the carry+chunk recopy stays linear.
@@ -223,22 +222,21 @@ class PcapReader:
             if not chunk:
                 return
 
-    def _block_columns(
-        self, buffer: bytes, starts: list[int], caplens: list[int], strict: bool
-    ):
+    def _block_columns(self, buffer: bytes, starts: list[int], strict: bool):
         """Vectorized record-header parse + link-layer strip for one block."""
         from repro.netstack.columns import parse_packet_columns
 
         data = np.frombuffer(buffer, dtype=np.uint8)
         offsets = np.asarray(starts, dtype=np.int64)
-        lengths = np.asarray(caplens, dtype=np.int64)
-        # Record headers sit 16 bytes before each data start; seconds and
-        # microseconds are the first two little/big-endian u32 fields.
-        header_at = (offsets - _RECORD_HEADER.size)[:, None] + np.arange(8)
+        # Record headers sit 16 bytes before each data start; seconds,
+        # microseconds and the captured length are their first three
+        # little/big-endian u32 fields.
+        header_at = (offsets - _RECORD_HEADER.size)[:, None] + np.arange(12)
         words = np.ascontiguousarray(data[header_at]).view(
             "<u4" if self._little_endian else ">u4"
         )
         timestamps = words[:, 0].astype(np.float64) + words[:, 1].astype(np.float64) / 1e6
+        lengths = words[:, 2].astype(np.int64)
         if self.link_type == LINKTYPE_RAW:
             keep = np.ones(offsets.shape[0], dtype=bool)
             skip = 0
@@ -272,8 +270,8 @@ class PcapReader:
         columnar path.  Non-TCP/malformed records are dropped unless
         ``strict=True`` (mirroring :meth:`packets`).
         """
-        for buffer, starts, caplens in self._scan_blocks(block_bytes):
-            columns = self._block_columns(buffer, starts, caplens, strict)
+        for buffer, starts in self._scan_blocks(block_bytes):
+            columns = self._block_columns(buffer, starts, strict)
             if len(columns):
                 yield columns
 

@@ -8,34 +8,36 @@ its engine calls into N worker processes.  The layering:
   path: one :class:`~repro.netstack.flow.FlowTable`, one
   :class:`~repro.serve.metrics.DropPolicy` admission state, and
   :class:`~repro.serve.streaming.FlushPolicy` batches of ``max_batch``
-  completed connections.  Capacity evictions, admission verdicts and batch
-  boundaries are therefore exactly those of one detector, at any worker
-  count;
-* each batch travels to one worker as one queue message: the batch's packets,
+  completed connections, each cut into grains of at most
+  :data:`~repro.serve.streaming.SCORING_GRAIN` connections.  Capacity
+  evictions, admission verdicts, batch and grain boundaries are therefore
+  exactly those of one detector, at any worker count;
+* each grain travels to one worker as one queue message: the grain's packets,
   connection after connection, packed with
   :meth:`~repro.netstack.columns.PacketColumns.pack_block` (object ``Packet``
   runs through :meth:`~repro.netstack.columns.PacketColumns.from_packets`
   first), plus the connection bounds and completion reasons.  It goes to the
-  live worker with the fewest batches in flight, and a worker holds at most
-  ``queue_depth`` batches in flight (default 1: one being scored, none
-  waiting behind it), so queued scoring cannot inflate alert latency;
-* when every worker is full the caller runs: the parent scores the batch
-  itself with the same engine call instead of idling, as long as the worker
-  it would wait on has answered a batch since the parent last stood in for
-  it.  Otherwise ingestion blocks — the backpressure signal — while the
-  parent keeps draining results;
+  live worker with the fewest grains in flight, and a worker holds at most
+  ``queue_depth`` batches' worth of grains in flight (default 1: one batch,
+  two grains at the default ``max_batch`` of 128), so queued scoring cannot
+  inflate alert latency;
+* when every worker is full the caller runs, per grain: the parent scores
+  the grain itself with the same engine call instead of idling, as long as
+  the worker it would wait on has answered a grain since the parent last
+  stood in for it.  Otherwise ingestion blocks — the backpressure signal —
+  while the parent keeps draining results;
 * a worker loads the model **read-only** from the artifact directory with
   ``mmap_mode="r"`` (all workers share one page-cache copy of the ``.npz``),
-  rebuilds each batch's connections over the unpacked column views, calls
-  :meth:`~repro.core.pipeline.Clap.detect_batch` on exactly the batch an
+  rebuilds each grain's connections over the unpacked column views, calls
+  :meth:`~repro.core.pipeline.Clap.detect_batch` on exactly the grain an
   in-process detector would score, and posts the events back.  Workers hold
   no flow or block state;
-* the parent drains the result pipes before every batch it ships, every
+* the parent drains the result pipes before every grain it ships, every
   ``chunk_size`` ingested packets, and at every poll, flush and close, and
   dispatches the events through the detector's own dispatch
   (:meth:`events`, ``on_event``/``on_alert``).  :meth:`flush` and
   :meth:`close` are barriers that every live worker answers in queue order,
-  after the events of every batch queued before them.
+  after the events of every grain queued before them.
 
 ``worker_mode`` selects where scoring runs:
 
@@ -44,9 +46,9 @@ its engine calls into N worker processes.  The layering:
   it directly.  It requires ``workers=1``.
 * ``"process"`` spawns ``workers`` scoring processes; even ``workers=1``
   moves most engine calls off the ingest thread.  The parent's side (parse,
-  views, assembly, batch packing) is serial and sets a ceiling however many
-  workers score: on the 2-core development host it costs about 14 µs per
-  packet on the ``fanout`` benchmark capture, roughly 70k pkt/s.
+  views, assembly, grain packing) is serial and sets a ceiling however many
+  workers score: on the 2-core development host it costs about 8 µs per
+  packet on the ``fanout`` benchmark capture, roughly 125k pkt/s.
 
 Equivalence guarantee: the runtime emits the same
 :class:`~repro.serve.events.DetectionEvent`\\ s as one ``StreamingDetector``
@@ -56,21 +58,21 @@ scores bit for bit — at any worker count and in either worker mode, and
 ``(first_seen, key)`` order (``tests/serve/test_runtime.py``,
 ``tests/serve/test_process_runtime.py``).
 
-Fault tolerance (process mode): a batch is in flight from its put until its
+Fault tolerance (process mode): a grain is in flight from its put until its
 events come back.  Only the worker holds the write end of its result pipe,
 so a worker that has exited leaves a pipe that reads as ended, and a worker
 killed mid-report leaves a torn message that fails the read instead of
 blocking it.  A worker that dies, wedges past ``stall_deadline`` or reports
-a failure loses exactly its batches in flight: their packets are recorded as
+a failure loses exactly its grains in flight: their packets are recorded as
 the :class:`~repro.serve.supervise.InstanceLossRecord`'s
 ``packets_lost_inflight``, so ``packets_routed = packets_scored +
 packets_lost_inflight`` holds for every lost incarnation.
 ``on_worker_failure`` then selects what happens next — ``"fail"`` (the
 failure is raised on every later ingest/poll/flush, and by close() only if
 not raised before or no worker is left; every worker is still joined),
-``"respawn"`` (a fresh incarnation takes later batches), or ``"degrade"``
+``"respawn"`` (a fresh incarnation takes later grains), or ``"degrade"``
 (the survivors, and the parent when they are full, score every later
-batch).  A batch the parent scores itself is never in flight, so it cannot
+grain).  A grain the parent scores itself is never in flight, so it cannot
 be lost.  Losses are counted into the metrics degradation section.  Thread
 mode has no workers to lose, so any policy other than ``"fail"`` is rejected
 at construction.
@@ -79,6 +81,7 @@ at construction.
 from __future__ import annotations
 
 import ctypes
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -113,7 +116,9 @@ from repro.serve.streaming import (
     FlushPolicy,
     StreamingDetector,
     drain_pending,
+    scoring_grains,
 )
+from repro.serve import streaming
 
 _WORKER_JOIN_TIMEOUT = 10.0
 _KEY_COLUMNS = ("key_ip_a", "key_port_a", "key_ip_b", "key_port_b")
@@ -125,40 +130,61 @@ def _event_order(event: DetectionEvent) -> tuple[float, str]:
 
 
 # ---------------------------------------------------------------------------
-# The batch message
+# The grain message
 # ---------------------------------------------------------------------------
 
 
-def _pack_batch(connections: list[Connection]) -> tuple[bytes, list[int]]:
-    """One batch's packets, connection after connection, as one packed block,
-    plus the connection bounds (``len(connections) + 1`` row offsets)."""
-    packets = [packet for connection in connections for packet in connection.packets]
+def _pack_grain(connections: list[Connection]) -> tuple[bytes, list[int]]:
+    """One grain's packets, connection after connection, as one packed block,
+    plus the connection bounds (``len(connections) + 1`` row offsets).
+
+    One pass over the packets collects every row and the runs of consecutive
+    rows from one block; object ``Packet`` runs become rows of one
+    :meth:`~repro.netstack.columns.PacketColumns.from_packets` block.
+    """
     bounds = [0]
+    rows: list[int] = []
+    objects: list[Packet] = []
+    # Where each run starts, and its block (``None``: object packets).
+    starts: list[int] = []
+    owners: list[PacketColumns | None] = []
+    current: object = object()  # no run yet
     for connection in connections:
-        bounds.append(bounds[-1] + len(connection.packets))
-    objects = [packet for packet in packets if type(packet) is not ColumnPacketView]
+        for packet in connection.packets:
+            if type(packet) is ColumnPacketView:
+                block = packet.columns
+                row = packet.index
+            else:
+                block = None
+                row = len(objects)
+                objects.append(packet)
+            if block is not current:
+                current = block
+                starts.append(len(rows))
+                owners.append(block)
+            rows.append(row)
+        bounds.append(len(rows))
     if objects:
-        converted = iter(PacketColumns.from_packets(objects).views())
-        packets = [p if type(p) is ColumnPacketView else next(converted) for p in packets]
-    blocks = {id(packet.columns): packet.columns for packet in packets}
-    rows = np.fromiter((packet.index for packet in packets), np.int64, len(packets))
+        converted = PacketColumns.from_packets(objects)
+        owners = [converted if block is None else block for block in owners]
+    index = np.array(rows, dtype=np.int64)
+    blocks = {id(block): block for block in owners}
     if len(blocks) == 1:
-        (block,) = blocks.values()
-        return block.pack_block(rows), bounds
+        return owners[0].pack_block(index), bounds
     # Gather every block's rows (block by block), then pack them back into
-    # batch order.
+    # grain order.
     number = {key: position for position, key in enumerate(blocks)}
-    block_of = np.fromiter((number[id(p.columns)] for p in packets), np.int64, len(packets))
+    block_of = np.repeat([number[id(block)] for block in owners], np.diff([*starts, len(rows)]))
     order = np.argsort(block_of, kind="stable")
-    split = np.split(rows[order], np.cumsum(np.bincount(block_of))[:-1])
+    split = np.split(index[order], np.cumsum(np.bincount(block_of))[:-1])
     gathered = PacketColumns.gather(list(zip(blocks.values(), split, strict=True)))
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     return gathered.pack_block(position), bounds
 
 
-def _unpack_batch(payload: bytes, bounds: list[int]) -> list[Connection]:
-    """The batch's connections, rebuilt over views of the unpacked block.
+def _unpack_grain(payload: bytes, bounds: list[int]) -> list[Connection]:
+    """The grain's connections, rebuilt over views of the unpacked block.
 
     Every packet gets the direction :meth:`Connection.append` gives it:
     relative to its connection's first packet.
@@ -222,18 +248,18 @@ def _post(out_queue, message: tuple) -> None:
 
 
 def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
-    """Entry point of one process shard worker: load the model, score batches.
+    """Entry point of one process shard worker: load the model, score grains.
 
-    Every ``batch`` is answered with one ``events`` message, ``flush`` with
+    Every ``grain`` is answered with one ``events`` message, ``flush`` with
     ``flush_done`` and ``close`` with ``closed`` (after which the worker
     exits), all in queue order.  A failure — loading the model or scoring a
-    batch — is reported once as ``failed`` and ends the worker; the parent's
+    grain — is reported once as ``failed`` and ends the worker; the parent's
     failure policy takes it from there.
     """
     metrics = StreamingMetrics()
     try:
         clap = Clap.load(spec.model_dir, mmap_mode="r")
-        clap.engine  # build once, before the first batch
+        clap.engine  # build once, before the first grain
         while True:
             try:
                 item = in_queue.get(timeout=5.0)
@@ -246,9 +272,9 @@ def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
                     return
                 continue
             kind = item[0]
-            if kind == "batch":
-                _, batch_id, payload, bounds, reasons = item
-                connections = _unpack_batch(payload, bounds)
+            if kind == "grain":
+                _, grain_id, payload, bounds, reasons = item
+                connections = _unpack_grain(payload, bounds)
                 events: list[DetectionEvent] = []
                 drain_pending(
                     clap,
@@ -260,7 +286,7 @@ def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
                     events.extend,
                 )
                 state = metrics.worker_state()
-                _post(out_queue, ("events", spec.index, batch_id, events, state, spec.generation))
+                _post(out_queue, ("events", spec.index, grain_id, events, state, spec.generation))
             elif kind == "flush":
                 _post(out_queue, ("flush_done", spec.index, spec.generation))
             elif kind == "close":
@@ -299,34 +325,34 @@ class _ProcessShard:
         self.closed = False
         self.lost = False
         self.respawns = 0
-        # Per-incarnation accounting: packets of the batches put on this
+        # Per-incarnation accounting: packets of the grains put on this
         # worker's queue, and of those whose events came back.
         self.routed_packets = 0
         self.scored_packets = 0
-        #: Batches in flight on this incarnation: id -> (packets, connections).
+        #: Grains in flight on this incarnation: id -> (packets, connections).
         self.inflight: dict[int, tuple[int, int]] = {}
-        #: Whether this incarnation answered a batch since the parent last
+        #: Whether this incarnation answered a grain since the parent last
         #: scored one in its place (see ``_submit``).
         self.progressed = True
 
 
 class _Assembler(StreamingDetector):
-    """The parent's detector in process mode: it assembles, admits and
-    batches exactly as :class:`StreamingDetector` does, and hands each batch
-    to ``submit`` in place of the engine call."""
+    """The parent's detector in process mode: it assembles, admits, batches
+    and cuts grains exactly as :class:`StreamingDetector` does, and hands
+    each grain to ``submit`` in place of the engine call."""
 
     def __init__(self, submit, clap: Clap, **options) -> None:
         super().__init__(clap, **options)
         self._submit = submit
 
     def flush(self) -> list[DetectionEvent]:
-        """Ship every buffered connection in ``max_batch``-sized batches; the
-        events arrive later, through the runtime."""
-        pending, size = self._pending, self.policy.max_batch
-        while pending:
-            batch = pending[:size]
-            self._submit(batch)
-            del pending[: len(batch)]
+        """Hand every buffered connection to ``submit``, one grain at a time;
+        the events arrive later, through the runtime.  A grain leaves the
+        buffer only once ``submit`` returned."""
+        pending = self._pending
+        for size in scoring_grains(len(pending), self.policy.max_batch):
+            self._submit(pending[:size])
+            del pending[:size]
         return []
 
 
@@ -355,15 +381,17 @@ class ParallelStreamingDetector:
         reach the engine (see :class:`~repro.serve.metrics.DropPolicy`).
     chunk_size:
         Process mode only: the parent drains the workers' results after this
-        many ingested packets (and before every batch it ships).  It sets
+        many ingested packets (and before every grain it ships).  It sets
         how often events are delivered, never what is scored.
     queue_depth:
-        Process mode only: batches one worker may hold in flight (being
-        scored or waiting).  When every worker holds this many, the parent
-        scores the next batch itself or, if the worker it would wait on has
-        answered nothing since the parent last did so, :meth:`ingest`
-        blocks — backpressure instead of unbounded buffering.  The default
-        of 1 keeps queued scoring from adding to alert latency.
+        Process mode only: full batches' worth of grains one worker may hold
+        in flight (being scored or waiting), ``queue_depth × ceil(max_batch
+        / SCORING_GRAIN)`` grains.  When every worker holds that many, the
+        caller runs per grain: the parent scores the next grain itself or,
+        if the worker it would wait on has answered nothing since the parent
+        last did so, :meth:`ingest` blocks — backpressure instead of
+        unbounded buffering.  The default of 1 keeps queued scoring from
+        adding to alert latency.
     metrics:
         Optional externally-owned :class:`StreamingMetrics`; one is created
         (and exposed as :attr:`metrics`) by default.
@@ -460,9 +488,9 @@ class ParallelStreamingDetector:
         self._detector = _Assembler(self._submit, clap, **options)
         self._chunk_size = chunk_size
         self._since_drain = 0
-        self._next_batch = 0
-        # While a barrier runs: the first batch id it shipped, and the events
-        # of its batches (dispatched sorted when the barrier ends).
+        self._next_grain = 0
+        # While a barrier runs: the first grain id it shipped, and the events
+        # of its grains (dispatched sorted when the barrier ends).
         self._collect_from: int | None = None
         self._collected: list[DetectionEvent] = []
         # Shards a barrier still waits on.
@@ -471,7 +499,8 @@ class ParallelStreamingDetector:
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
         self._mp_context = multiprocessing.get_context(method)
-        self._queue_depth = queue_depth
+        # Grains one worker may hold in flight: ``queue_depth`` full batches.
+        self._allowance = queue_depth * math.ceil(self.policy.max_batch / streaming.SCORING_GRAIN)
         self._tmp_model_cleanup = None
         if model_dir is None:
             tmp_dir = tempfile.mkdtemp(prefix="clap-shard-pool-")
@@ -489,7 +518,7 @@ class ParallelStreamingDetector:
 
     def _start_worker(self, spec: _WorkerSpec, name: str) -> tuple:
         """Start one worker incarnation; returns ``(in_queue, results, process)``."""
-        # Unbounded: ``queue_depth`` caps the batches in flight on the
+        # Unbounded: ``queue_depth`` caps the grains in flight on the
         # parent's side, so control messages never wait behind capacity.
         in_queue = self._mp_context.Queue()
         results = self._mp_context.Queue()
@@ -509,7 +538,7 @@ class ParallelStreamingDetector:
     # -------------------------------------------------------------- ingestion
     def ingest(self, packet: Packet) -> None:
         """Feed one packet; a batch it completes is scored (thread mode) or
-        shipped to a worker, which may block on backpressure."""
+        shipped to workers grain by grain, which may block on backpressure."""
         if self._closed:
             raise RuntimeError("ingest() after close()")
         if self._failed:
@@ -575,49 +604,49 @@ class ParallelStreamingDetector:
         return self.close()
 
     # -------------------------------------------------------------- transport
-    def _submit(self, batch: list[tuple[Connection, CompletionReason]]) -> None:
-        """Ship one batch to the live worker with the fewest batches in flight.
+    def _submit(self, grain: list[tuple[Connection, CompletionReason]]) -> None:
+        """Ship one grain to the live worker with the fewest grains in flight.
 
-        When even that worker already holds ``queue_depth`` batches, the
-        caller runs: the parent scores the batch itself instead of idling,
-        as long as that worker has answered a batch since the parent last
+        When even that worker already holds its allowance of grains, the
+        caller runs: the parent scores the grain itself instead of idling,
+        as long as that worker has answered a grain since the parent last
         stood in for it.  Otherwise the call waits — the backpressure
         contract — draining results meanwhile: a worker that dies is noticed
         through its ended result pipe, and one that stays alive but answers
         nothing past ``stall_deadline`` is declared wedged.  Either way the
-        failure policy runs and the batch goes to whichever worker is left.
+        failure policy runs and the grain goes to whichever worker is left.
         Time spent waiting is added to the metrics'
         ``backpressure_wait_seconds``.
         """
         # Reading results first hands a worker that has exited to the failure
-        # policy before a batch is put on its queue.
+        # policy before a grain is put on its queue.
         self._drain_results()
-        batch_id = self._next_batch
-        self._next_batch += 1
+        grain_id = self._next_grain
+        self._next_grain += 1
         waiting_since: float | None = None
         try:
             while True:
                 live = [shard for shard in self._shards if not shard.closed]
                 if not live:
                     self._raise_worker_failure()
-                    raise RuntimeError("no shard worker is left to score a batch")
+                    raise RuntimeError("no shard worker is left to score a grain")
                 shard = min(live, key=lambda candidate: len(candidate.inflight))
-                if len(shard.inflight) < self._queue_depth:
-                    self._ship(shard, batch_id, batch)
+                if len(shard.inflight) < self._allowance:
+                    self._ship(shard, grain_id, grain)
                     return
                 if shard.progressed:
                     shard.progressed = False
                     events: list[DetectionEvent] = []
                     drain_pending(
                         self.clap,
-                        list(batch),
-                        len(batch),
+                        list(grain),
+                        len(grain),
                         self.threshold,
                         self.top_n,
                         self.metrics,
                         events.extend,
                     )
-                    self._deliver(batch_id, events)
+                    self._deliver(grain_id, events)
                     return
                 if waiting_since is None:
                     waiting_since = time.monotonic()
@@ -628,27 +657,27 @@ class ParallelStreamingDetector:
                 ):
                     self._on_worker_down(
                         shard,
-                        f"worker wedged: no batch answered for {self._stall_deadline:.1f}s",
+                        f"worker wedged: no grain answered for {self._stall_deadline:.1f}s",
                     )
         finally:
             if waiting_since is not None:
                 self.metrics.record_backpressure_wait(time.monotonic() - waiting_since)
 
     def _ship(
-        self, shard: _ProcessShard, batch_id: int, batch: list[tuple[Connection, CompletionReason]]
+        self, shard: _ProcessShard, grain_id: int, grain: list[tuple[Connection, CompletionReason]]
     ) -> None:
-        """Put one batch message on ``shard``'s queue and count it in flight."""
-        payload, bounds = _pack_batch([connection for connection, _ in batch])
-        reasons = [reason for _, reason in batch]
-        shard.queue.put_nowait(("batch", batch_id, payload, bounds, reasons))
-        shard.inflight[batch_id] = (bounds[-1], len(batch))
+        """Put one grain message on ``shard``'s queue and count it in flight."""
+        payload, bounds = _pack_grain([connection for connection, _ in grain])
+        reasons = [reason for _, reason in grain]
+        shard.queue.put_nowait(("grain", grain_id, payload, bounds, reasons))
+        shard.inflight[grain_id] = (bounds[-1], len(grain))
         shard.routed_packets += bounds[-1]
         self.metrics.record_queue_depth(len(shard.inflight))
 
-    def _deliver(self, batch_id: int, events: list[DetectionEvent]) -> None:
-        """Dispatch a batch's events, or hold them for the running barrier if
-        it shipped the batch."""
-        if self._collect_from is not None and batch_id >= self._collect_from:
+    def _deliver(self, grain_id: int, events: list[DetectionEvent]) -> None:
+        """Dispatch a grain's events, or hold them for the running barrier if
+        it shipped the grain."""
+        if self._collect_from is not None and grain_id >= self._collect_from:
             self._collected.extend(events)
         else:
             self._detector._dispatch_chunk(events)
@@ -665,11 +694,11 @@ class ParallelStreamingDetector:
             return  # stale message from a dead incarnation (pre-respawn)
         kind = message[0]
         if kind == "events":
-            _, _, batch_id, events, state, generation = message
-            shard.scored_packets += shard.inflight.pop(batch_id)[0]
+            _, _, grain_id, events, state, generation = message
+            shard.scored_packets += shard.inflight.pop(grain_id)[0]
             shard.progressed = True
             self.metrics.absorb_worker_state((shard.index, generation), state)
-            self._deliver(batch_id, events)
+            self._deliver(grain_id, events)
         elif kind == "failed":
             self._on_worker_down(shard, f"worker reported failure: {message[2]}")
         else:  # a barrier answer: flush_done or closed
@@ -775,7 +804,7 @@ class ParallelStreamingDetector:
         Safe to call from any parent-side path that discovers the loss (an
         exited process, an ended result pipe, a stalled put, a
         worker-reported failure); the first caller wins, later calls see
-        ``closed`` and return.  The incarnation's batches in flight are its
+        ``closed`` and return.  The incarnation's grains in flight are its
         known loss.
         """
         if shard.closed:
@@ -832,7 +861,7 @@ class ParallelStreamingDetector:
         """Replace a dead worker with a fresh incarnation of its spec.
 
         Workers hold no stream state, so the new incarnation needs nothing
-        but the model; it takes later batches.  The dead one's batches in
+        but the model; it takes later grains.  The dead one's grains in
         flight are gone — the caller records them as a known loss before
         the counters reset.
         """
@@ -862,11 +891,11 @@ class ParallelStreamingDetector:
 
     # ---------------------------------------------------------------- scoring
     def _barrier(self, ship, kind: str) -> list[DetectionEvent]:
-        """Run ``ship`` (which submits batches), send ``kind`` to every live
-        worker and wait until each has answered.  The events of the batches
+        """Run ``ship`` (which submits grains), send ``kind`` to every live
+        worker and wait until each has answered.  The events of the grains
         ``ship`` submitted are dispatched and returned in deterministic order;
-        events of earlier batches are dispatched as they arrive."""
-        self._collect_from = self._next_batch
+        events of earlier grains are dispatched as they arrive."""
+        self._collect_from = self._next_grain
         try:
             ship()
             for shard in self._shards:
@@ -885,8 +914,8 @@ class ParallelStreamingDetector:
         """Score everything currently buffered and return its events.
 
         In process mode this is a barrier: it returns once every live worker
-        has scored every batch shipped so far, with the events of the
-        batches this call shipped in deterministic order.  As in thread mode,
+        has scored every grain shipped so far, with the events of the
+        grains this call shipped in deterministic order.  As in thread mode,
         those events also reach :meth:`events` and the callbacks.
         """
         if not self._shards:
@@ -967,7 +996,7 @@ class ParallelStreamingDetector:
 
     @property
     def pending_connections(self) -> int:
-        """Completed connections not scored yet: buffered here, or in a batch
+        """Completed connections not scored yet: buffered here, or in a grain
         in flight to a live worker."""
         inflight = sum(
             connections

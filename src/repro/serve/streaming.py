@@ -33,6 +33,28 @@ EventCallback = Callable[[DetectionEvent], None]
 AlertCallback = Callable[[Alert], None]
 
 
+#: Connections per engine call.  Every topology scores a flush batch as
+#: consecutive :meth:`~repro.core.pipeline.Clap.detect_batch` calls of at
+#: most this many connections, in arrival order, so the in-process detector,
+#: a process worker and the process runtime's parent make identical engine
+#: calls and their scores agree bit for bit.  It is also the unit a process
+#: runtime ships to a worker or scores itself.
+SCORING_GRAIN = 64
+
+
+def scoring_grains(count: int, max_batch: int) -> Iterator[int]:
+    """Engine-call sizes for ``count`` buffered connections: ``max_batch``
+    flush batches, each cut into consecutive grains of at most
+    :data:`SCORING_GRAIN` connections."""
+    while count > 0:
+        batch = min(count, max_batch)
+        count -= batch
+        while batch > 0:
+            size = min(batch, SCORING_GRAIN)
+            batch -= size
+            yield size
+
+
 def drain_pending(
     clap: Clap,
     pending: list[tuple[Connection, CompletionReason]],
@@ -42,26 +64,28 @@ def drain_pending(
     metrics: StreamingMetrics | None,
     emit: Callable[[list[DetectionEvent]], None],
 ) -> list[DetectionEvent]:
-    """Score ``pending`` in ``max_batch``-sized engine calls (in place).
+    """Score ``pending`` (in place) in ``max_batch`` flush batches, one
+    engine call per :func:`scoring_grains` grain.
 
-    The one chunked flush loop shared by :class:`StreamingDetector` and the
-    process runtime's workers (which pass one whole batch).  ``emit`` receives each chunk's
-    events as soon as that engine call completes, so an early chunk's alert
-    never waits behind the scoring of later chunks.  A chunk is dequeued only
-    after its engine call succeeded — an exception leaves it buffered and the
-    drain retryable.
+    The one flush loop shared by :class:`StreamingDetector`, the process
+    runtime's workers and its parent (which each pass one grain).  ``emit``
+    receives each grain's events as soon as that engine call completes, so an
+    early grain's alert never waits behind the scoring of later grains.  A
+    grain is dequeued only after its engine call succeeded — an exception
+    leaves it buffered and the drain retryable (a retry cuts its batches
+    afresh from the head of the buffer).
     """
     flushed: list[DetectionEvent] = []
-    while pending:
-        chunk = pending[:max_batch]
-        connections = [connection for connection, _ in chunk]
+    for size in scoring_grains(len(pending), max_batch):
+        grain = pending[:size]
+        connections = [connection for connection, _ in grain]
         started = time.perf_counter()
         results = clap.detect_batch(connections, threshold=threshold, top_n=top_n)
         if metrics is not None:
-            metrics.record_flush(len(chunk), time.perf_counter() - started)
-        del pending[: len(chunk)]
+            metrics.record_flush(size, time.perf_counter() - started)
+        del pending[:size]
         events = []
-        for result, (connection, reason) in zip(results, chunk, strict=True):
+        for result, (connection, reason) in zip(results, grain, strict=True):
             first = connection.packets[0].timestamp if connection.packets else 0.0
             last = connection.packets[-1].timestamp if connection.packets else 0.0
             events.append(make_event(result, reason, first, last))
@@ -76,16 +100,19 @@ class FlushPolicy:
 
     ``max_batch`` is the micro-batch size: with ``auto_flush`` enabled
     (the default) the pending buffer is flushed as soon as it holds that many
-    completed connections, and every engine call scores at most ``max_batch``
-    of them — so an alert is never delayed by more than ``max_batch`` buffered
-    completions.  ``max_buffered`` is the hard ceiling honoured even when
-    ``auto_flush`` is off (for callers that prefer to :meth:`~StreamingDetector.flush`
-    on their own schedule): reaching it forces a drain so memory stays bounded.
+    completed connections — so an alert is never delayed by more than
+    ``max_batch`` buffered completions.  A flush batch is scored as
+    consecutive engine calls of at most :data:`SCORING_GRAIN` connections.
+    ``max_buffered`` is the hard ceiling honoured even when ``auto_flush`` is
+    off (for callers that prefer to :meth:`~StreamingDetector.flush` on their
+    own schedule): reaching it forces a drain so memory stays bounded.
 
-    The default of 128 feeds the engine batches large enough to amortise the
-    padded GRU pass (the per-flush cost is one masked forward over the
-    longest connection in the batch, so more lanes per step are nearly
-    free); lower it when worst-case alert latency in *completions* matters
+    The default of 128 is two grains, which a process runtime can score on
+    two cores at once.  Splitting is not free, though: on the benchmark's
+    ``fanout`` capture (2-core development host, one BLAS thread) 128
+    connections took 45.1 ms as one engine call, 48.9 ms as two of 64 and
+    52.4 ms as four of 32, which is why the grain is no smaller.  Lower
+    ``max_batch`` when worst-case alert latency in *completions* matters
     more than throughput.
     """
 
@@ -209,10 +236,11 @@ class StreamingDetector:
     def flush(self) -> list[DetectionEvent]:
         """Score every buffered completed connection now.
 
-        The buffer is drained in ``max_batch``-sized engine calls, and each
-        chunk's events are dispatched (queued for :meth:`events`, pushed to
-        the callbacks) as soon as that engine call completes — an ``on_alert``
-        for an early chunk never waits behind the scoring of later chunks.
+        The buffer is drained in ``max_batch`` flush batches of grain-sized
+        engine calls (:func:`drain_pending`), and each grain's events are
+        dispatched (queued for :meth:`events`, pushed to the callbacks) as
+        soon as its engine call completes — an ``on_alert`` for an early
+        grain never waits behind the scoring of later grains.
         The full flushed list is also returned for convenience.
         """
         return drain_pending(

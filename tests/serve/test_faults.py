@@ -3,11 +3,12 @@
 The acceptance criterion: under any single injected fault — shard-worker
 SIGKILL (mid-stream, mid-report, mid-write of a large report) or a wedged
 worker — the stream terminates within its deadline under each failure
-policy.  Loss is counted in batches: a killed worker loses exactly its
-batches in flight, whose packets are its ``packets_lost_inflight``, so the
+policy.  Loss is counted in grains (a flush batch is shipped as grains of
+at most ``SCORING_GRAIN`` connections): a killed worker loses exactly its
+grains in flight, whose packets are its ``packets_lost_inflight``, so the
 accounting identity ``packets_routed = packets_scored +
-packets_lost_inflight`` holds and every later batch is scored.  ``respawn``
-is score-identical when no batch was in flight, and ``fail`` raises with a
+packets_lost_inflight`` holds and every later grain is scored.  ``respawn``
+is score-identical when no grain was in flight, and ``fail`` raises with a
 full teardown (no leaked processes).
 """
 
@@ -31,6 +32,7 @@ from repro.serve import (
     parse_fault_specs,
 )
 from repro.serve import runtime as runtime_module
+from repro.serve import streaming
 from repro.traffic.generator import TrafficGenerator
 
 IDLE_TIMEOUT = 50.0
@@ -304,6 +306,52 @@ class TestWorkerFaults:
         baseline.ingest_many(first)
         baseline.flush()
         expected = _drain_all(baseline, second)
+        assert set(_rows(pushed)) <= set(_rows(expected))
+        assert _packets(pushed) + inflight == _packets(expected)
+        assert not _shard_processes()
+
+    def test_killed_worker_loses_exactly_its_grains_in_flight(
+        self, trained_clap, fault_model_dir, monkeypatch
+    ):
+        """With grains of 2 in batches of 8, one batch is four grains: a
+        stopped worker holds all four, and killing it loses exactly those
+        grains' packets while every later grain is scored."""
+        monkeypatch.setattr(streaming, "SCORING_GRAIN", 2)
+        connections = _sequential_connections(12, spacing=100.0)
+        options = dict(flush_policy=FlushPolicy(max_batch=8), idle_timeout=1e9)
+        # Connection i completes when connection i + 1 starts: the first nine
+        # complete eight, one batch.
+        first = packet_stream(connections[:9])
+        rest = packet_stream(connections[9:])
+        pushed = []
+        detector = _worker_detector(
+            trained_clap,
+            fault_model_dir,
+            policy="respawn",
+            workers=1,
+            on_event=pushed.append,
+            **options,
+        )
+        detector.flush()  # the worker is up
+        victim = detector._shards[0]
+        os.kill(victim.process.pid, signal.SIGSTOP)
+        detector.ingest_many(first)
+        assert len(victim.inflight) == 4
+        assert sum(count for _, count in victim.inflight.values()) == 8
+        inflight = sum(packets for packets, _ in victim.inflight.values())
+        os.kill(victim.process.pid, signal.SIGKILL)
+        victim.process.join(timeout=10.0)  # the kill has landed
+        detector.poll()  # notices the death before any further grain ships
+        detector.ingest_many(rest)
+        detector.close()
+        (loss,) = detector.degradation_report().losses
+        assert loss.policy == "respawn"
+        assert loss.packets_lost_inflight == inflight
+        assert loss.packets_routed == loss.packets_scored + loss.packets_lost_inflight
+        expected = _drain_all(_one_detector(trained_clap, **options), first + rest)
+        assert sorted(str(event.result.key) for event in pushed) == sorted(
+            str(connection.key) for connection in connections[8:]
+        )
         assert set(_rows(pushed)) <= set(_rows(expected))
         assert _packets(pushed) + inflight == _packets(expected)
         assert not _shard_processes()

@@ -11,6 +11,7 @@ workers on a source error, close() after a worker failure) stay fixed.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import signal
@@ -21,7 +22,7 @@ import pytest
 from repro.attacks.primitives import bad_md5_option
 from repro.features.fields import RawFeatureExtractor
 from repro.netstack.columns import PacketColumns
-from repro.netstack.flow import CompletionReason
+from repro.netstack.flow import CompletionReason, assemble_connections
 from repro.netstack.flow import packet_stream as _packet_stream
 from repro.netstack.pcap import write_pcap
 from repro.serve import (
@@ -34,9 +35,15 @@ from repro.serve import (
     StreamingMetrics,
     Tick,
 )
+from repro.serve import streaming
+from repro.serve.runtime import _pack_grain
 from repro.traffic.generator import TrafficGenerator
 
 from tests.serve.test_flood import FLOOD_SIZE, MAX_FLOWS, syn_flood
+
+#: ``_pack_grain`` of the multi-block grain below, as the packer that
+#: walked the packets four times produced it.
+PACKED_GRAIN_SHA256 = "cdd1000c474c9a023057c0c6283d9125f661079c7224c36d507800a35a80fd67"
 
 
 @pytest.fixture(scope="session")
@@ -684,6 +691,164 @@ class TestCallerRuns:
         detector.close()
         assert _rows(pushed) == expected
         assert detector.degradation_report().losses == []
+
+
+@pytest.fixture
+def split_batches(monkeypatch):
+    """Grains of 2 connections in flush batches of 8: every batch splits, and
+    a worker's allowance (``queue_depth=1``) is 4 grains."""
+    monkeypatch.setattr(streaming, "SCORING_GRAIN", 2)
+    return FlushPolicy(max_batch=8)
+
+
+def _in_order(events):
+    return sorted(events, key=lambda event: (event.first_seen, str(event.result.key)))
+
+
+class TestGrainSplit:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_events_equal_one_detector(self, trained_clap, clap_model_dir, split_batches, workers):
+        items = _column_stream(_sequential_connections(30))
+        options = dict(flush_policy=split_batches, idle_timeout=1e9, close_grace=0.5)
+        baseline = StreamingDetector(trained_clap, metrics=StreamingMetrics(), **options)
+        expected = _feed(baseline, items)
+        detector = ParallelStreamingDetector(
+            trained_clap,
+            workers=workers,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            **options,
+        )
+        got = _feed(detector, items)
+        assert len(expected) == 30
+        assert _in_order(got) == _in_order(expected)
+        # 15 engine calls of 2 connections each, wherever they ran.
+        assert baseline.metrics.snapshot()["flush_latency"]["count"] == 15
+        assert detector.metrics_snapshot()["flush_latency"]["count"] == 15
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flood_with_a_subnet_budget_equals_one_detector(
+        self, trained_clap, clap_model_dir, split_batches, workers
+    ):
+        flood = syn_flood(600)
+        options = dict(
+            flush_policy=split_batches,
+            idle_timeout=1e9,
+            close_grace=1e9,
+            max_flows=MAX_FLOWS,
+            drop_policy=DropPolicy(subnet_budget=40),
+        )
+        expected = _feed(StreamingDetector(trained_clap, **options), flood)
+        detector = ParallelStreamingDetector(
+            trained_clap,
+            workers=workers,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            **options,
+        )
+        got = _feed(detector, flood)
+        assert detector.metrics_snapshot()["subnet_drops"] > 0  # the budget is exercised
+        assert len(expected) > 8
+        assert _in_order(got) == _in_order(expected)
+
+    def test_parent_scores_the_grains_beyond_the_workers_allowance(
+        self, trained_clap, clap_model_dir, split_batches
+    ):
+        """One poll completes 10 connections: a batch of 8 and one of 2, five
+        grains.  The stopped worker takes its allowance of 4, and the parent
+        scores the fifth itself and delivers it at once."""
+        stream = _packet_stream(_sequential_connections(10))
+        options = dict(flush_policy=split_batches, idle_timeout=1e9, close_grace=1e9)
+        baseline = StreamingDetector(trained_clap, **options)
+        baseline.ingest_many(stream)
+        baseline.poll(1e12)
+        expected = list(baseline.events())  # in grain order
+        assert len(expected) == 10
+        pushed = []
+        detector = ParallelStreamingDetector(
+            trained_clap,
+            workers=1,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            queue_depth=1,
+            on_event=pushed.append,
+            **options,
+        )
+        detector.flush()  # the worker is up
+        shard = detector._shards[0]
+        os.kill(shard.process.pid, signal.SIGSTOP)
+        try:
+            detector.ingest_many(stream)
+            assert detector.pending_connections == 0  # nothing has completed
+            detector.poll(1e12)
+            assert len(shard.inflight) == 4
+            assert pushed == expected[8:]
+        finally:
+            os.kill(shard.process.pid, signal.SIGCONT)
+        detector.close()
+        assert _in_order(pushed) == _in_order(expected)
+        assert detector.degradation_report().losses == []
+
+    def test_a_grain_the_parent_fails_to_score_stays_buffered(
+        self, trained_clap, clap_model_dir, split_batches, monkeypatch
+    ):
+        stream = _packet_stream(_sequential_connections(10))
+        options = dict(flush_policy=split_batches, idle_timeout=1e9, close_grace=1e9)
+        baseline = StreamingDetector(trained_clap, **options)
+        baseline.ingest_many(stream)
+        baseline.poll(1e12)
+        expected = list(baseline.events())
+        detector = ParallelStreamingDetector(
+            trained_clap,
+            workers=1,
+            worker_mode="process",
+            model_dir=clap_model_dir,
+            **options,
+        )
+        detector.flush()  # the worker is up
+        shard = detector._shards[0]
+        # The worker loaded its own model; only the parent's engine fails.
+        detect_batch = trained_clap.detect_batch
+        failures = []
+
+        def fail_once(connections, **kwargs):
+            if not failures:
+                failures.append(len(connections))
+                raise RuntimeError("engine call failed")
+            return detect_batch(connections, **kwargs)
+
+        monkeypatch.setattr(trained_clap, "detect_batch", fail_once)
+        os.kill(shard.process.pid, signal.SIGSTOP)
+        try:
+            detector.ingest_many(stream)
+            with pytest.raises(RuntimeError, match="engine call failed"):
+                detector.poll(1e12)
+            # Four grains are in flight; the fifth is still buffered.
+            assert failures == [2]
+            assert len(shard.inflight) == 4
+            assert detector.pending_connections == 10
+        finally:
+            os.kill(shard.process.pid, signal.SIGCONT)
+        detector.close()
+        assert _in_order(detector.events()) == _in_order(expected)
+        assert detector.degradation_report().losses == []
+
+
+def test_pack_grain_bytes_are_unchanged_on_a_multi_block_grain(tmp_path):
+    """A grain whose rows come from several 4 KiB capture blocks and from
+    object packets packs to the bytes recorded before the one-pass packer."""
+    path = tmp_path / "capture.pcap"
+    write_pcap(path, _packet_stream(TrafficGenerator(seed=78).generate_connections(6)))
+    views = list(PcapSource(path, block_bytes=4096))
+    assert len({id(view.columns) for view in views}) > 4
+    connections = sorted(
+        assemble_connections(views), key=lambda connection: connection.packets[0].timestamp
+    )
+    objects = _sequential_connections(2, seed=5)
+    grain = [connections[0], objects[0], *connections[1:], objects[1]]
+    payload, bounds = _pack_grain(grain)
+    assert bounds == [0, *np.cumsum([len(connection.packets) for connection in grain])]
+    assert hashlib.sha256(payload).hexdigest() == PACKED_GRAIN_SHA256
 
 
 class TestWorkerStateMerging:

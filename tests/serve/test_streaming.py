@@ -19,6 +19,8 @@ from repro.serve import (
     StreamingDetector,
     StreamingMetrics,
 )
+from repro.serve import streaming
+from repro.serve.streaming import scoring_grains
 from repro.traffic.generator import TrafficGenerator
 
 
@@ -179,6 +181,75 @@ class TestFlushDispatchOrdering:
         ]
         engine_sizes = [size for kind, size in log if kind == "engine"]
         assert engine_sizes == [2, 2, 1]
+
+
+class _FailingClap(_RecordingClap):
+    """A recording Clap whose ``fail_on``-th engine call raises, once."""
+
+    def __init__(self, clap, log, fail_on):
+        super().__init__(clap, log)
+        self._calls = 0
+        self._fail_on = fail_on
+
+    def detect_batch(self, connections, **kwargs):
+        self._calls += 1
+        if self._calls == self._fail_on:
+            raise RuntimeError("engine call failed")
+        return super().detect_batch(connections, **kwargs)
+
+
+class TestScoringGrains:
+    def test_flush_batches_are_cut_into_grains(self, monkeypatch):
+        assert list(scoring_grains(300, 128)) == [64, 64, 64, 64, 44]
+        assert list(scoring_grains(100, 100)) == [64, 36]
+        assert list(scoring_grains(5, 2)) == [2, 2, 1]
+        assert list(scoring_grains(0, 128)) == []
+        monkeypatch.setattr(streaming, "SCORING_GRAIN", 2)
+        # Batches of 5, each cut from its own start: 2 + 2 + 1, twice.
+        assert list(scoring_grains(10, 5)) == [2, 2, 1, 2, 2, 1]
+
+    def test_each_grain_is_one_engine_call_dispatched_at_once(self, trained_clap, monkeypatch):
+        monkeypatch.setattr(streaming, "SCORING_GRAIN", 2)
+        log = []
+        detector = StreamingDetector(
+            _RecordingClap(trained_clap, log),
+            flush_policy=FlushPolicy(max_batch=8, max_buffered=100, auto_flush=False),
+            idle_timeout=1e9,
+            close_grace=1e9,
+            on_event=lambda event: log.append(("event", 1)),
+        )
+        detector.ingest_many(_packet_stream(_sequential_connections(11)))
+        assert len(detector.close()) == 11
+        # 11 connections: batches of 8 and 3, scored in grains of 2.
+        assert log == [("engine", 2), ("event", 1), ("event", 1)] * 5 + [
+            ("engine", 1),
+            ("event", 1),
+        ]
+
+    def test_a_failing_grain_stays_buffered_and_retryable(self, trained_clap, monkeypatch):
+        monkeypatch.setattr(streaming, "SCORING_GRAIN", 2)
+        connections = _sequential_connections(11)
+        options = dict(
+            flush_policy=FlushPolicy(max_batch=8, max_buffered=100, auto_flush=False),
+            idle_timeout=1e9,
+            close_grace=1e9,
+        )
+        expected = StreamingDetector(trained_clap, **options)
+        expected.ingest_many(_packet_stream(connections))
+        expected.close()
+
+        log = []
+        detector = StreamingDetector(_FailingClap(trained_clap, log, fail_on=3), **options)
+        detector.ingest_many(_packet_stream(connections))
+        with pytest.raises(RuntimeError, match="engine call failed"):
+            detector.close()
+        # Two grains were scored and dispatched; the failed one is still
+        # buffered with everything behind it.
+        assert detector.connections_seen == 4
+        assert detector.pending_connections == 7
+        assert len(detector.flush()) == 7
+        assert detector.pending_connections == 0
+        assert list(detector.events()) == list(expected.events())
 
 
 class TestEventSurface:

@@ -2,14 +2,17 @@
 """End-to-end streaming smoke test for CI.
 
 Exercises the full operational path with no fixtures: synthesise a capture,
-train a deliberately tiny model, replay the capture through ``repro stream``
-with one in-process detector (``--workers 1``) and again with two *process*
-shard workers (``--workers 2 --worker-mode process``: model shared via
-read-only mmap), once on columnar and once on object ingest (``--ingest
-object``), and fail on a non-zero exit code, zero emitted events, or any
-run disagreeing with the in-process one on any connection's score.  The point is not
-accuracy — it is that the runtime's packets-in/alerts-out pipeline holds
-together as a process would run it, in both worker modes.
+train a deliberately tiny model on a smaller one, replay the capture
+through ``repro stream`` with one in-process detector (``--workers
+1``) and again with two *process* shard workers (``--workers 2 --worker-mode
+process``: model shared via read-only mmap), once on columnar and once on
+object ingest (``--ingest object``), and fail on a non-zero exit code, zero
+emitted events, or any run disagreeing with the in-process one on any
+connection's unrounded score.  The capture holds more connections than two
+default 128-connection flush batches, so batches are scored (and shipped) as
+several 64-connection grains.  The point is not accuracy — it is that the
+runtime's packets-in/alerts-out pipeline holds together as a process would
+run it, in both worker modes.
 
 Run with:  PYTHONPATH=src python tools/stream_smoke.py
 """
@@ -25,7 +28,10 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 
-CONNECTIONS = 30
+#: Connections replayed: past two full flush batches of the default 128.
+CONNECTIONS = 300
+#: Connections the tiny model trains on.
+TRAIN_CONNECTIONS = 30
 
 
 def run(argv: list, capture: bool = False) -> tuple:
@@ -43,15 +49,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
         capture_path = work / "smoke.pcap"
+        train_path = work / "train.pcap"
         model_dir = work / "model"
 
-        code, _ = run(["generate", str(capture_path),
-                       "--connections", str(CONNECTIONS), "--seed", "7"])
-        if code != 0:
-            print("smoke FAILED: generate exited non-zero", file=sys.stderr)
-            return 1
+        for path, count in ((capture_path, CONNECTIONS), (train_path, TRAIN_CONNECTIONS)):
+            code, _ = run(["generate", str(path), "--connections", str(count), "--seed", "7"])
+            if code != 0:
+                print("smoke FAILED: generate exited non-zero", file=sys.stderr)
+                return 1
 
-        code, _ = run(["train", str(model_dir), "--pcap", str(capture_path),
+        code, _ = run(["train", str(model_dir), "--pcap", str(train_path),
                        "--fast", "--rnn-epochs", "3", "--ae-epochs", "10", "--seed", "7"])
         if code != 0:
             print("smoke FAILED: train exited non-zero", file=sys.stderr)
