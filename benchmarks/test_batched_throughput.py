@@ -6,11 +6,10 @@ and segment-wise Stage-(d) reductions beats the per-connection loop the seed
 used.  This benchmark times both entry points of the *same* trained CLAP
 detector on the shared experiment fixture and records the ratio.
 
-The sequential contender (``score_connections_sequential``) is the seed
-algorithm: per-connection profile building, a single-sequence GRU forward and
-a small autoencoder call per connection.  The measured speedup therefore
-understates the gain over the actual seed revision, which also lacked this
-PR's shared feature-extraction optimisations.
+The sequential contender (``score_connections`` of the test oracle,
+``tests/reference_oracle.py``) is the seed algorithm: per-packet feature
+extraction, per-connection profile building, a single-sequence GRU forward
+and a small autoencoder call per connection.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ import numpy as np
 
 from benchmarks.conftest import write_result
 from repro.evaluation.runner import CLAP_NAME
+
+from tests import reference_oracle as oracle
 
 
 def _time_scorer(scorer, connections, repeats: int = 3) -> float:
@@ -42,7 +43,10 @@ def test_batched_throughput(experiment):
     connections = list(runner.test_connections) * 6
     packets = sum(len(connection) for connection in connections)
 
-    sequential_seconds = _time_scorer(detector.score_connections_sequential, connections)
+    def score_connections_sequential(connections):
+        return oracle.score_connections(detector, connections)
+
+    sequential_seconds = _time_scorer(score_connections_sequential, connections)
     batched_seconds = _time_scorer(detector.score_connections, connections)
 
     sequential_pps = packets / sequential_seconds
@@ -53,7 +57,7 @@ def test_batched_throughput(experiment):
     difference = np.max(
         np.abs(
             detector.score_connections(connections)
-            - detector.score_connections_sequential(connections)
+            - score_connections_sequential(connections)
         )
     )
 

@@ -9,7 +9,8 @@ matrix`` on both implementations of the same corpus:
 * **parse** — capture file to packets: ``read_pcap`` (one ``Packet`` per
   record) vs ``read_packet_columns`` (bulk block scan + vectorized parse);
 * **features** — assembled connections to per-connection feature matrices:
-  the per-packet reference loop vs ``extract_packet_trains`` over shared
+  the per-packet reference loop of the test oracle
+  (``tests/reference_oracle.py``) vs ``extract_packet_trains`` over shared
   :class:`~repro.netstack.columns.PacketColumns`;
 * **full pipeline** — file to feature matrices end to end, including flow
   assembly.
@@ -33,6 +34,8 @@ from repro.features.fields import RawFeatureExtractor
 from repro.netstack.flow import assemble_connections, packet_stream
 from repro.netstack.pcap import read_packet_columns, read_pcap, write_pcap
 from repro.traffic.generator import TrafficGenerator
+
+from tests.reference_oracle import extract_packets_reference
 
 
 def _best_of(function: Callable[[], object], repeats: int = 3) -> float:
@@ -59,7 +62,7 @@ def measure_ingest_breakdown(path, packet_count: int, repeats: int = 3) -> list[
     object_trains = [connection.packets for connection in object_connections]
     view_trains = [connection.packets for connection in view_connections]
     features_object = _best_of(
-        lambda: [extractor.extract_packets_reference(train) for train in object_trains],
+        lambda: [extract_packets_reference(train) for train in object_trains],
         repeats,
     )
     features_columnar = _best_of(lambda: extractor.extract_packet_trains(view_trains), repeats)
@@ -69,10 +72,7 @@ def measure_ingest_breakdown(path, packet_count: int, repeats: int = 3) -> list[
 
     def full_object():
         connections = assemble_connections(read_pcap(path))
-        return [
-            extractor.extract_packets_reference(connection.packets)
-            for connection in connections
-        ]
+        return [extract_packets_reference(connection.packets) for connection in connections]
 
     def full_columnar():
         connections = assemble_connections(read_packet_columns(path).views())
@@ -125,7 +125,7 @@ def test_ingest_breakdown(tmp_path):
     view_connections = assemble_connections(read_packet_columns(path).views())
     assert [len(c) for c in object_connections] == [len(c) for c in view_connections]
     assert np.array_equal(
-        extractor.extract_packets_reference(object_connections[0].packets),
+        extract_packets_reference(object_connections[0].packets),
         extractor.extract_packets(view_connections[0].packets),
     )
 

@@ -35,7 +35,7 @@ def test_table7_feature_set(experiment, benchmark):
     # The trained pipeline's profiles follow the same layout.
     clap = experiment.runner.detectors[CLAP_NAME]
     connection = experiment.runner.test_connections[0]
-    profiles = clap.builder.connection_profiles(connection)
+    profiles = clap.builder.batch_connection_profiles([connection])[0]
     assert profiles.profiles.shape[1] == CONTEXT_PROFILE_SIZE
     assert profiles.update_gates.shape[1] == 32
     assert profiles.reset_gates.shape[1] == 32

@@ -17,12 +17,13 @@ tiny-matmul overhead, which is exactly what the paper's throughput claim
    Stage-(d) score/localisation/decision functions run segment-wise over all
    connections at once (:func:`~repro.core.detector.adversarial_score_batch`).
 
-At inference time results are numerically equivalent to the per-connection
-path (see ``tests/core/test_batched_engine.py``).  Training also routes its
-profile matrix through the batched GRU, whose padded-batch matmuls round
-differently at the 1e-15 level than per-sequence ones — retrained models (and
-thus benchmark metrics) can therefore drift in the last decimals relative to
-the seed, while any *given* trained model scores identically either way.
+At inference time results are numerically equivalent to the seed's
+per-connection path, which the tests keep as their oracle
+(``tests/reference_oracle.py``).  Training also routes its profile matrix
+through the batched GRU, whose padded-batch matmuls round differently at the
+1e-15 level than per-sequence ones — retrained models (and thus benchmark
+metrics) can therefore drift in the last decimals relative to the seed, while
+any *given* trained model scores identically either way.
 """
 
 from __future__ import annotations
@@ -158,8 +159,7 @@ class BatchInferenceEngine:
         One batched window-error computation feeds the segment-wise score,
         localisation and decision reductions; for ``top_n == 1`` even the
         packet localisation is fully vectorized, while larger ``top_n`` ranks
-        each segment with the same :func:`localized_packets` helper the
-        sequential reference path uses.
+        each segment with :func:`localized_packets`.
         """
         errors, offsets, packet_counts = self.window_errors(connections)
         scores = adversarial_score_batch(errors, offsets, self.detector_config.score_window)
@@ -201,9 +201,8 @@ class BatchInferenceEngine:
         """Packet indices of the ``top_n`` most suspicious positions per connection.
 
         The window errors come from one batched pass; the final ranking per
-        connection delegates to the same :func:`localized_packets` helper the
-        sequential path uses, so tie-breaking (and the ``top_n=0`` edge case)
-        match :meth:`Clap.localize` exactly.
+        connection delegates to :func:`localized_packets`, so tie-breaking
+        (and the ``top_n=0`` edge case) follow that helper exactly.
         """
         errors, offsets, packet_counts = self.window_errors(connections)
         stack_length = self.detector_config.stack_length

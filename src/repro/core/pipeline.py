@@ -8,11 +8,14 @@ Training phase (:meth:`Clap.fit`):
     into context profiles, stacked over a sliding window;
 (c) train the autoencoder on the benign stacked profiles.
 
-Testing phase (:meth:`Clap.score_connection` / :meth:`Clap.verdict`):
+Testing phase (:meth:`Clap.detect_batch` and the other batch entry points,
+all served by :class:`~repro.core.engine.BatchInferenceEngine`):
 
-(d) compute per-window reconstruction errors for an unseen connection,
+(d) compute per-window reconstruction errors for unseen connections,
     summarise them with the localize-and-estimate adversarial score, compare
     against a threshold and, if desired, localise the most suspicious packet.
+    The single-connection methods (:meth:`Clap.score_connection`,
+    :meth:`Clap.detect`, ...) are one-element batch calls.
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ from repro.core.artifacts import (
     write_manifest,
 )
 from repro.core.config import ClapConfig
-from repro.core.detector import (
-    ConnectionVerdict,
-    Verdicts,
-    adversarial_score,
-    localize_window,
-    localized_packets,
-    window_center_packet,
-)
+from repro.core.detector import ConnectionVerdict
 from repro.core.engine import BatchInferenceEngine
 from repro.core.results import DetectionResult
 from repro.core.rnn_stage import RnnStage, RnnTrainingReport
@@ -226,12 +222,9 @@ class Clap:
     def engine(self) -> BatchInferenceEngine:
         """The batched inference engine over the fitted builder/autoencoder.
 
-        Built lazily after :meth:`fit`/:meth:`load`; every multi-connection
-        entry point (:meth:`score_connections`, :meth:`verdict_batch`,
-        :meth:`localize_batch`, :meth:`window_error_segments`) routes through
-        it.  The single-connection methods keep the original sequential code
-        path, which doubles as the reference implementation the engine is
-        tested against.
+        Built lazily after :meth:`fit`/:meth:`load`.  Every scoring entry
+        point routes through it: the batch methods directly, and each
+        single-connection method as a one-element batch call.
         """
         self._require_fitted()
         if self._engine is None:
@@ -242,11 +235,7 @@ class Clap:
 
     def window_errors(self, connection: Connection) -> np.ndarray:
         """Per-sliding-window reconstruction errors for one connection."""
-        self._require_fitted()
-        stacked = self.builder.stacked_profiles(connection)
-        if stacked.shape[0] == 0:
-            return np.zeros(0)
-        return self.autoencoder.reconstruction_error(stacked)
+        return self.window_error_segments([connection])[0]
 
     def window_error_segments(self, connections: Sequence[Connection]) -> list[np.ndarray]:
         """Per-connection window errors for many connections (batched)."""
@@ -254,32 +243,15 @@ class Clap:
 
     def score_connection(self, connection: Connection) -> float:
         """The adversarial score of one connection (higher = more suspicious)."""
-        return adversarial_score(
-            self.window_errors(connection), self.config.detector.score_window
-        )
+        return float(self.score_connections([connection])[0])
 
     def score_connections(self, connections: Sequence[Connection]) -> np.ndarray:
         """Adversarial scores for many connections, via the batched engine."""
         return self.engine.scores(connections)
 
-    def score_connections_sequential(self, connections: Sequence[Connection]) -> np.ndarray:
-        """Reference per-connection scoring loop (the seed implementation).
-
-        Kept as the ground truth for the batch-equivalence tests and as the
-        per-connection contender in the throughput benchmark.
-        """
-        return np.array([self.score_connection(connection) for connection in connections])
-
     def verdict(self, connection: Connection, threshold: float | None = None) -> ConnectionVerdict:
         """Full Stage-(d) output: score, boolean decision and localisation."""
-        self._require_fitted()
-        errors = self.window_errors(connection)
-        verdicts = Verdicts(
-            stack_length=self.config.detector.stack_length,
-            score_window=self.config.detector.score_window,
-            threshold=self.threshold if threshold is None else threshold,
-        )
-        return verdicts.verdict(errors, packet_count=len(connection))
+        return self.verdict_batch([connection], threshold)[0]
 
     def verdict_batch(
         self, connections: Sequence[Connection], threshold: float | None = None
@@ -297,40 +269,8 @@ class Clap:
         threshold: float | None = None,
         top_n: int = 1,
     ) -> DetectionResult:
-        """Unified Stage-(d) result for one connection (sequential reference).
-
-        This is the single-connection reference implementation of the
-        detection API; :meth:`detect_batch` must match it to within 1e-9.
-        """
-        self._require_fitted()
-        limit = self.threshold if threshold is None else threshold
-        errors = self.window_errors(connection)
-        detector_config = self.config.detector
-        score = adversarial_score(errors, detector_config.score_window)
-        window_index = localize_window(errors)
-        if top_n == 1:
-            center = window_center_packet(
-                window_index, detector_config.stack_length, len(connection)
-            )
-            packets = (center,) if center >= 0 else ()
-        else:
-            packets = tuple(
-                localized_packets(
-                    errors,
-                    stack_length=detector_config.stack_length,
-                    packet_count=len(connection),
-                    top_n=top_n,
-                )
-            )
-        return DetectionResult(
-            key=connection.key,
-            score=score,
-            threshold=float(limit),
-            is_adversarial=score > limit,
-            localized_window=window_index,
-            localized_packets=packets,
-            packet_count=len(connection),
-        )
+        """Unified Stage-(d) result for one connection."""
+        return self.detect_batch([connection], threshold=threshold, top_n=top_n)[0]
 
     def detect_batch(
         self,
@@ -345,13 +285,7 @@ class Clap:
 
     def localize(self, connection: Connection, top_n: int = 1) -> list[int]:
         """Packet indices of the ``top_n`` most suspicious positions."""
-        errors = self.window_errors(connection)
-        return localized_packets(
-            errors,
-            stack_length=self.config.detector.stack_length,
-            packet_count=len(connection),
-            top_n=top_n,
-        )
+        return self.localize_batch([connection], top_n)[0]
 
     def localize_batch(
         self, connections: Sequence[Connection], top_n: int = 1

@@ -78,16 +78,16 @@ class RnnStage:
     def prepare(
         self, connections: Sequence[Connection]
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Raw features and label indices per connection (labels via conntrack)."""
-        feature_arrays: list[np.ndarray] = []
-        label_arrays: list[np.ndarray] = []
-        for connection in connections:
-            if len(connection) == 0:
-                continue
-            features = self.extractor.extract_connection(connection)
-            labels = np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
-            feature_arrays.append(features)
-            label_arrays.append(labels)
+        """Raw features and label indices per non-empty connection (labels via
+        conntrack); the features of the whole corpus come from one batch."""
+        kept = [connection for connection in connections if len(connection) > 0]
+        feature_arrays = self.extractor.extract_packet_trains(
+            [connection.packets for connection in kept]
+        )
+        label_arrays = [
+            np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
+            for connection in kept
+        ]
         return feature_arrays, label_arrays
 
     # -------------------------------------------------------------- training
@@ -161,17 +161,10 @@ class RnnStage:
 
     def per_label_accuracy(self, connections: Sequence[Connection]) -> dict[str, tuple[float, int]]:
         """Accuracy and sample count per label name (the Table-5 breakdown)."""
-        if self.model is None or self.scaler is None:
-            raise RuntimeError("RnnStage.fit must be called before evaluation")
         names = label_names()
         counts = np.zeros(NUM_LABEL_CLASSES, dtype=np.int64)
         hits = np.zeros(NUM_LABEL_CLASSES, dtype=np.int64)
-        for connection in connections:
-            if len(connection) == 0:
-                continue
-            features = self.scaler.transform(self.extractor.extract_connection(connection))
-            labels = np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
-            predictions = self.model.predict_classes(features[None, :, :])[0]
+        for labels, predictions in self._predictions(connections):
             for label, prediction in zip(labels, predictions, strict=True):
                 counts[label] += 1
                 hits[label] += int(label == prediction)
@@ -181,16 +174,21 @@ class RnnStage:
         }
 
     def _count_correct(self, connections: Sequence[Connection]) -> tuple[int, int]:
-        if self.model is None or self.scaler is None:
-            raise RuntimeError("RnnStage.fit must be called before evaluation")
         correct = 0
         total = 0
-        for connection in connections:
-            if len(connection) == 0:
-                continue
-            features = self.scaler.transform(self.extractor.extract_connection(connection))
-            labels = np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
-            predictions = self.model.predict_classes(features[None, :, :])[0]
+        for labels, predictions in self._predictions(connections):
             correct += int(np.sum(predictions[: labels.size] == labels))
             total += labels.size
         return correct, total
+
+    def _predictions(
+        self, connections: Sequence[Connection]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(labels, predicted classes)`` per non-empty connection."""
+        if self.model is None or self.scaler is None:
+            raise RuntimeError("RnnStage.fit must be called before evaluation")
+        feature_arrays, label_arrays = self.prepare(connections)
+        return [
+            (labels, self.model.predict_classes(self.scaler.transform(features)[None, :, :])[0])
+            for features, labels in zip(feature_arrays, label_arrays, strict=True)
+        ]

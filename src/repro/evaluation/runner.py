@@ -113,7 +113,7 @@ class ThroughputResult:
     #: Fixed startup costs measured separately for streaming rows: runtime
     #: construction plus the first flush barrier (process pools pay their
     #: model save / pool spawn / per-worker mmap load here).  Zero for the
-    #: batch/sequential modes, whose setup is the model itself.
+    #: batched mode, whose setup is the model itself.
     setup_seconds: float = 0.0
     backend: str = "gru"
 
@@ -302,11 +302,8 @@ class ExperimentRunner:
         """Time the testing-phase pipeline of one trained detector (Table 3).
 
         ``mode`` selects the scoring entry point: ``"batched"`` uses the
-        detector's (engine-backed) ``score_connections``; ``"sequential"``
-        uses the per-connection reference loop where the detector offers one
-        (``score_connections_sequential``), falling back to the batched path
-        otherwise (e.g. for Baseline #2); ``"streaming"`` replays the
-        connections' packets in timestamp order through the sharded
+        detector's (engine-backed) ``score_connections``; ``"streaming"``
+        replays the connections' packets in timestamp order through the sharded
         :class:`~repro.serve.ParallelStreamingDetector` (CLAP only) with
         ``workers`` flow-table shards, measuring the full
         packets-in/alerts-out serving path including flow assembly.
@@ -342,7 +339,7 @@ class ExperimentRunner:
             detector = detector.with_backend(backend)
         connections = list(connections) if connections is not None else self.test_connections
         packets = sum(len(connection) for connection in connections)
-        if mode not in ("batched", "sequential", "streaming"):
+        if mode not in ("batched", "streaming"):
             raise ValueError(f"unknown throughput mode {mode!r}")
         if ingest not in ("object", "columnar"):
             raise ValueError(f"unknown ingest mode {ingest!r}")
@@ -384,11 +381,8 @@ class ExperimentRunner:
                 setup_seconds=setup_elapsed,
                 backend=resolved_backend,
             )
-        scorer = detector.score_connections
-        if mode == "sequential":
-            scorer = getattr(detector, "score_connections_sequential", scorer)
         start = time.perf_counter()
-        scorer(connections)
+        detector.score_connections(connections)
         elapsed = time.perf_counter() - start
         return ThroughputResult(
             detector_name=detector_name,

@@ -165,50 +165,16 @@ class ContextProfileBuilder:
         """Width of a stacked profile (the autoencoder input size)."""
         return self.profile_size * self.stack_length
 
-    # -------------------------------------------------------------- profiles
-    def connection_profiles(self, connection: Connection) -> ConnectionProfiles:
-        """Per-packet context profiles for one connection."""
-        raw = self.raw_extractor.extract_connection(connection)
-        scaled = self.scaler.transform(raw)
-        amplification = self.amplification_extractor.extract(raw)
-        parts = [scaled]
-        if self.include_amplification:
-            parts.append(amplification)
-        if self.include_gate_weights and self.rnn is not None and raw.shape[0] > 0:
-            update_gates, reset_gates, _ = self.rnn.gate_activations_concat([scaled])
-            parts.extend([update_gates, reset_gates])
-        else:
-            hidden = self.rnn.hidden_size if self.rnn is not None else 0
-            update_gates = np.zeros((raw.shape[0], hidden))
-            reset_gates = np.zeros((raw.shape[0], hidden))
-            if self.include_gate_weights and self.rnn is not None:
-                parts.extend([update_gates, reset_gates])
-        profiles = np.hstack(parts) if raw.shape[0] > 0 else np.zeros((0, self.profile_size))
-        return ConnectionProfiles(
-            raw_features=raw,
-            scaled_features=scaled,
-            amplification=amplification,
-            update_gates=update_gates,
-            reset_gates=reset_gates,
-            profiles=profiles,
-        )
-
-    def stacked_profiles(self, connection: Connection) -> np.ndarray:
-        """Sliding-window stacked profiles for one connection."""
-        profiles = self.connection_profiles(connection).profiles
-        return stack_profiles(profiles, self.stack_length)
-
     # ------------------------------------------------------------- batch path
     def batch_connection_profiles(self, connections: Sequence[Connection]) -> list[ConnectionProfiles]:
         """Per-packet context profiles for many connections at once.
 
-        Raw features are extracted per connection (packet parsing is
-        inherently sequential), but everything downstream is vectorized:
+        Raw features come from one columnar extraction over the batch;
         scaling and amplification run once over the concatenated packet
         matrix, and the GRU gate activations come from padded-batch forward
         passes instead of one tiny forward per connection.  The returned
-        :class:`ConnectionProfiles` hold views into the shared matrices and
-        match :meth:`connection_profiles` output per connection.
+        :class:`ConnectionProfiles` hold views into the shared matrices, one
+        per connection in input order.
         """
         raws = self.raw_extractor.extract_packet_trains(
             [connection.packets for connection in connections]

@@ -290,7 +290,12 @@ class PacketColumns:
             return cls.empty()
         if len(blocks) == 1:
             return blocks[0]
-        stitched = cls.gather([(block, slice(None)) for block in blocks])
+        stitched = cls(
+            **{
+                name: np.concatenate([getattr(block, name) for block in blocks])
+                for name in _ARRAY_FIELDS
+            }
+        )
         if all(block.buffer is not None for block in blocks):
             base = 0
             offset_parts = []
@@ -312,19 +317,29 @@ class PacketColumns:
     @classmethod
     def gather(
         cls,
-        parts: Sequence[tuple["PacketColumns", np.ndarray | slice]],
+        blocks: Sequence["PacketColumns"],
+        block_of: np.ndarray,
+        rows: np.ndarray,
         fields: Sequence[str] = _ARRAY_FIELDS,
     ) -> "PacketColumns":
-        """Rows of several blocks as one new block: each ``(block, rows)``
-        part adds ``block``'s rows (index array or slice), parts back to back.
+        """Rows of several blocks as one new block: new row ``i`` is row
+        ``rows[i]`` of ``blocks[block_of[i]]``.
 
-        Only the ``fields`` columns are copied; the others are ``None`` and
-        there is no materialisation backing, so the result serves readers of
-        ``fields`` only (feature extraction over connections spanning blocks).
+        Each block's rows are written straight to their places in one
+        preallocated array per column.  Only the ``fields`` columns are
+        copied; the others are ``None`` and there is no materialisation
+        backing, so the result serves readers of ``fields`` only.
         """
+        parts = []
+        for number, block in enumerate(blocks):
+            positions = np.flatnonzero(block_of == number)
+            parts.append((block, positions, rows[positions]))
         kwargs: dict[str, object] = dict.fromkeys(_ARRAY_FIELDS)
         for name in fields:
-            kwargs[name] = np.concatenate([getattr(block, name)[rows] for block, rows in parts])
+            column = np.empty(rows.size, dtype=_field_dtype(name))
+            for block, positions, picked in parts:
+                column[positions] = getattr(block, name)[picked]
+            kwargs[name] = column
         return cls(**kwargs)
 
     @classmethod
@@ -580,6 +595,55 @@ def unpack_block(data: bytes | bytearray | memoryview) -> PacketColumns:
         kwargs[name] = _wire_view(view, dtype, n, position)
         position += dtype.itemsize * n
     return PacketColumns(**kwargs)
+
+
+def train_rows(
+    trains: Sequence[Sequence[Packet]], fields: Sequence[str] = _ARRAY_FIELDS
+) -> tuple[PacketColumns, np.ndarray | None, list[int]]:
+    """The packets of many trains (connections) as rows of one block.
+
+    Returns ``(columns, rows, bounds)``: train ``t`` owns the rows
+    ``rows[bounds[t] : bounds[t + 1]]`` of ``columns`` (``rows`` is ``None``
+    when that is every row of ``columns`` in order).  A
+    :class:`ColumnPacketView` is a row of its own block, and the object
+    packets of all trains become rows of one :meth:`PacketColumns.from_packets`
+    block.  When every packet lies in one block, that block is indexed in
+    place; otherwise the ``fields`` columns are gathered into a new block in
+    train order.
+    """
+    bounds = [0]
+    rows: list[int] = []
+    objects: list[Packet] = []
+    # Where each run of consecutive rows from one block starts, and its block
+    # (``None``: object packets).
+    starts: list[int] = []
+    owners: list[PacketColumns | None] = []
+    current: object = object()  # no run yet
+    for train in trains:
+        for packet in train:
+            if type(packet) is ColumnPacketView:
+                block = packet.columns
+                row = packet.index
+            else:
+                block = None
+                row = len(objects)
+                objects.append(packet)
+            if block is not current:
+                current = block
+                starts.append(len(rows))
+                owners.append(block)
+            rows.append(row)
+        bounds.append(len(rows))
+    if objects:
+        converted = PacketColumns.from_packets(objects)
+        owners = [converted if block is None else block for block in owners]
+    index = np.array(rows, dtype=np.int64)
+    blocks = {id(block): block for block in owners}
+    if len(blocks) <= 1:
+        return (owners[0] if owners else PacketColumns.empty()), index, bounds
+    number = {key: position for position, key in enumerate(blocks)}
+    block_of = np.repeat([number[id(block)] for block in owners], np.diff([*starts, len(rows)]))
+    return PacketColumns.gather(list(blocks.values()), block_of, index, fields), None, bounds
 
 
 def _fold_checksum(totals: np.ndarray) -> np.ndarray:

@@ -212,8 +212,9 @@ def summarize_feature_options(options: Sequence[object]):
     *well-formed* option of each kind, or ``None``.  A malformed option (a
     :class:`RawOption` carrying a feature kind, e.g. an MSS with a bad length)
     does not claim its slot, so a later well-formed duplicate still counts.
-    This is the single source of truth shared by the per-packet reference
-    extractor and the columnar parser's fallback path.
+    This is the single source of truth shared by
+    :meth:`~repro.netstack.columns.PacketColumns.from_packets` and the
+    columnar parser's fallback path.
     """
     mss = timestamp = window_scale = user_timeout = md5 = None
     for option in options:

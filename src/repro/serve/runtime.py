@@ -98,7 +98,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from repro.core.pipeline import Clap
-from repro.netstack.columns import ColumnPacketView, PacketColumns, unpack_block
+from repro.netstack.columns import train_rows, unpack_block
 from repro.netstack.flow import CompletionReason, Connection, FlowKey
 from repro.netstack.packet import Direction, Packet
 from repro.serve.events import Alert, DetectionEvent
@@ -138,49 +138,12 @@ def _pack_grain(connections: list[Connection]) -> tuple[bytes, list[int]]:
     """One grain's packets, connection after connection, as one packed block,
     plus the connection bounds (``len(connections) + 1`` row offsets).
 
-    One pass over the packets collects every row and the runs of consecutive
-    rows from one block; object ``Packet`` runs become rows of one
-    :meth:`~repro.netstack.columns.PacketColumns.from_packets` block.
+    :func:`~repro.netstack.columns.train_rows` locates every packet's row
+    (object ``Packet`` runs become rows of one ``from_packets`` block); a
+    grain spanning several blocks is gathered once, in grain order.
     """
-    bounds = [0]
-    rows: list[int] = []
-    objects: list[Packet] = []
-    # Where each run starts, and its block (``None``: object packets).
-    starts: list[int] = []
-    owners: list[PacketColumns | None] = []
-    current: object = object()  # no run yet
-    for connection in connections:
-        for packet in connection.packets:
-            if type(packet) is ColumnPacketView:
-                block = packet.columns
-                row = packet.index
-            else:
-                block = None
-                row = len(objects)
-                objects.append(packet)
-            if block is not current:
-                current = block
-                starts.append(len(rows))
-                owners.append(block)
-            rows.append(row)
-        bounds.append(len(rows))
-    if objects:
-        converted = PacketColumns.from_packets(objects)
-        owners = [converted if block is None else block for block in owners]
-    index = np.array(rows, dtype=np.int64)
-    blocks = {id(block): block for block in owners}
-    if len(blocks) == 1:
-        return owners[0].pack_block(index), bounds
-    # Gather every block's rows (block by block), then pack them back into
-    # grain order.
-    number = {key: position for position, key in enumerate(blocks)}
-    block_of = np.repeat([number[id(block)] for block in owners], np.diff([*starts, len(rows)]))
-    order = np.argsort(block_of, kind="stable")
-    split = np.split(index[order], np.cumsum(np.bincount(block_of))[:-1])
-    gathered = PacketColumns.gather(list(zip(blocks.values(), split, strict=True)))
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    return gathered.pack_block(position), bounds
+    columns, rows, bounds = train_rows([connection.packets for connection in connections])
+    return columns.pack_block(rows), bounds
 
 
 def _unpack_grain(payload: bytes, bounds: list[int]) -> list[Connection]:

@@ -3,9 +3,9 @@
 The batched inference engine (``repro.core.engine``) re-orders the arithmetic
 of stages (b)-(d) — padded masked GRU batches, one concatenated autoencoder
 call, segment-wise scoring — so these tests pin the contract that batched
-scores, verdicts and localisations match the sequential reference
-implementation to within 1e-9, including degenerate inputs (empty
-connections, 1-2 packet connections, empty batches).
+scores, verdicts and localisations match the per-connection oracle
+(``tests/reference_oracle.py``) to within 1e-9, including degenerate inputs
+(empty connections, 1-2 packet connections, empty batches).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks.base import all_strategies
+from repro.attacks.injector import AttackInjector
 from repro.core.detector import (
     adversarial_score,
     adversarial_score_batch,
@@ -29,6 +31,7 @@ from repro.nn import gru as gru_module
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.session import TcpSessionBuilder
 
+from tests import reference_oracle as oracle
 from tests.nn.gate_oracle import masked_forward_gates
 
 TOLERANCE = 1e-9
@@ -72,7 +75,7 @@ def mixed_connections(small_dataset):
 class TestEngineEquivalence:
     def test_scores_match_sequential_path(self, trained_clap, mixed_connections):
         batched = trained_clap.score_connections(mixed_connections)
-        sequential = trained_clap.score_connections_sequential(mixed_connections)
+        sequential = oracle.score_connections(trained_clap, mixed_connections)
         assert batched.shape == sequential.shape
         assert np.max(np.abs(batched - sequential)) < TOLERANCE
 
@@ -80,7 +83,7 @@ class TestEngineEquivalence:
         segments = trained_clap.window_error_segments(mixed_connections)
         assert len(segments) == len(mixed_connections)
         for connection, segment in zip(mixed_connections, segments):
-            reference = trained_clap.window_errors(connection)
+            reference = oracle.window_errors(trained_clap, connection)
             assert segment.shape == reference.shape
             if reference.size:
                 assert np.max(np.abs(segment - reference)) < TOLERANCE
@@ -88,7 +91,7 @@ class TestEngineEquivalence:
     def test_verdicts_match(self, trained_clap, mixed_connections):
         batched = trained_clap.verdict_batch(mixed_connections)
         for connection, verdict in zip(mixed_connections, batched):
-            reference = trained_clap.verdict(connection)
+            reference = oracle.verdict(trained_clap, connection)
             assert abs(verdict.adversarial_score - reference.adversarial_score) < TOLERANCE
             assert verdict.localized_window == reference.localized_window
             assert verdict.localized_packet == reference.localized_packet
@@ -101,15 +104,15 @@ class TestEngineEquivalence:
 
     def test_localizations_match(self, trained_clap, mixed_connections):
         # top_n=0 and tie-breaking must also agree: the engine delegates to
-        # the same localized_packets helper the sequential path uses.
+        # the same localized_packets helper the oracle uses.
         for top_n in (0, 1, 3):
             batched = trained_clap.localize_batch(mixed_connections, top_n=top_n)
             for connection, localized in zip(mixed_connections, batched):
-                assert localized == trained_clap.localize(connection, top_n=top_n)
+                assert localized == oracle.localize(trained_clap, connection, top_n=top_n)
 
     def test_baseline1_engine_matches_sequential(self, trained_baseline1, mixed_connections):
         batched = trained_baseline1.score_connections(mixed_connections)
-        sequential = trained_baseline1.score_connections_sequential(mixed_connections)
+        sequential = oracle.score_connections(trained_baseline1, mixed_connections)
         assert np.max(np.abs(batched - sequential)) < TOLERANCE
 
     def test_empty_batch(self, trained_clap):
@@ -151,12 +154,48 @@ class TestEngineEquivalence:
             assert chunked_verdict.window_errors.shape == reference_verdict.window_errors.shape
 
 
+class TestSingleConnectionCalls:
+    """Every single-connection ``Clap`` method is its one-element batch call,
+    over one attacked connection per strategy (and within 1e-9 of the oracle)."""
+
+    @pytest.fixture(scope="class")
+    def strategy_connections(self):
+        benign = TrafficGenerator(seed=2718).generate_connections(6)
+        injector = AttackInjector(seed=7)
+        return [
+            injector.attack_connection(strategy, benign[index % len(benign)].copy()).connection
+            for index, strategy in enumerate(all_strategies())
+        ]
+
+    def test_every_strategy(self, trained_clap, strategy_connections):
+        assert len(strategy_connections) == 73
+        clap = trained_clap
+        for connection in strategy_connections:
+            one = [connection]
+            assert np.array_equal(clap.window_errors(connection), clap.window_error_segments(one)[0])
+            score = clap.score_connections(one)[0]
+            assert clap.score_connection(connection) == score
+            assert abs(score - oracle.score_connection(clap, connection)) < TOLERANCE
+            assert clap.is_adversarial(connection) == bool(score > clap.threshold)
+            single, batched = clap.verdict(connection), clap.verdict_batch(one)[0]
+            assert single.adversarial_score == batched.adversarial_score
+            assert np.array_equal(single.window_errors, batched.window_errors)
+            assert (single.localized_window, single.localized_packet, single.is_adversarial) == (
+                batched.localized_window,
+                batched.localized_packet,
+                batched.is_adversarial,
+            )
+            assert clap.detect(connection) == clap.detect_batch(one)[0]
+            assert clap.detect(connection, top_n=5) == clap.detect_batch(one, top_n=5)[0]
+            assert clap.localize(connection, 5) == clap.localize_batch(one, 5)[0]
+
+
 class TestBatchedProfileBuilder:
     def test_batch_profiles_match_single(self, trained_clap, mixed_connections):
         builder = trained_clap.builder
         batched = builder.batch_connection_profiles(mixed_connections)
         for connection, profiles in zip(mixed_connections, batched):
-            reference = builder.connection_profiles(connection)
+            reference = oracle.connection_profiles(builder, connection)
             assert profiles.profiles.shape == reference.profiles.shape
             if reference.profiles.size:
                 assert np.max(np.abs(profiles.profiles - reference.profiles)) < TOLERANCE
@@ -168,7 +207,7 @@ class TestBatchedProfileBuilder:
         assert batch.offsets[0] == 0
         assert batch.offsets[-1] == batch.matrix.shape[0]
         for index, connection in enumerate(mixed_connections):
-            expected = builder.stacked_profiles(connection)
+            expected = oracle.stacked_profiles(builder, connection)
             segment = batch.segment(index)
             assert segment.shape == expected.shape
             assert int(batch.packet_counts[index]) == len(connection)
@@ -178,7 +217,7 @@ class TestBatchedProfileBuilder:
     def test_training_matrix_matches_vstacked_singles(self, trained_clap, mixed_connections):
         builder = trained_clap.builder
         matrix = builder.training_matrix(mixed_connections)
-        blocks = [builder.stacked_profiles(c) for c in mixed_connections]
+        blocks = [oracle.stacked_profiles(builder, c) for c in mixed_connections]
         blocks = [b for b in blocks if b.shape[0] > 0]
         reference = np.vstack(blocks)
         assert matrix.shape == reference.shape

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.attacks.base import all_strategies
+from repro.attacks.injector import AttackInjector
 from repro.core.config import RnnConfig
 from repro.core.rnn_stage import RnnStage, pad_sequences
+from repro.netstack.flow import Connection
 from repro.tcpstate.states import NUM_LABEL_CLASSES
+from repro.traffic.generator import TrafficGenerator
+
+from tests import reference_oracle as oracle
 
 
 class TestPadding:
@@ -79,6 +85,26 @@ class TestRnnStage:
     def test_fit_on_empty_corpus_raises(self):
         with pytest.raises(ValueError):
             RnnStage(RnnConfig(epochs=1)).fit([])
+
+    def test_prepare_matches_the_per_connection_oracle(self):
+        """One batch over benign, attacked (every strategy) and empty
+        connections gives the oracle's matrices and labels."""
+        benign = TrafficGenerator(seed=31).generate_connections(8)
+        injector = AttackInjector(seed=7)
+        attacked = [
+            injector.attack_connection(strategy, benign[index % len(benign)].copy()).connection
+            for index, strategy in enumerate(all_strategies())
+        ]
+        empty = Connection(key=benign[0].key)
+        corpus = [*benign, empty, *attacked]
+        stage = RnnStage(RnnConfig(epochs=1))
+        features, labels = stage.prepare(corpus)
+        expected_features, expected_labels = oracle.prepare(stage, corpus)
+        assert len(features) == len(expected_features) == len(corpus) - 1
+        for got, wanted in zip(features, expected_features, strict=True):
+            assert np.array_equal(got, wanted)
+        for got, wanted in zip(labels, expected_labels, strict=True):
+            assert np.array_equal(got, wanted)
 
     def test_evaluation_before_fit_raises(self):
         stage = RnnStage(RnnConfig(epochs=1))

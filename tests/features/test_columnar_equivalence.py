@@ -1,9 +1,9 @@
 """Columnar-vs-reference feature equivalence over adversarial corpora.
 
-The columnar fast path (:func:`repro.features.fields.extract_columns_segments`
+The columnar extractor (:func:`repro.features.fields.extract_columns_segments`
 over a :class:`repro.netstack.columns.PacketColumns`) must be **exactly**
 equal — ``np.array_equal``, not allclose — to the per-packet reference
-extractor on every input the system can see:
+extractor of ``tests/reference_oracle.py`` on every input the system can see:
 
 * every attack scenario in :mod:`repro.attacks` (all 73 strategies), both as
   in-memory packet objects and after a pcap round trip;
@@ -40,6 +40,8 @@ from repro.netstack.tcp import TcpFlags, TcpHeader
 from repro.serve.sources import PcapSource
 from repro.traffic.generator import TrafficGenerator
 
+from tests.reference_oracle import connection_profiles, extract_packets_reference
+
 EXTRACTOR = RawFeatureExtractor()
 
 
@@ -52,7 +54,7 @@ def assert_wire_equivalent(tmp_path, packets, name="capture"):
     view_connections = assemble_connections(read_packet_columns(path).views())
     assert len(object_connections) == len(view_connections)
     for obj, col in zip(object_connections, view_connections):
-        reference = EXTRACTOR.extract_packets_reference(obj.packets)
+        reference = extract_packets_reference(obj.packets)
         columnar = EXTRACTOR.extract_packets(col.packets)
         assert reference.shape == columnar.shape
         assert np.array_equal(reference, columnar), (
@@ -65,7 +67,7 @@ def assert_wire_equivalent(tmp_path, packets, name="capture"):
 def assert_memory_equivalent(connection):
     """Compare the reference with the columnar path over from_packets."""
     columns = PacketColumns.from_packets(connection.packets)
-    reference = EXTRACTOR.extract_packets_reference(connection.packets)
+    reference = extract_packets_reference(connection.packets)
     columnar = EXTRACTOR.extract_packet_trains([columns.views()])[0]
     assert np.array_equal(reference, columnar)
 
@@ -217,7 +219,7 @@ class TestWireEdgeCases:
             _segment(4, options=[Timestamp(tsval=150, tsecr=9000)]),  # negative delta
         ]
         connections = assert_wire_equivalent(tmp_path, packets, "tsdelta")
-        features = EXTRACTOR.extract_packets_reference(connections[0].packets)
+        features = extract_packets_reference(connections[0].packets)
         assert features[2, 23] == 75.0  # delta skips the optionless packet
         assert features[4, 23] == -25.0
 
@@ -267,7 +269,7 @@ class TestWireEdgeCases:
         assert len(object_connections) == len(view_connections)
         for obj, col in zip(object_connections, view_connections):
             assert np.array_equal(
-                EXTRACTOR.extract_packets_reference(obj.packets),
+                extract_packets_reference(obj.packets),
                 EXTRACTOR.extract_packets(col.packets),
             )
 
@@ -303,7 +305,7 @@ class TestEngineEquivalence:
         builder = trained_clap.engine.builder
         batched = builder.batch_connection_profiles(view_connections)
         for connection, profiles in zip(view_connections, batched):
-            reference = builder.connection_profiles(connection)
+            reference = connection_profiles(builder, connection)
             assert np.array_equal(reference.raw_features, profiles.raw_features)
             assert np.allclose(reference.profiles, profiles.profiles, atol=1e-12)
 
@@ -336,7 +338,7 @@ class TestCrossBlockTrains:
         assert len(objects) == len(spanning) == len(single)
         spans = [len({id(packet.columns) for packet in c.packets}) for c in spanning]
         assert sum(span >= 2 for span in spans) > len(spans) // 2
-        references = [EXTRACTOR.extract_packets_reference(c.packets) for c in objects]
+        references = [extract_packets_reference(c.packets) for c in objects]
         mixed = list(spanning[1].packets)
         mixed[0] = mixed[0].materialize()
         trains = [
@@ -359,19 +361,27 @@ class TestCrossBlockTrains:
         ]
 
         calls = []
-        reference = RawFeatureExtractor.extract_packets_reference
+        from_packets = PacketColumns.from_packets
 
-        def spy(self, packets):
+        def spy(cls, packets):
+            packets = list(packets)
             calls.append(packets)
-            return reference(self, packets)
+            return from_packets(packets)
 
-        monkeypatch.setattr(RawFeatureExtractor, "extract_packets_reference", spy)
+        monkeypatch.setattr(PacketColumns, "from_packets", classmethod(spy))
         got = EXTRACTOR.extract_packet_trains(trains)
         assert len(got) == len(expected)
         for index, (features, wanted) in enumerate(zip(got, expected, strict=True)):
             assert features.shape == wanted.shape, index
             assert np.array_equal(features, wanted), index
-        assert [id(train) for train in calls] == [id(trains[3]), id(trains[4])]
+        # One conversion per call, over exactly the object packets of the
+        # object and mixed trains; the mixed train's views stay rows of
+        # their own blocks.
+        assert len(calls) == 1
+        assert [id(packet) for packet in calls[0]] == [
+            *(id(packet) for packet in trains[3]),
+            id(mixed[0]),
+        ]
 
     def test_single_train_across_blocks(self, capture):
         objects = assemble_connections(read_pcap(capture))
@@ -379,7 +389,7 @@ class TestCrossBlockTrains:
         for obj, col in zip(objects, spanning, strict=True):
             assert np.array_equal(
                 EXTRACTOR.extract_packets(col.packets),
-                EXTRACTOR.extract_packets_reference(obj.packets),
+                extract_packets_reference(obj.packets),
             )
 
     def test_single_block_batch_is_not_copied(self, capture, monkeypatch):

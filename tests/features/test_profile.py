@@ -59,14 +59,14 @@ class TestContextProfileBuilder:
         assert fitted_builder.stacked_profile_size == 345
 
     def test_connection_profiles_shapes(self, fitted_builder, simple_connection):
-        profiles = fitted_builder.connection_profiles(simple_connection)
+        profiles = fitted_builder.batch_connection_profiles([simple_connection])[0]
         count = len(simple_connection)
         assert profiles.profiles.shape == (count, CONTEXT_PROFILE_SIZE)
         assert profiles.update_gates.shape == (count, 32)
         assert profiles.reset_gates.shape == (count, 32)
 
     def test_profile_layout_packet_features_then_gates(self, fitted_builder, simple_connection):
-        profiles = fitted_builder.connection_profiles(simple_connection)
+        profiles = fitted_builder.batch_connection_profiles([simple_connection])[0]
         reconstructed = np.hstack([
             profiles.scaled_features,
             profiles.amplification,
@@ -76,7 +76,7 @@ class TestContextProfileBuilder:
         assert np.allclose(profiles.profiles, reconstructed)
 
     def test_stacked_profiles_count(self, fitted_builder, simple_connection):
-        stacked = fitted_builder.stacked_profiles(simple_connection)
+        stacked = fitted_builder.batch_stacked_profiles([simple_connection]).matrix
         assert stacked.shape == (len(simple_connection) - 3 + 1, 345)
 
     def test_training_matrix_concatenates_connections(self, fitted_builder, benign_connections):

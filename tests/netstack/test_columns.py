@@ -187,7 +187,11 @@ class TestGather:
             (0, np.array([5, 5, 2])),
             (1, np.arange(len(blocks[1]))[::-1]),
         ]
-        gathered = PacketColumns.gather([(blocks[number], rows) for number, rows in picks])
+        gathered = PacketColumns.gather(
+            [blocks[number] for number, _ in picks],
+            np.repeat(np.arange(len(picks)), [rows.size for _, rows in picks]),
+            np.concatenate([rows for _, rows in picks]),
+        )
         expected = np.concatenate([rows + bases[number] for number, rows in picks])
         assert len(gathered) == expected.size
         for name in _ARRAY_FIELDS:
@@ -199,7 +203,9 @@ class TestGather:
     def test_copies_only_the_named_fields(self, capture):
         columns = read_packet_columns(capture)
         gathered = PacketColumns.gather(
-            [(columns, np.array([4, 1])), (columns, np.array([0]))],
+            [columns, columns],
+            np.array([0, 0, 1]),
+            np.array([4, 1, 0]),
             fields=("timestamp", "seq"),
         )
         assert np.array_equal(gathered.seq, columns.seq[[4, 1, 0]])

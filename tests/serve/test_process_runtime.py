@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.attacks.primitives import bad_md5_option
-from repro.features.fields import RawFeatureExtractor
 from repro.netstack.columns import PacketColumns
 from repro.netstack.flow import CompletionReason, assemble_connections
 from repro.netstack.flow import packet_stream as _packet_stream
@@ -124,8 +123,8 @@ class TestProcessEquivalence:
     ):
         """Connections spread over many 4 KiB capture blocks score exactly
         as they do when read in the default 4 MiB blocks, and (in thread
-        mode, where the extractor can be watched) never leave the columnar
-        feature path."""
+        mode, where the extractor can be watched) never become object
+        packets on their way to the features."""
         path = tmp_path / "capture.pcap"
         write_pcap(path, _packet_stream(TrafficGenerator(seed=77).generate_connections(24)))
 
@@ -151,13 +150,14 @@ class TestProcessEquivalence:
 
         expected = rows(4 << 20)
         reference_calls = []
-        reference = RawFeatureExtractor.extract_packets_reference
+        from_packets = PacketColumns.from_packets
 
-        def spy(self, packets):
+        def spy(cls, packets):
+            packets = list(packets)
             reference_calls.append(packets)
-            return reference(self, packets)
+            return from_packets(packets)
 
-        monkeypatch.setattr(RawFeatureExtractor, "extract_packets_reference", spy)
+        monkeypatch.setattr(PacketColumns, "from_packets", classmethod(spy))
         got = rows(4096)
         assert len(expected) == 24
         assert [row[:4] for row in got] == [row[:4] for row in expected]

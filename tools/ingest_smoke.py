@@ -3,11 +3,14 @@
 
 Runs the stage-breakdown measurement from ``benchmarks/test_ingest_breakdown``
 on a tiny synthetic corpus and fails if the columnar ingest path is slower
-than the object path — the regression this guards against is someone adding
-per-packet Python back under the vectorized pipeline.  A second leg streams
-the same capture in small read blocks, so most connections span several
-blocks, and fails if any train of column views reaches the per-packet
-reference extractor.  A third leg re-writes the capture with one odd-length
+than the object path (the per-packet reference extractor of
+``tests/reference_oracle.py``) — the regression this guards against is
+someone adding per-packet Python back under the vectorized pipeline.  A
+second leg streams the same capture in small read blocks, so most
+connections span several blocks, and fails if ``PacketColumns.from_packets``
+runs at all while their trains of column views are extracted: every view
+must be read from its own block, not materialised and converted back.  A
+third leg re-writes the capture with one odd-length
 record in front, so every record starts at the other byte parity, parses
 both captures whole-file and in small blocks, and fails unless all columns
 agree across the four parses (the checksum word sums read odd- and
@@ -34,7 +37,7 @@ from benchmarks.test_ingest_breakdown import (  # noqa: E402
     render_breakdown,
 )
 from repro.features.fields import RawFeatureExtractor  # noqa: E402
-from repro.netstack.columns import _ARRAY_FIELDS, ColumnPacketView, PacketColumns  # noqa: E402
+from repro.netstack.columns import _ARRAY_FIELDS, PacketColumns  # noqa: E402
 from repro.netstack.flow import assemble_connections, packet_stream  # noqa: E402
 from repro.netstack.pcap import PcapReader, PcapWriter, write_pcap  # noqa: E402
 from repro.serve.sources import PcapSource  # noqa: E402
@@ -52,31 +55,32 @@ PCAP_GLOBAL_HEADER_BYTES = 24
 
 
 def multi_block_failures(path: Path) -> list[str]:
-    """Stream ``path`` in small blocks; report column-view trains that were
-    extracted by the per-packet reference instead of the columnar path."""
+    """Stream ``path`` in small blocks; report packets that went through
+    ``PacketColumns.from_packets`` although every train is column views."""
     connections = assemble_connections(PcapSource(path, block_bytes=SMALL_BLOCK_BYTES))
     spanning = sum(len({id(p.columns) for p in c.packets}) > 1 for c in connections)
-    slow_trains = []
-    reference = RawFeatureExtractor.extract_packets_reference
+    trains = [connection.packets for connection in connections]
+    converted = []
+    original = PacketColumns.__dict__["from_packets"]
 
-    def spy(self, packets):
-        if packets and all(type(packet) is ColumnPacketView for packet in packets):
-            slow_trains.append(len(packets))
-        return reference(self, packets)
+    def spy(cls, packets):
+        packets = list(packets)
+        converted.extend(packets)
+        return original.__func__(cls, packets)
 
-    RawFeatureExtractor.extract_packets_reference = spy
+    PacketColumns.from_packets = classmethod(spy)
     try:
-        RawFeatureExtractor().extract_packet_trains([c.packets for c in connections])
+        RawFeatureExtractor().extract_packet_trains(trains)
     finally:
-        RawFeatureExtractor.extract_packets_reference = reference
+        PacketColumns.from_packets = original
     print(f"multi-block leg: {spanning}/{len(connections)} connections span 2+ "
-          f"{SMALL_BLOCK_BYTES}-byte blocks, {len(slow_trains)} reached the reference",
-          file=sys.stderr)
+          f"{SMALL_BLOCK_BYTES}-byte blocks, {len(converted)} packets went through "
+          "from_packets", file=sys.stderr)
     failures = []
     if spanning == 0:
         failures.append("no connection spans two read blocks; the multi-block leg is vacuous")
-    if slow_trains:
-        failures.append(f"{len(slow_trains)} column-view trains fell back to the reference")
+    if converted:
+        failures.append(f"{len(converted)} packets of column-view trains went through from_packets")
     return failures
 
 
