@@ -6,8 +6,9 @@ into NumPy array programs removes the serial-Python floor under the serving
 path.  This benchmark times each stage of ``pcap → (n, 32) raw-feature
 matrix`` on both implementations of the same corpus:
 
-* **parse** — capture file to packets: ``read_pcap`` (one ``Packet`` per
-  record) vs ``read_packet_columns`` (bulk block scan + vectorized parse);
+* **parse** — capture file to packets: the test oracle's ``read_pcap`` (one
+  ``Packet`` per record) vs ``read_packet_columns`` (bulk block scan +
+  vectorized parse);
 * **features** — assembled connections to per-connection feature matrices:
   the per-packet reference loop of the test oracle
   (``tests/reference_oracle.py``) vs ``extract_packet_trains`` over shared
@@ -32,10 +33,10 @@ import numpy as np
 from benchmarks.conftest import BENCH_SCALE, write_result
 from repro.features.fields import RawFeatureExtractor
 from repro.netstack.flow import assemble_connections, packet_stream
-from repro.netstack.pcap import read_packet_columns, read_pcap, write_pcap
+from repro.netstack.pcap import read_packet_columns, write_pcap
 from repro.traffic.generator import TrafficGenerator
 
-from tests.reference_oracle import extract_packets_reference
+from tests.reference_oracle import extract_packets_reference, read_pcap
 
 
 def _best_of(function: Callable[[], object], repeats: int = 3) -> float:

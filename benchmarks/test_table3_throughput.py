@@ -10,9 +10,8 @@ serving path: ``mode="streaming"`` replays the test connections' packets in
 timestamp order through :class:`ParallelStreamingDetector` — in process on
 the caller's thread, and across 1 and 4 worker processes — covering flow
 assembly, micro-batching and event dispatch, not just scoring.  The
-streaming rows use the columnar ingest path (what a ``PcapSource`` feeds the
-runtime); a ``workers=1, object`` row keeps the per-``Packet`` reference
-measurable.
+streaming rows replay column views (what a ``PcapSource`` feeds the
+runtime).
 
 The ``worker`` rows run one in-process detector; ``process`` workers each
 own a core — the model is loaded read-only via mmap, the caller's thread
@@ -49,16 +48,13 @@ def test_table3_throughput(experiment, benchmark):
     # estimator for wall-clock timings.
     corpus = experiment.dataset.train + experiment.dataset.test
 
-    def best_streaming(
-        workers: int, ingest: str, worker_mode: str = "thread", backend: str = None
-    ):
+    def best_streaming(workers: int, worker_mode: str = "thread", backend: str = None):
         runs = [
             runner.measure_throughput(
                 CLAP_NAME,
                 corpus,
                 mode="streaming",
                 workers=workers,
-                ingest=ingest,
                 worker_mode=worker_mode,
                 backend=backend,
             )
@@ -80,26 +76,21 @@ def test_table3_throughput(experiment, benchmark):
         "CLAP (gru-f32)": best_batched(CLAP_NAME, backend="gru-f32"),
         "CLAP (quantized)": best_batched(CLAP_NAME, backend="quantized-gru"),
         BASELINE2_NAME: best_batched(BASELINE2_NAME),
-        "CLAP (streaming, 1 worker)": best_streaming(1, "columnar"),
-        "CLAP (streaming, 1 worker, gru-f32)": best_streaming(
-            1, "columnar", backend="gru-f32"
-        ),
-        "CLAP (streaming, 1 worker, object)": best_streaming(1, "object"),
-        "CLAP (streaming, 1 process)": best_streaming(1, "columnar", "process"),
-        "CLAP (streaming, 4 processes)": best_streaming(4, "columnar", "process"),
+        "CLAP (streaming, 1 worker)": best_streaming(1),
+        "CLAP (streaming, 1 worker, gru-f32)": best_streaming(1, backend="gru-f32"),
+        "CLAP (streaming, 1 process)": best_streaming(1, "process"),
+        "CLAP (streaming, 4 processes)": best_streaming(4, "process"),
     }
     cores = _available_cores()
     text = render_table3(throughput) + (
         f"\n\nstreaming rows: full packets-in/alerts-out path (flow assembly +"
         f" micro-batched scoring + event dispatch), best of 3 replays of the"
-        f" whole corpus; host had {cores} usable core(s).  'columnar' streams"
-        f" ColumnPacketView handles over pre-parsed PacketColumns (the"
-        f" PcapSource serving path; scores identical to the object rows),"
-        f" 'object' streams full Packet objects (the pre-columnar reference)."
-        f"  Process rows assemble on the caller's thread and spawn scoring"
-        f" worker processes (GIL-free scaling): each worker maps the model"
-        f" read-only (mmap) and receives each batch as one packed column"
-        f" block.  'Setup (s)' isolates each row's fixed costs"
+        f" whole corpus; host had {cores} usable core(s).  Streaming rows replay"
+        f" ColumnPacketView handles over pre-built PacketColumns (the"
+        f" PcapSource serving path).  Process rows assemble on the caller's"
+        f" thread and spawn scoring worker processes (GIL-free scaling): each"
+        f" worker maps the model read-only (mmap) and receives each batch as"
+        f" one packed column block.  'Setup (s)' isolates each row's fixed costs"
         f" (detector construction, worker spawn, the process pool's artifact"
         f" save and per-worker model map) from the steady-state"
         f" 'Packets/Second'; 'Total Pkt/s' is the old all-inclusive figure."
@@ -120,7 +111,6 @@ def test_table3_throughput(experiment, benchmark):
                     "label": name,
                     "mode": result.mode,
                     "backend": result.backend,
-                    "ingest": result.ingest,
                     "workers": result.workers,
                     "worker_mode": result.worker_mode,
                     "packets": result.packets,
@@ -156,7 +146,6 @@ def test_table3_throughput(experiment, benchmark):
 
     streaming_1 = throughput["CLAP (streaming, 1 worker)"]
     streaming_f32 = throughput["CLAP (streaming, 1 worker, gru-f32)"]
-    streaming_object = throughput["CLAP (streaming, 1 worker, object)"]
     process_1 = throughput["CLAP (streaming, 1 process)"]
     process_4 = throughput["CLAP (streaming, 4 processes)"]
     assert streaming_f32.connections == streaming_1.connections
@@ -166,13 +155,10 @@ def test_table3_throughput(experiment, benchmark):
     # it; guard against a real regression only.
     assert streaming_f32.packets_per_second > 0.75 * streaming_1.packets_per_second
     assert streaming_1.connections > 0
-    assert streaming_1.connections == streaming_object.connections
     # Process mode emits the identical connection set (scores are asserted
     # equal to 1e-9 by the serve test suite; the benchmark checks the count).
     assert process_1.connections == process_4.connections == streaming_1.connections
     assert streaming_1.packets_per_second > 100
-    # Columnar ingest must beat the object reference on the serving path.
-    assert streaming_1.packets_per_second > streaming_object.packets_per_second
     if cores > 1:
         # With real parallel compute available, four process shards (no
         # shared GIL) must beat the single-worker packets-in/alerts-out

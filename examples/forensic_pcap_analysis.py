@@ -6,7 +6,8 @@ tool that analyses traffic captures offline (Section 3.2).  This example:
 
 1. writes a capture containing a mix of benign connections and connections
    attacked with three different evasion strategies,
-2. re-reads the capture from disk, reassembles the connections,
+2. re-reads the capture from disk as packet columns and reassembles the
+   connections from their column views,
 3. ranks every connection by its adversarial score, and
 4. prints a per-connection report with the localised suspicious packets.
 
@@ -19,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from repro import AttackInjector, BenignDataset, Clap, ClapConfig, get_strategy
-from repro.netstack import assemble_connections, read_pcap, write_pcap
+from repro.netstack import assemble_connections, read_packet_columns, write_pcap
 
 ATTACKS = [
     "Snort: Injected RST Pure",
@@ -64,7 +65,7 @@ def main() -> None:
         print(f"capture written to {capture_path} "
               f"({len(ground_truth)} attacked connections hidden inside)")
 
-        connections = assemble_connections(read_pcap(capture_path))
+        connections = assemble_connections(read_packet_columns(capture_path).views())
         print(f"reassembled {len(connections)} connections from the capture\n")
 
         ranked = sorted(

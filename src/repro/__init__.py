@@ -48,7 +48,7 @@ from repro.netstack import (
     Connection,
     FlowTable,
     Packet,
-    read_pcap,
+    read_packet_columns,
     write_pcap,
 )
 from repro.serve import (
@@ -98,7 +98,7 @@ __all__ = [
     "auc_roc",
     "equal_error_rate",
     "get_strategy",
-    "read_pcap",
+    "read_packet_columns",
     "roc_curve",
     "write_pcap",
 ]

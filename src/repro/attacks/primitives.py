@@ -28,7 +28,7 @@ from repro.netstack.options import (
 )
 from repro.netstack.packet import Direction, Packet
 from repro.netstack.tcp import TcpFlags, TcpHeader
-from repro.tcpstate.conntrack import ConntrackMachine
+from repro.tcpstate.conntrack import ConnectionLabeler
 from repro.tcpstate.states import MasterState
 from repro.tcpstate.window import seq_add
 
@@ -39,8 +39,10 @@ from repro.tcpstate.window import seq_add
 
 def state_trace(connection: Connection) -> list[MasterState]:
     """Per-packet master state according to the reference tracker."""
-    machine = ConntrackMachine()
-    return [machine.process(packet).state_after for packet in connection.packets]
+    return [
+        observation.state_after
+        for observation in ConnectionLabeler().observe_connection(connection.packets)
+    ]
 
 
 def handshake_completion_index(connection: Connection) -> int:

@@ -34,7 +34,7 @@ from repro.core.artifacts import ModelManifestError
 from repro.core.config import ClapConfig
 from repro.core.pipeline import Clap
 from repro.netstack.flow import assemble_connections
-from repro.netstack.pcap import read_packet_columns, read_pcap, write_pcap
+from repro.netstack.pcap import read_packet_columns, write_pcap
 from repro.nn.backend import available_backends, serving_backends
 from repro.serve import (
     DropPolicy,
@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only print the N highest-scoring connections")
     score.add_argument("--json", action="store_true",
                        help="emit one JSON document instead of the table")
-    score.add_argument("--ingest", choices=("columnar", "object"), default="columnar",
-                       help="pcap read path: vectorized columnar (default) or "
-                            "per-record object parsing (the reference)")
     score.add_argument("--backend", choices=serving_backends(), default=None,
                        help="serve through this sequence backend instead of the persisted "
                             "one (converted in memory; scores stay within the documented "
@@ -123,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "model shared via read-only mmap)")
     stream.add_argument("--source", choices=("auto", "pcap", "ndjson"), default="auto",
                         help="input format; auto picks by file extension")
-    stream.add_argument("--ingest", choices=("columnar", "object"), default="columnar",
-                        help="pcap read path: vectorized columnar (default) or "
-                             "per-record object parsing (the reference)")
     stream.add_argument("--strict", action="store_true",
                         help="abort on malformed capture records instead of skipping them")
     stream.add_argument("--max-batch", type=int, default=128,
@@ -212,7 +206,7 @@ def command_attack(args: argparse.Namespace) -> int:
     if not 0.0 <= args.fraction <= 1.0:
         print(f"error: --fraction must be in [0, 1], got {args.fraction}", file=sys.stderr)
         return 2
-    connections = assemble_connections(read_pcap(args.input))
+    connections = assemble_connections(read_packet_columns(args.input).views())
     if not connections:
         print(f"error: no TCP connections found in {args.input}", file=sys.stderr)
         return 2
@@ -297,13 +291,10 @@ def command_score(args: argparse.Namespace) -> int:
         return 2
     threshold = args.threshold if args.threshold is not None else clap.threshold
     try:
-        if getattr(args, "ingest", "columnar") == "columnar":
-            # Columnar fast path: bulk record scan + vectorized parse; the
-            # assembled connections carry column views, so feature extraction
-            # in the engine below stays vectorized end to end.
-            connections = assemble_connections(read_packet_columns(args.pcap).views())
-        else:
-            connections = assemble_connections(read_pcap(args.pcap))
+        # Bulk record scan + vectorized parse; the assembled connections
+        # carry column views, so feature extraction in the engine below
+        # stays vectorized end to end.
+        connections = assemble_connections(read_packet_columns(args.pcap).views())
     except (ValueError, FileNotFoundError) as error:
         # Bad magic, truncated header, unsupported link type, missing file.
         print(f"error: {error}", file=sys.stderr)
@@ -411,8 +402,7 @@ def command_stream(args: argparse.Namespace) -> int:
             return 2
     try:
         chunk_size = _parse_chunk_size(args.chunk_size)
-        source: object = open_source(args.pcap, args.source, ingest=args.ingest,
-                                     strict=args.strict)
+        source: object = open_source(args.pcap, args.source, strict=args.strict)
         if args.replay_rate is not None:
             # Heartbeat at the close-grace cadence so FIN'd flows complete
             # during quiet spells; with a zero grace there is nothing for a

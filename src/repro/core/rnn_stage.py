@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.config import RnnConfig
 from repro.features.fields import RawFeatureExtractor
 from repro.features.scaling import FeatureScaler
+from repro.netstack.columns import column_trains
 from repro.netstack.flow import Connection
 from repro.nn.backend import convert_backend, get_backend
 from repro.nn.gru import GRUSequenceClassifier
@@ -79,16 +80,10 @@ class RnnStage:
         self, connections: Sequence[Connection]
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Raw features and label indices per non-empty connection (labels via
-        conntrack); the features of the whole corpus come from one batch."""
-        kept = [connection for connection in connections if len(connection) > 0]
-        feature_arrays = self.extractor.extract_packet_trains(
-            [connection.packets for connection in kept]
-        )
-        label_arrays = [
-            np.array(self.labeler.label_class_indices(connection.packets), dtype=np.int64)
-            for connection in kept
-        ]
-        return feature_arrays, label_arrays
+        conntrack); each comes from one batch over the whole corpus, whose
+        object packets are converted to columns once."""
+        trains = column_trains([c.packets for c in connections if len(c) > 0])
+        return self.extractor.extract_packet_trains(trains), self.labeler.class_indices(trains)
 
     # -------------------------------------------------------------- training
     def _training_class(self):

@@ -121,7 +121,6 @@ def render_table3(throughputs: dict[str, ThroughputResult]) -> str:
         "Model",
         "Backend",
         "Mode",
-        "Ingest",
         "Workers",
         "Packets/Second",
         "Connections/Second",
@@ -133,7 +132,6 @@ def render_table3(throughputs: dict[str, ThroughputResult]) -> str:
             name,
             result.backend,
             result.mode,
-            result.ingest if result.mode == "streaming" else "-",
             (
                 f"{result.workers} ({result.worker_mode})"
                 if result.mode == "streaming"

@@ -108,7 +108,6 @@ class ThroughputResult:
     seconds: float  # steady-state ingest+drain time (excludes fixed setup)
     mode: str = "batched"
     workers: int = 1
-    ingest: str = "object"
     worker_mode: str = "thread"
     #: Fixed startup costs measured separately for streaming rows: runtime
     #: construction plus the first flush barrier (process pools pay their
@@ -295,7 +294,6 @@ class ExperimentRunner:
         *,
         mode: str = "batched",
         workers: int = 1,
-        ingest: str = "object",
         worker_mode: str = "thread",
         backend: str | None = None,
     ) -> ThroughputResult:
@@ -303,22 +301,18 @@ class ExperimentRunner:
 
         ``mode`` selects the scoring entry point: ``"batched"`` uses the
         detector's (engine-backed) ``score_connections``; ``"streaming"``
-        replays the connections' packets in timestamp order through the sharded
-        :class:`~repro.serve.ParallelStreamingDetector` (CLAP only) with
-        ``workers`` flow-table shards, measuring the full
-        packets-in/alerts-out serving path including flow assembly.
-
-        ``ingest`` applies to the streaming mode: ``"object"`` replays full
-        :class:`Packet` objects, ``"columnar"`` replays
-        :class:`~repro.netstack.columns.ColumnPacketView` handles over a
-        pre-built :class:`~repro.netstack.columns.PacketColumns` — what a
-        columnar :class:`~repro.serve.PcapSource` would feed the runtime
-        (the conversion itself happens off the clock, mirroring how the
-        parse stage is excluded for the object path too).
+        replays the connections' packets in timestamp order through
+        :class:`~repro.serve.ParallelStreamingDetector` (CLAP only),
+        measuring the full packets-in/alerts-out serving path including flow
+        assembly.  The packets replay as
+        :class:`~repro.netstack.columns.ColumnPacketView` handles (object
+        packets are converted before the clock starts) — what a
+        :class:`~repro.serve.PcapSource` feeds the runtime, minus the parse.
 
         ``worker_mode`` also applies to the streaming mode: ``"thread"``
         (default; one in-process detector, so ``workers`` must be 1) or
-        ``"process"``.  Streaming rows report *steady-state*
+        ``"process"`` (``workers`` scoring processes, while the caller's
+        thread assembles connections).  Streaming rows report *steady-state*
         throughput: fixed startup costs — runtime construction, and for
         process pools the model-artifact save, pool spawn and each worker's
         read-only-mmap load (forced to completion by an empty ``flush()``
@@ -341,18 +335,13 @@ class ExperimentRunner:
         packets = sum(len(connection) for connection in connections)
         if mode not in ("batched", "streaming"):
             raise ValueError(f"unknown throughput mode {mode!r}")
-        if ingest not in ("object", "columnar"):
-            raise ValueError(f"unknown ingest mode {ingest!r}")
         if mode == "streaming":
             if not isinstance(detector, Clap):
                 raise ValueError("streaming throughput is only defined for the CLAP pipeline")
+            from repro.netstack.columns import column_trains
             from repro.serve import ParallelStreamingDetector
 
-            stream = packet_stream(connections)
-            if ingest == "columnar":
-                from repro.netstack.columns import PacketColumns
-
-                stream = PacketColumns.from_packets(stream).views()
+            stream = column_trains([packet_stream(connections)])[0]
             setup_start = time.perf_counter()
             streaming = ParallelStreamingDetector(
                 detector,
@@ -376,7 +365,6 @@ class ExperimentRunner:
                 seconds=elapsed,
                 mode=mode,
                 workers=workers,
-                ingest=ingest,
                 worker_mode=worker_mode,
                 setup_seconds=setup_elapsed,
                 backend=resolved_backend,

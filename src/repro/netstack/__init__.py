@@ -51,10 +51,8 @@ from repro.netstack.options import (
 from repro.netstack.packet import Direction, Packet
 from repro.netstack.pcap import (
     PcapReader,
-    PcapRecord,
     PcapWriter,
     read_packet_columns,
-    read_pcap,
     write_pcap,
 )
 from repro.netstack.tcp import TcpFlags, TcpHeader
@@ -76,7 +74,6 @@ __all__ = [
     "Packet",
     "PacketColumns",
     "PcapReader",
-    "PcapRecord",
     "PcapWriter",
     "RawOption",
     "SackPermitted",
@@ -100,7 +97,6 @@ __all__ = [
     "parse_packet_columns",
     "pseudo_header",
     "read_packet_columns",
-    "read_pcap",
     "split_connections",
     "tcp_checksum",
     "verify_checksum",

@@ -1,10 +1,10 @@
-"""Columnar packet representation: the ingest-side counterpart of the engine.
+"""Columnar packet representation: the one ingest representation.
 
-The object pipeline parses every record into a :class:`~repro.netstack.packet.Packet`
-(two dataclasses, a decoded option list, a payload slice) before any feature
-is computed — per-packet Python that caps streaming throughput well below the
-batched scoring path.  This module keeps a capture block as **structured
-NumPy columns** instead:
+Parsing every record into a :class:`~repro.netstack.packet.Packet` (two
+dataclasses, a decoded option list, a payload slice) before any feature is
+computed is per-packet Python that caps throughput well below the batched
+scoring path.  This module keeps a capture block as **structured NumPy
+columns** instead:
 
 * :func:`parse_packet_columns` turns a block buffer plus record offsets into
   a :class:`PacketColumns`, reading each byte of the block once: every fixed
@@ -20,11 +20,14 @@ NumPy columns** instead:
   exposes just enough of the :class:`Packet` surface (timestamps, flag bits,
   addresses/ports, direction) for flow assembly and the streaming runtime,
   and materialises a full ``Packet`` only on demand.
-* :meth:`PacketColumns.from_packets` converts in-memory packets, so replayed
-  object streams can ride the same vectorized feature path.
+* :meth:`PacketColumns.from_packets` converts in-memory packets, so
+  generated traffic, attack output and object streams ride the same
+  vectorized passes.
 
 The 32 Table-7 features are computed from these columns by
-:meth:`repro.features.fields.RawFeatureExtractor.extract_packet_trains`.
+:meth:`repro.features.fields.RawFeatureExtractor.extract_packet_trains`, and
+the Stage-(a) conntrack labels by
+:class:`repro.tcpstate.conntrack.ConnectionLabeler`.
 """
 
 from __future__ import annotations
@@ -82,8 +85,12 @@ _ARRAY_FIELDS = (
     "key_port_b",
 )
 
+#: Validity bits only the conntrack labeller reads.  They are not part of the
+#: ``pack_block`` wire format, so unpacked and synthesized blocks lack them.
+_LABEL_FIELDS = ("length_ok", "offset_ok", "ws_present")
+
 _FLOAT_FIELDS = frozenset(("timestamp", "mss", "ws_shift", "ut_timeout", "md5_ok"))
-_BOOL_FIELDS = frozenset(("ip_options", "ip_ok", "tcp_ok", "ts_present"))
+_BOOL_FIELDS = frozenset(("ip_options", "ip_ok", "tcp_ok", "ts_present", *_LABEL_FIELDS))
 
 
 def _field_dtype(name: str) -> np.dtype:
@@ -210,6 +217,13 @@ class ColumnPacketView:
                 packet.injected = self.injected
         return packet
 
+    def to_bytes(self) -> bytes:
+        """Wire bytes: the captured record itself when the row was parsed
+        from a capture, so an untouched packet is written back unchanged."""
+        if self.columns.buffer is not None:
+            return self.columns.record(self.index)
+        return self.materialize().to_bytes()
+
     def copy(self, **overrides) -> Packet:
         """Materialised deep-enough copy (mirrors :meth:`Packet.copy`)."""
         clone = self.materialize().copy(direction=self.direction, injected=self.injected)
@@ -265,6 +279,12 @@ class PacketColumns:
     key_port_a: np.ndarray
     key_ip_b: np.ndarray
     key_port_b: np.ndarray
+    # Label bits (``_LABEL_FIELDS``): what conntrack validation reads that the
+    # on-wire or effective header columns cannot tell (the decoded header
+    # sizes; an absent window-scale option from a zero shift).
+    length_ok: np.ndarray | None = None  # bool: IP total length = modelled packet size
+    offset_ok: np.ndarray | None = None  # bool: 5 <= data offset, fits TCP header + payload
+    ws_present: np.ndarray | None = None  # bool: well-formed Window Scale option present
     # Materialisation backing: raw bytes + per-row spans, or original packets.
     buffer: np.ndarray | None = None  # uint8 block buffer
     offsets: np.ndarray | None = None  # int64 start of each raw IPv4 packet
@@ -280,7 +300,12 @@ class PacketColumns:
     # ------------------------------------------------------------ constructors
     @classmethod
     def empty(cls) -> "PacketColumns":
-        return cls(**{name: np.zeros(0, dtype=_field_dtype(name)) for name in _ARRAY_FIELDS})
+        return cls(
+            **{
+                name: np.zeros(0, dtype=_field_dtype(name))
+                for name in _ARRAY_FIELDS + _LABEL_FIELDS
+            }
+        )
 
     @classmethod
     def concatenate(cls, blocks: Sequence["PacketColumns"]) -> "PacketColumns":
@@ -290,11 +315,11 @@ class PacketColumns:
             return cls.empty()
         if len(blocks) == 1:
             return blocks[0]
+        names = _ARRAY_FIELDS
+        if all(block.length_ok is not None for block in blocks):
+            names += _LABEL_FIELDS
         stitched = cls(
-            **{
-                name: np.concatenate([getattr(block, name) for block in blocks])
-                for name in _ARRAY_FIELDS
-            }
+            **{name: np.concatenate([getattr(block, name) for block in blocks]) for name in names}
         )
         if all(block.buffer is not None for block in blocks):
             base = 0
@@ -362,7 +387,7 @@ class PacketColumns:
         timestamp = np.zeros(n, dtype=np.float64)
         option_values = np.zeros((n, 4), dtype=np.float64)  # mss, ws, ut, md5_ok
         option_values[:, 3] = 1.0
-        bools = np.zeros((n, 4), dtype=bool)
+        bools = np.zeros((n, 7), dtype=bool)
         for i, packet in enumerate(packets):
             tcp = packet.tcp
             ip = packet.ip
@@ -371,6 +396,7 @@ class PacketColumns:
             header_length = TCP_BASE_HEADER_LENGTH + len(encode_options(tcp.options))
             data_offset = tcp.data_offset if tcp.data_offset is not None else header_length // 4
             segment_length = header_length + payload_len
+            total_length = ip.effective_total_length(segment_length)
             rows[i] = (
                 ip.src,
                 ip.dst,
@@ -387,7 +413,7 @@ class PacketColumns:
                 ip.version,
                 ip.tos,
                 ip.ttl,
-                ip.effective_total_length(segment_length),
+                total_length,
                 ts_option.tsval if ts_option is not None else 0,
                 ts_option.tsecr if ts_option is not None else 0,
             )
@@ -405,6 +431,9 @@ class PacketColumns:
                 ip.has_correct_checksum(payload_length=segment_length),
                 tcp.has_correct_checksum(ip.src, ip.dst, packet.payload),
                 ts_option is not None,
+                total_length == ip.header_length + segment_length,
+                5 <= data_offset and data_offset * 4 <= segment_length,
+                ws is not None,
             )
         (
             src, dst, src_port, dst_port, seq, ack, flags, window, urgent,
@@ -444,6 +473,9 @@ class PacketColumns:
             key_port_a=np.where(key_swap, dst_port, src_port),
             key_ip_b=np.where(key_swap, src, dst),
             key_port_b=np.where(key_swap, src_port, dst_port),
+            length_ok=bools[:, 4].copy(),
+            offset_ok=bools[:, 5].copy(),
+            ws_present=bools[:, 6].copy(),
             packets=packets,
         )
 
@@ -482,13 +514,14 @@ class PacketColumns:
         """Materialise row ``index`` as a full :class:`Packet`."""
         if self.packets is not None:
             return self.packets[index]
+        return Packet.from_bytes(self.record(index), timestamp=float(self.timestamp[index]))
+
+    def record(self, index: int) -> bytes:
+        """The captured IPv4 bytes of row ``index`` (capture-backed blocks)."""
         if self.buffer is None:
             raise ValueError("PacketColumns has no materialisation backing")
         start = int(self.offsets[index])
-        stop = start + int(self.lengths[index])
-        return Packet.from_bytes(
-            self.buffer[start:stop].tobytes(), timestamp=float(self.timestamp[index])
-        )
+        return self.buffer[start : start + int(self.lengths[index])].tobytes()
 
     def views(self, directions: Sequence[Direction] | None = None) -> list[ColumnPacketView]:
         """Per-packet view handles, in row order (bulk-constructed).
@@ -597,6 +630,22 @@ def unpack_block(data: bytes | bytearray | memoryview) -> PacketColumns:
     return PacketColumns(**kwargs)
 
 
+def column_trains(trains: Sequence[Sequence[Packet]]) -> list[Sequence[ColumnPacketView]]:
+    """``trains`` with every object packet replaced by its view in one
+    :meth:`PacketColumns.from_packets` block (views pass through), so that
+    several passes over the same trains convert their objects once."""
+    objects = [
+        packet for train in trains for packet in train if type(packet) is not ColumnPacketView
+    ]
+    if not objects:
+        return list(trains)
+    views = iter(PacketColumns.from_packets(objects).views())
+    return [
+        [packet if type(packet) is ColumnPacketView else next(views) for packet in train]
+        for train in trains
+    ]
+
+
 def train_rows(
     trains: Sequence[Sequence[Packet]], fields: Sequence[str] = _ARRAY_FIELDS
 ) -> tuple[PacketColumns, np.ndarray | None, list[int]]:
@@ -606,37 +655,25 @@ def train_rows(
     ``rows[bounds[t] : bounds[t + 1]]`` of ``columns`` (``rows`` is ``None``
     when that is every row of ``columns`` in order).  A
     :class:`ColumnPacketView` is a row of its own block, and the object
-    packets of all trains become rows of one :meth:`PacketColumns.from_packets`
-    block.  When every packet lies in one block, that block is indexed in
-    place; otherwise the ``fields`` columns are gathered into a new block in
-    train order.
+    packets of all trains become rows of one block (:func:`column_trains`).
+    When every packet lies in one block, that block is indexed in place;
+    otherwise the ``fields`` columns are gathered into a new block in train
+    order.
     """
     bounds = [0]
     rows: list[int] = []
-    objects: list[Packet] = []
-    # Where each run of consecutive rows from one block starts, and its block
-    # (``None``: object packets).
+    # Where each run of consecutive rows from one block starts, and its block.
     starts: list[int] = []
-    owners: list[PacketColumns | None] = []
-    current: object = object()  # no run yet
-    for train in trains:
-        for packet in train:
-            if type(packet) is ColumnPacketView:
-                block = packet.columns
-                row = packet.index
-            else:
-                block = None
-                row = len(objects)
-                objects.append(packet)
-            if block is not current:
-                current = block
+    owners: list[PacketColumns] = []
+    current = None
+    for train in column_trains(trains):
+        for view in train:
+            if view.columns is not current:
+                current = view.columns
                 starts.append(len(rows))
-                owners.append(block)
-            rows.append(row)
+                owners.append(current)
+            rows.append(view.index)
         bounds.append(len(rows))
-    if objects:
-        converted = PacketColumns.from_packets(objects)
-        owners = [converted if block is None else block for block in owners]
     index = np.array(rows, dtype=np.int64)
     blocks = {id(block): block for block in owners}
     if len(blocks) <= 1:
@@ -723,7 +760,7 @@ def _walk_options(
     are decoded, the first option of each kind winning; every byte of such a
     row is consumed by an option, so re-encoding it reproduces the wire
     bytes.  Any other byte under a cursor stops that row.  Returns
-    ``(unwalked, mss, ws_shift, ts_present, tsval, tsecr)``, one entry per
+    ``(unwalked, mss, ws_shift, ws_present, ts_present, tsval, tsecr)``, one entry per
     area: ``unwalked`` marks the rows left to the per-row oracle, whose other
     entries are partial.
     """
@@ -766,7 +803,7 @@ def _walk_options(
 
         cursor[rows] = at + length
         rows = rows[cursor[rows] < stops[rows]]
-    return unwalked, mss, ws_shift, ts_present, tsval, tsecr
+    return unwalked, mss, ws_shift, ws_seen, ts_present, tsval, tsecr
 
 
 def _gather(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -799,17 +836,16 @@ def parse_packet_columns(
     """Vectorized TCP/IPv4 parse of raw packets inside one block buffer.
 
     ``offsets``/``lengths`` delimit each raw IPv4 packet in ``data`` (link
-    layer already stripped); records that the object path would reject
-    (truncated IP/TCP header, non-TCP protocol) are dropped, or raise
-    :class:`ValueError` when ``strict`` is set — mirroring
-    :meth:`PcapReader.packets`.
+    layer already stripped); records that :meth:`Packet.from_bytes` would
+    reject (truncated IP/TCP header, non-TCP protocol) are dropped, or raise
+    :class:`ValueError` when ``strict`` is set.
 
-    Field semantics replicate :meth:`Packet.from_bytes` +
-    :class:`~repro.features.fields.RawFeatureExtractor` bit for bit: checksum
-    validity is what re-serialisation would verify (so records whose parse is
-    lossy — reserved flag bits, non-canonical or truncated options — are
-    delegated to the per-packet oracle), and option summaries honour the
-    first-well-formed-option rule.  Checksums come from one word-sum pass
+    Field semantics replicate :meth:`Packet.from_bytes` followed by
+    :meth:`PacketColumns.from_packets` bit for bit: checksum validity is
+    what re-serialisation would verify (so records whose parse is lossy —
+    reserved flag bits, non-canonical or truncated options — are delegated
+    to the per-packet parse), the label bits compare the sizes of the parsed
+    headers, and option summaries honour the first-well-formed-option rule.  Checksums come from one word-sum pass
     (:func:`_word_sums`) over every IP header and TCP segment; options areas
     go through the vectorized walk (:func:`_walk_options`), and only the rows
     it cannot finish reach ``decode_options``.
@@ -883,6 +919,7 @@ def parse_packet_columns(
     # ------------------------------------------------------- TCP option parse
     mss = np.zeros(n, dtype=np.float64)
     ws_shift = np.zeros(n, dtype=np.float64)
+    ws_present = np.zeros(n, dtype=bool)
     ut_timeout = np.zeros(n, dtype=np.float64)
     md5_ok = np.ones(n, dtype=np.float64)  # wire-parsed MD5 options verify
     ts_present = np.zeros(n, dtype=bool)
@@ -891,6 +928,9 @@ def parse_packet_columns(
     # Canonical == re-encoding the decoded options reproduces the wire bytes,
     # which is what checksum re-verification serialises.
     canonical = ~has_options & (data_offset >= 5)
+    # TCP header bytes of the parsed packet: its options re-encoded, and none
+    # when they do not fit the segment.
+    tcp_header_len = np.where(has_options, data_offset * 4, TCP_BASE_HEADER_LENGTH)
 
     option_rows = np.flatnonzero(has_options)
     option_start = offsets[option_rows] + tcp_start[option_rows] + TCP_BASE_HEADER_LENGTH
@@ -899,6 +939,7 @@ def parse_packet_columns(
         unwalked,
         mss[option_rows],
         ws_shift[option_rows],
+        ws_present[option_rows],
         ts_present[option_rows],
         tsval[option_rows],
         tsecr[option_rows],
@@ -912,10 +953,13 @@ def parse_packet_columns(
     ):
         raw = data[start:stop].tobytes()
         options = decode_options(raw)
-        canonical[row] = encode_options(options) == raw
+        encoded = encode_options(options)
+        canonical[row] = encoded == raw
+        tcp_header_len[row] = TCP_BASE_HEADER_LENGTH + len(encoded)
         mss_o, ts_o, ws_o, ut_o, _md5_o = summarize_feature_options(options)
         mss[row] = float(mss_o.value) if mss_o is not None else 0.0
         ws_shift[row] = float(ws_o.shift) if ws_o is not None else 0.0
+        ws_present[row] = ws_o is not None
         ut_timeout[row] = float(ut_o.timeout) if ut_o is not None else 0.0
         ts_present[row] = ts_o is not None
         tsval[row] = ts_o.tsval if ts_o is not None else 0
@@ -953,6 +997,7 @@ def parse_packet_columns(
         packet = Packet.from_bytes(data[start:stop].tobytes())
         ip_ok[row] = packet.ip_checksum_ok()
         tcp_ok[row] = packet.tcp_checksum_ok()
+    tcp_bytes = tcp_header_len + payload_len
 
     key_swap = (src > dst) | ((src == dst) & (src_port > dst_port))
     return PacketColumns(
@@ -987,6 +1032,9 @@ def parse_packet_columns(
         key_port_a=np.where(key_swap, dst_port, src_port),
         key_ip_b=np.where(key_swap, src, dst),
         key_port_b=np.where(key_swap, src_port, dst_port),
+        length_ok=total_length == ip_span + tcp_bytes,
+        offset_ok=(data_offset >= 5) & (data_offset * 4 <= tcp_bytes),
+        ws_present=ws_present,
         buffer=data,
         offsets=offsets,
         lengths=lengths,

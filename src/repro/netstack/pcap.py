@@ -7,23 +7,22 @@ accepts Ethernet (``LINKTYPE_ETHERNET``, 1) and Linux cooked capture
 captures such as the MAWI traces can be ingested directly.  Records of any
 other link type raise :class:`ValueError`.
 
-Two read paths are offered:
-
-* :meth:`PcapReader.records` / :meth:`PcapReader.packets` — the classic
-  one-object-per-record iterator, kept as the reference implementation;
-* :meth:`PcapReader.read_columns` / :meth:`PcapReader.iter_column_blocks` —
-  the columnar fast path: the file is read in large blocks (one ``read`` per
-  block instead of two per record), a scan walks the record chain with one
-  ``struct`` unpack per record header, and the block's records are handed to
-  :func:`repro.netstack.columns.parse_packet_columns`, which parses them all
-  vectorized in one pass over the block.
+Captures are read as packet columns, the one ingest representation:
+:meth:`PcapReader.iter_column_blocks` reads the file in large blocks (one
+``read`` per block), a scan walks the record chain with one ``struct`` unpack
+per record header, and the block's records are handed to
+:func:`repro.netstack.columns.parse_packet_columns`, which parses them all
+vectorized in one pass over the block.  :func:`read_packet_columns` reads a
+whole capture into one block; its ``views()`` are the packets that flow
+assembly, training, scoring and attack injection take.  The writer takes
+``Packet`` objects and column views alike, and writes a view parsed from a
+capture as its original bytes.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
@@ -41,14 +40,6 @@ _GLOBAL_HEADER = struct.Struct("IHHiIII")
 _RECORD_HEADER = struct.Struct("IIII")
 
 
-@dataclass(frozen=True)
-class PcapRecord:
-    """One raw record from a capture file."""
-
-    timestamp: float
-    data: bytes
-
-
 class PcapWriter:
     """Write IPv4 packets to a classic pcap file (LINKTYPE_RAW)."""
 
@@ -59,7 +50,7 @@ class PcapWriter:
         self._file.write(header)
 
     def write_packet(self, packet: Packet) -> None:
-        """Serialise ``packet`` and append it as a record."""
+        """Serialise ``packet`` (or a column view) and append it as a record."""
         self.write_raw(packet.to_bytes(), packet.timestamp)
 
     def write_raw(self, data: bytes, timestamp: float) -> None:
@@ -82,7 +73,7 @@ class PcapWriter:
 
 
 class PcapReader:
-    """Iterate records (and optionally parsed packets) from a pcap file."""
+    """Read a pcap file as blocks of packet columns."""
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
@@ -102,62 +93,6 @@ class PcapReader:
         fields = struct.unpack(self._byteorder + "IHHiIII", header)
         self.link_type = fields[6]
 
-    # -------------------------------------------------------------- iteration
-    def records(self) -> Iterator[PcapRecord]:
-        """Yield raw records, stripping any link-layer framing."""
-        record_struct = struct.Struct(self._byteorder + "IIII")
-        while True:
-            header = self._file.read(record_struct.size)
-            if len(header) < record_struct.size:
-                return
-            seconds, microseconds, captured_length, _original_length = record_struct.unpack(header)
-            data = self._file.read(captured_length)
-            if len(data) < captured_length:
-                return
-            payload = self._strip_link_layer(data)
-            if payload is None:
-                continue
-            yield PcapRecord(timestamp=seconds + microseconds / 1_000_000, data=payload)
-
-    def packets(self, strict: bool = False) -> Iterator[Packet]:
-        """Yield parsed TCP/IPv4 packets; non-TCP records are skipped.
-
-        With ``strict=True`` a malformed record raises instead of being
-        skipped.
-        """
-        for record in self.records():
-            try:
-                yield Packet.from_bytes(record.data, timestamp=record.timestamp)
-            except ValueError:
-                if strict:
-                    raise
-
-    def _strip_link_layer(self, data: bytes) -> bytes | None:
-        if self.link_type == LINKTYPE_RAW:
-            return data
-        if self.link_type == LINKTYPE_ETHERNET:
-            if len(data) < 14:
-                return None
-            ethertype = struct.unpack("!H", data[12:14])[0]
-            if ethertype != 0x0800:
-                return None
-            return data[14:]
-        if self.link_type == LINKTYPE_LINUX_SLL:
-            if len(data) < 16:
-                return None
-            protocol = struct.unpack("!H", data[14:16])[0]
-            if protocol != 0x0800:
-                return None
-            return data[16:]
-        raise self._unsupported_link_type()
-
-    def _unsupported_link_type(self) -> ValueError:
-        """The shared unknown-link-type error (object and columnar paths)."""
-        return ValueError(
-            f"unsupported pcap link type {self.link_type} in {self._path}"
-            " (expected LINKTYPE_RAW, LINKTYPE_ETHERNET or LINKTYPE_LINUX_SLL)"
-        )
-
     # ------------------------------------------------------------ columnar path
     @property
     def _little_endian(self) -> bool:
@@ -170,18 +105,16 @@ class PcapReader:
 
         Yields ``(buffer, data_starts)`` per block, where ``data_starts``
         point just past each 16-byte record header (whose captured lengths
-        :meth:`_block_columns` gathers, vectorized).  This is
-        the bulk replacement for the two ``read()`` calls per record that
-        :meth:`records` makes; a record straddling a block boundary is carried
-        over into the next block, and a truncated trailing record is dropped,
-        exactly as the iterator path does.
+        :meth:`_block_columns` gathers, vectorized).  A record straddling a
+        block boundary is carried over into the next block, and a truncated
+        trailing record is dropped.
         """
         # The captured length is the third u32 of each 16-byte record header.
         captured_at = struct.Struct(("<" if self._little_endian else ">") + "8xI").unpack_from
         header = _RECORD_HEADER.size
         # Bytes still unread in the file: a record claiming more than this is
-        # truncated (or has a corrupt length) and is dropped like the object
-        # path drops it — without first buffering the whole remaining file.
+        # truncated (or has a corrupt length) and is dropped like a truncated
+        # record — without first buffering the whole remaining file.
         here = self._file.tell()
         file_remaining = max(os.fstat(self._file.fileno()).st_size - here, 0)
         read_size = block_bytes
@@ -251,7 +184,10 @@ class PcapReader:
             ) | data[safe[keep] + 1]
             keep &= ethertype == 0x0800
         else:
-            raise self._unsupported_link_type()
+            raise ValueError(
+                f"unsupported pcap link type {self.link_type} in {self._path}"
+                " (expected LINKTYPE_RAW, LINKTYPE_ETHERNET or LINKTYPE_LINUX_SLL)"
+            )
         return parse_packet_columns(
             data,
             offsets[keep] + skip,
@@ -268,7 +204,7 @@ class PcapReader:
         Bounded memory: only ``block_bytes`` of capture (plus its columns) is
         alive at a time, so arbitrarily large captures stream through the
         columnar path.  Non-TCP/malformed records are dropped unless
-        ``strict=True`` (mirroring :meth:`packets`).
+        ``strict=True``, which raises :class:`ValueError` on the first.
         """
         for buffer, starts in self._scan_blocks(block_bytes):
             columns = self._block_columns(buffer, starts, strict)
@@ -277,16 +213,12 @@ class PcapReader:
 
     def read_columns(self, *, strict: bool = False):
         """Parse the whole remaining capture into one
-        :class:`~repro.netstack.columns.PacketColumns` (the bulk counterpart
-        of :func:`read_pcap`)."""
+        :class:`~repro.netstack.columns.PacketColumns`."""
         from repro.netstack.columns import PacketColumns
 
-        blocks = list(self.iter_column_blocks(block_bytes=-1, strict=strict))
-        if not blocks:
-            return PacketColumns.empty()
-        if len(blocks) == 1:
-            return blocks[0]
-        return PacketColumns.concatenate(blocks)
+        return PacketColumns.concatenate(
+            list(self.iter_column_blocks(block_bytes=-1, strict=strict))
+        )
 
     def close(self) -> None:
         if not self._file.closed:
@@ -301,7 +233,7 @@ class PcapReader:
 
 def read_packet_columns(path: str | Path, *, strict: bool = False):
     """Read all TCP/IPv4 packets from ``path`` as one
-    :class:`~repro.netstack.columns.PacketColumns` (columnar ``read_pcap``)."""
+    :class:`~repro.netstack.columns.PacketColumns`."""
     with PcapReader(path) as reader:
         return reader.read_columns(strict=strict)
 
@@ -314,9 +246,3 @@ def write_pcap(path: str | Path, packets: Iterable[Packet]) -> int:
             writer.write_packet(packet)
             count += 1
     return count
-
-
-def read_pcap(path: str | Path) -> list[Packet]:
-    """Read all TCP/IPv4 packets from ``path`` into a list."""
-    with PcapReader(path) as reader:
-        return list(reader.packets())

@@ -1,15 +1,16 @@
 """Pluggable packet sources feeding the streaming runtime.
 
-A packet source is anything iterable that yields :class:`StreamItem`s — parsed
-:class:`~repro.netstack.packet.Packet` objects interleaved with optional
+A packet source is anything iterable that yields :class:`StreamItem`s — packets
+(``Packet`` objects or column views) interleaved with optional
 :class:`Tick` markers.  A ``Tick`` carries a stream timestamp but no packet;
 the runtime turns it into a :meth:`poll` call so close-grace/idle timers keep
 firing on quiet links where no packet would otherwise advance the clock.
 
 Concrete sources:
 
-* :class:`PcapSource` — lazily streams a capture file record by record
-  (constant memory, unlike :func:`repro.netstack.pcap.read_pcap`);
+* :class:`PcapSource` — lazily streams a capture file block by block as
+  column views (bounded memory, unlike
+  :func:`repro.netstack.pcap.read_packet_columns`);
 * :class:`NDJSONSource` — newline-delimited JSON, one packet per line
   (``{"ts": <float>, "data": "<hex>"}``), the lingua franca for piping
   packets between processes; :meth:`NDJSONSource.format_packet` is the
@@ -85,24 +86,19 @@ class IterableSource:
 
 
 class PcapSource:
-    """Stream a ``.pcap`` capture lazily, block by block.
+    """Stream a ``.pcap`` capture lazily, block by block, as column views.
 
-    ``read_pcap`` materialises the whole capture in memory; this source reads
-    one block at a time, so replay memory is bounded by the blocks still
-    referenced: a block (raw bytes + columns) stays alive only while some
-    yielded packet of it is — in a streaming detector, until every connection
-    it touches completes, so size ``idle_timeout``/``max_flows`` accordingly
-    on captures with very long-lived flows.  Non-TCP/malformed records are
-    skipped (``strict=True`` raises instead, mirroring
-    :meth:`PcapReader.packets`).
-
-    By default the capture rides the columnar ingest path: each block is
-    parsed vectorized into a :class:`~repro.netstack.columns.PacketColumns`
-    and the source yields lightweight
-    :class:`~repro.netstack.columns.ColumnPacketView` handles, which the flow
-    table assembles and the feature extractor consumes without ever building
-    ``Packet`` objects.  ``columnar=False`` restores the one-``Packet``-per-
-    record object path (the reference implementation).
+    Each block of ``block_bytes`` is parsed vectorized into a
+    :class:`~repro.netstack.columns.PacketColumns`, and the source yields
+    lightweight :class:`~repro.netstack.columns.ColumnPacketView` handles,
+    which the flow table assembles and the feature extractor consumes
+    without ever building ``Packet`` objects.  Replay memory is bounded by
+    the blocks still referenced: a block (raw bytes + columns) stays alive
+    only while some yielded packet of it is — in a streaming detector, until
+    every connection it touches completes, so size
+    ``idle_timeout``/``max_flows`` accordingly on captures with very
+    long-lived flows.  Non-TCP/malformed records are skipped
+    (``strict=True`` raises instead).
     """
 
     def __init__(
@@ -110,23 +106,18 @@ class PcapSource:
         path: str | Path,
         *,
         strict: bool = False,
-        columnar: bool = True,
         block_bytes: int = 4 << 20,
     ) -> None:
         self.path = Path(path)
         self.strict = strict
-        self.columnar = columnar
         self.block_bytes = int(block_bytes)
 
     def __iter__(self) -> Iterator[StreamItem]:
         with PcapReader(self.path) as reader:
-            if self.columnar:
-                for columns in reader.iter_column_blocks(
-                    block_bytes=self.block_bytes, strict=self.strict
-                ):
-                    yield from columns.views()
-            else:
-                yield from reader.packets(strict=self.strict)
+            for columns in reader.iter_column_blocks(
+                block_bytes=self.block_bytes, strict=self.strict
+            ):
+                yield from columns.views()
 
 
 class NDJSONSource:
@@ -271,32 +262,22 @@ def open_source(
     path: str | Path,
     kind: str = "auto",
     *,
-    ingest: str = "columnar",
     strict: bool = False,
     block_bytes: int = 4 << 20,
 ) -> PacketSource:
     """Build the right source for ``path`` (CLI ``--source`` dispatch).
 
     ``kind`` is ``"pcap"``, ``"ndjson"`` or ``"auto"`` — auto picks NDJSON
-    for ``.ndjson``/``.jsonl``/``.json`` suffixes and pcap otherwise.
-    ``ingest`` selects the pcap read path: ``"columnar"`` (default) or
-    ``"object"`` (the per-record reference).  ``strict`` makes malformed
-    records raise instead of being skipped, and ``block_bytes`` sizes the
-    columnar read blocks — both forwarded to the concrete source (they used
-    to be dropped here, leaving strict parsing unreachable from the CLI).
+    for ``.ndjson``/``.jsonl``/``.json`` suffixes and pcap otherwise.  A pcap
+    streams as column views (:class:`PcapSource`), NDJSON as ``Packet``
+    objects.  ``strict`` makes malformed records raise instead of being
+    skipped; ``block_bytes`` sizes the pcap read blocks.
     """
     path = Path(path)
-    if ingest not in ("columnar", "object"):
-        raise ValueError(f"unknown ingest mode {ingest!r} (expected columnar or object)")
     if kind == "auto":
         kind = "ndjson" if path.suffix in (".ndjson", ".jsonl", ".json") else "pcap"
     if kind == "pcap":
-        return PcapSource(
-            path,
-            columnar=ingest == "columnar",
-            strict=strict,
-            block_bytes=block_bytes,
-        )
+        return PcapSource(path, strict=strict, block_bytes=block_bytes)
     if kind == "ndjson":
         return NDJSONSource(path, strict=strict)
     raise ValueError(f"unknown source kind {kind!r} (expected pcap, ndjson or auto)")

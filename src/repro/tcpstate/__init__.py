@@ -1,11 +1,13 @@
-"""Reference TCP state machine used to label training traffic.
+"""Reference TCP connection tracking used to label training traffic.
 
 Stands in for the instrumented Linux conntrack module of the paper: replaying
-a connection through :class:`ConnectionLabeler` yields, per packet, the
+connections through :class:`ConnectionLabeler` yields, per packet, the
 ``(master state, in-/out-of-window)`` label that trains the Stage-(a) RNN.
+The labeller reads packet columns, so ``Packet`` objects and column views
+label alike.
 """
 
-from repro.tcpstate.conntrack import ConnectionLabeler, ConntrackMachine, PacketObservation
+from repro.tcpstate.conntrack import ConnectionLabeler, PacketObservation
 from repro.tcpstate.states import (
     NUM_LABEL_CLASSES,
     NUM_MASTER_STATES,
@@ -28,7 +30,6 @@ from repro.tcpstate.window import (
 
 __all__ = [
     "ConnectionLabeler",
-    "ConntrackMachine",
     "EndpointWindow",
     "MasterState",
     "NUM_LABEL_CLASSES",

@@ -1,28 +1,39 @@
-"""Reference TCP connection-tracking state machine (the label source).
+"""Reference TCP connection tracking (the label source), computed from columns.
 
 The paper instruments the Linux ``conntrack`` module and replays benign
 captures through it to harvest, for every packet, the connection state the
 kernel transitions to plus an in-/out-of-window verdict.  This module
-re-implements that reference behaviour: a per-connection state machine with
-netfilter-flavoured master states, rigorous endhost-style packet validation
-(checksums, header consistency, flag combinations) and simplified
-``tcp_in_window`` sequence tracking.
+re-implements that reference behaviour: netfilter-flavoured master states,
+rigorous endhost-style packet validation (checksums, header consistency, flag
+combinations) and simplified ``tcp_in_window`` sequence tracking.
 
-The machine deliberately models a *rigorous endhost*: packets that a real TCP
+The tracker deliberately models a *rigorous endhost*: packets that a real TCP
 stack would silently discard (bad checksum, bogus data offset, invalid flag
 combination, failed MD5 option) do not advance the state machine.  It is this
 very rigour that DPI evasion attacks exploit, and that the labels must encode
 so the RNN can learn the benign inter-packet context.
+
+:class:`ConnectionLabeler` labels a batch of packet trains at once.  The
+checks that need no connection state are one vectorized pass over the
+trains' rows of :class:`~repro.netstack.columns.PacketColumns`, whose
+validity bits carry each verdict; only the RST, ACK and timestamp checks,
+the state transitions and the window tracking run per packet, over scalars
+read from the same rows.  The per-packet machine it is tested against lives
+with the tests (``tests/reference_oracle.py``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.netstack.packet import Direction, Packet
+import numpy as np
+
+from repro.netstack.columns import PacketColumns, train_rows
+from repro.netstack.packet import Packet
 from repro.netstack.tcp import TcpFlags
-from repro.tcpstate.states import MasterState, StateLabel, WindowVerdict
-from repro.tcpstate.window import EndpointWindow, in_window
+from repro.tcpstate.states import NUM_WINDOW_VERDICTS, MasterState, StateLabel, WindowVerdict
+from repro.tcpstate.window import EndpointWindow, in_window, seq_diff
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,21 @@ class PacketObservation:
     drop_reason: str | None = None
 
 
+#: Drop reasons decided without connection state, in validation order.
+STATELESS_DROP_REASONS = (
+    "ip-version",
+    "ip-header-length",
+    "ip-checksum",
+    "ip-total-length",
+    "ttl-zero",
+    "tcp-data-offset",
+    "tcp-checksum",
+    "null-flags",
+    "invalid-flag-combination",
+    "md5-signature",
+    "syn-with-payload",
+)
+
 # Flag combinations that a rigorous stack treats as invalid/bogus segments.
 _INVALID_FLAG_COMBINATIONS = (
     TcpFlags.SYN | TcpFlags.FIN,
@@ -44,293 +70,243 @@ _INVALID_FLAG_COMBINATIONS = (
     TcpFlags.FIN | TcpFlags.RST,
 )
 
+# Flags of which an established connection's segments must carry one.
+_HANDSHAKE_OR_ACK = TcpFlags.ACK | TcpFlags.RST | TcpFlags.SYN
 
-class ConntrackMachine:
-    """Track one TCP connection and label each packet as conntrack would."""
+#: The columns labelling reads: all a batch gathered from several blocks has
+#: to carry.
+_LABEL_COLUMNS = (
+    "version", "ihl", "ip_ok", "length_ok", "ttl", "offset_ok", "tcp_ok", "flags",
+    "md5_ok", "payload_len", "seq", "ack", "window", "ts_present", "tsval",
+    "ws_shift", "ws_present",
+)
+
+
+def stateless_drop_reasons(columns: PacketColumns, rows: np.ndarray) -> np.ndarray:
+    """Per row, the index into :data:`STATELESS_DROP_REASONS` of its first
+    failed check, or -1 when the row passes them all."""
+    flags = columns.flags[rows]
+    invalid_flags = np.zeros(rows.shape[0], dtype=bool)
+    for combination in _INVALID_FLAG_COMBINATIONS:
+        invalid_flags |= flags & combination == combination
+    failed = np.stack(
+        (
+            columns.version[rows] != 4,
+            columns.ihl[rows] < 5,
+            ~columns.ip_ok[rows],
+            ~columns.length_ok[rows],
+            columns.ttl[rows] == 0,
+            ~columns.offset_ok[rows],
+            ~columns.tcp_ok[rows],
+            flags & 0x1FF == 0,
+            invalid_flags,
+            columns.md5_ok[rows] == 0.0,
+            # Data on an initial SYN is technically legal but conntrack-style
+            # trackers treat it as suspicious; a rigorous endhost queues it
+            # but our reference (like the paper's) rejects SYN payloads.
+            (flags & (TcpFlags.SYN | TcpFlags.ACK) == TcpFlags.SYN)
+            & (columns.payload_len[rows] > 0),
+        ),
+        axis=1,
+    )
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), -1)
+
+
+def _next_state(state: MasterState, flags: int, from_client: bool) -> MasterState:
+    """The master state an accepted packet moves the connection to."""
+    is_syn = bool(flags & TcpFlags.SYN)
+    is_ack = bool(flags & TcpFlags.ACK)
+    is_fin = bool(flags & TcpFlags.FIN)
+    if flags & TcpFlags.RST:
+        return state if state is MasterState.NONE else MasterState.CLOSE
+    if state is MasterState.NONE:
+        return MasterState.SYN_SENT if is_syn and not is_ack and from_client else state
+    if state is MasterState.SYN_SENT:
+        if is_syn and not from_client:
+            return MasterState.SYN_RECV if is_ack else MasterState.SYN_SENT2
+        return state
+    if state is MasterState.SYN_SENT2:
+        return MasterState.SYN_RECV if is_syn and is_ack else state
+    if state is MasterState.SYN_RECV:
+        if is_fin:
+            return MasterState.FIN_WAIT
+        return MasterState.ESTABLISHED if is_ack and not is_syn and from_client else state
+    if state is MasterState.ESTABLISHED:
+        return MasterState.FIN_WAIT if is_fin else state
+    if state is MasterState.FIN_WAIT:
+        if is_fin:
+            return MasterState.CLOSING
+        return MasterState.CLOSE_WAIT if is_ack else state
+    if state is MasterState.CLOSE_WAIT:
+        return MasterState.LAST_ACK if is_fin else state
+    if state in (MasterState.CLOSING, MasterState.LAST_ACK):
+        return MasterState.TIME_WAIT if is_ack else state
+    # TIME_WAIT and CLOSE: a fresh SYN may reopen the conversation.
+    return MasterState.SYN_SENT if is_syn and not is_ack else state
+
+
+class _Tracker:
+    """One connection's state: master state, the two endpoints' windows,
+    their offered window scales and their last TSvals (all indexed by
+    :class:`~repro.netstack.packet.Direction`)."""
 
     def __init__(self) -> None:
-        self.state: MasterState = MasterState.NONE
-        self._endpoints: dict[Direction, EndpointWindow] = {
-            Direction.CLIENT_TO_SERVER: EndpointWindow(),
-            Direction.SERVER_TO_CLIENT: EndpointWindow(),
-        }
-        self._offered_scale: dict[Direction, int | None] = {
-            Direction.CLIENT_TO_SERVER: None,
-            Direction.SERVER_TO_CLIENT: None,
-        }
-        self._scaling_resolved = False
-        self.history: list[PacketObservation] = []
+        self.state = MasterState.NONE
+        self.endpoints = (EndpointWindow(), EndpointWindow())
+        self.offered_scale: list[int | None] = [None, None]
+        self.scaling_resolved = False
+        self.last_tsval: list[int | None] = [None, None]
 
-    # ------------------------------------------------------------------ public
-    def process(self, packet: Packet) -> PacketObservation:
-        """Feed one packet; returns the observation (and records it)."""
-        state_before = self.state
-        drop_reason = self._validate(packet)
-        verdict = self._window_verdict(packet)
-        accepted = drop_reason is None
+    def step(self, drop_reason, direction, flags, seq, ack, window, payload_len, tsval, ws_shift):
+        """Feed one packet that passed (``drop_reason is None``) or failed the
+        stateless checks; ``tsval``/``ws_shift`` are ``None`` when the
+        packet has no such option.  Returns ``(drop_reason, window verdict)``."""
+        is_syn = bool(flags & TcpFlags.SYN)
+        is_ack = bool(flags & TcpFlags.ACK)
+        span = payload_len + is_syn + bool(flags & TcpFlags.FIN)
+        sender = self.endpoints[direction]
+        receiver = self.endpoints[1 - direction]
+        state = self.state
+        if drop_reason is None:
+            drop_reason = self._stateful_reason(
+                state, sender, receiver, direction, flags, seq, ack, span, tsval
+            )
+        if (is_syn and not sender.initialised) or not (sender.initialised or receiver.initialised):
+            verdict = WindowVerdict.IN_WINDOW
+        elif in_window(sender, receiver, seq, span, ack, has_ack=is_ack):
+            verdict = WindowVerdict.IN_WINDOW
+        else:
+            verdict = WindowVerdict.OUT_OF_WINDOW
+        if drop_reason is not None:
+            return drop_reason, verdict
 
-        if accepted:
-            self._negotiate_scaling(packet)
-            self._advance_state(packet)
-            self._update_window(packet)
+        # Window-scale negotiation resolves once the handshake completes.
+        if is_syn:
+            self.offered_scale[direction] = ws_shift
+        elif not self.scaling_resolved and state in (MasterState.ESTABLISHED, MasterState.SYN_RECV):
+            client, server = self.offered_scale
+            if client is not None and server is not None:
+                self.endpoints[0].scale = client
+                self.endpoints[1].scale = server
+            self.scaling_resolved = True
+        self.state = _next_state(state, flags, direction == 0)
+        if is_syn and not sender.initialised:
+            sender.initialise_from_syn(seq, span, window, ws_shift or 0)
+        sender.observe_sent(seq, span, ack, window, has_ack=is_ack, handshake=is_syn)
+        if tsval is not None:
+            self.last_tsval[direction] = tsval
+        return None, verdict
 
-        observation = PacketObservation(
-            label=StateLabel(state=self.state, window=verdict),
-            accepted=accepted,
-            state_before=state_before,
-            state_after=self.state,
-            window_verdict=verdict,
-            drop_reason=drop_reason,
-        )
-        self.history.append(observation)
-        return observation
-
-    def would_accept(self, packet: Packet) -> bool:
-        """Check acceptability without mutating the machine (DPI-discrepancy tests)."""
-        return self._validate(packet) is None
-
-    # -------------------------------------------------------------- validation
-    def _validate(self, packet: Packet) -> str | None:
-        """Return a drop reason, or ``None`` when a rigorous endhost accepts."""
-        if packet.ip.version != 4:
-            return "ip-version"
-        effective_ihl = packet.ip.effective_ihl()
-        if effective_ihl < 5:
-            return "ip-header-length"
-        if not packet.ip.has_correct_checksum(packet.tcp.header_length + len(packet.payload)):
-            return "ip-checksum"
-        if not packet.ip_total_length_consistent():
-            return "ip-total-length"
-        if packet.ip.ttl == 0:
-            return "ttl-zero"
-        offset = packet.tcp.effective_data_offset()
-        if offset < 5:
-            return "tcp-data-offset"
-        if offset * 4 > packet.tcp.header_length + len(packet.payload):
-            return "tcp-data-offset"
-        if not packet.tcp_checksum_ok():
-            return "tcp-checksum"
-        flags = packet.tcp.flags
-        if flags & 0x1FF == 0:
-            return "null-flags"
-        for combination in _INVALID_FLAG_COMBINATIONS:
-            if flags & combination == combination:
-                return "invalid-flag-combination"
-        md5 = packet.tcp.md5_option()
-        if md5 is not None and not md5.valid:
-            return "md5-signature"
-        if packet.tcp.is_syn and not packet.tcp.is_ack and len(packet.payload) > 0:
-            # Data on an initial SYN is technically legal but conntrack-style
-            # trackers treat it as suspicious; a rigorous endhost queues it but
-            # our reference (like the paper's) rejects SYN payloads.
-            return "syn-with-payload"
-        if packet.tcp.is_rst:
-            reason = self._validate_rst(packet)
-            if reason is not None:
-                return reason
-        if packet.tcp.has_flag(TcpFlags.ACK):
-            receiver = self._endpoints[packet.direction.flipped()]
-            if receiver.initialised:
-                from repro.tcpstate.window import seq_diff
-
-                if seq_diff(packet.tcp.ack, receiver.snd_end) > 0:
-                    return "ack-of-unsent-data"
-        timestamp_reason = self._validate_timestamp(packet)
-        if timestamp_reason is not None:
-            return timestamp_reason
-        if self.state is MasterState.ESTABLISHED and not packet.tcp.has_flag(TcpFlags.ACK) \
-                and not packet.tcp.is_rst and not packet.tcp.is_syn:
+    def _stateful_reason(self, state, sender, receiver, direction, flags, seq, ack, span, tsval):
+        if flags & TcpFlags.RST:
+            # RST acceptability: it must land exactly on the expected sequence.
+            if not sender.initialised and state is MasterState.NONE:
+                return "rst-without-connection"
+            if receiver.initialised and receiver.rcv_limit != 0 and not in_window(
+                sender, receiver, seq, max(span, 1), ack, has_ack=bool(flags & TcpFlags.ACK)
+            ):
+                return "rst-out-of-window"
+        if flags & TcpFlags.ACK and receiver.initialised and seq_diff(ack, receiver.snd_end) > 0:
+            return "ack-of-unsent-data"
+        if tsval is not None:
+            if tsval == 0 and state is not MasterState.NONE:
+                return "timestamp-zero"
+            last = self.last_tsval[direction]
+            # PAWS (RFC 7323): a timestamp earlier than the last one seen from
+            # the same sender marks the segment as unacceptably old.
+            if last is not None and (tsval - last) % 2**32 >= 2**31:
+                return "timestamp-regression"
+        if state is MasterState.ESTABLISHED and not flags & _HANDSHAKE_OR_ACK:
             # Data segments after the handshake must carry ACK (RFC 793).
             return "missing-ack-flag"
         return None
 
-    def _validate_rst(self, packet: Packet) -> str | None:
-        """RST acceptability: must land exactly on the expected sequence."""
-        receiver = self._endpoints[packet.direction.flipped()]
-        sender = self._endpoints[packet.direction]
-        if not sender.initialised and self.state is MasterState.NONE:
-            return "rst-without-connection"
-        if receiver.initialised and receiver.rcv_limit != 0 and not in_window(
-            sender, receiver, packet.tcp.seq, max(packet.sequence_span(), 1),
-            packet.tcp.ack, has_ack=packet.tcp.has_flag(TcpFlags.ACK),
-        ):
-            return "rst-out-of-window"
-        return None
-
-    def _validate_timestamp(self, packet: Packet) -> str | None:
-        """PAWS-style check: timestamps must not run backwards."""
-        option = packet.tcp.timestamp_option()
-        if option is None:
-            return None
-        if option.tsval == 0 and self.state is not MasterState.NONE:
-            return "timestamp-zero"
-        last = getattr(self, "_last_tsval", {}).get(packet.direction)
-        if last is not None:
-            # PAWS (RFC 7323): a timestamp earlier than the last one seen from
-            # the same sender marks the segment as unacceptably old.
-            delta = (option.tsval - last) % (2**32)
-            if delta >= 2**31:
-                return "timestamp-regression"
-        return None
-
-    # ---------------------------------------------------------- state machine
-    def _advance_state(self, packet: Packet) -> None:
-        flags = packet.tcp.flags
-        direction = packet.direction
-        is_syn = bool(flags & TcpFlags.SYN)
-        is_ack = bool(flags & TcpFlags.ACK)
-        is_fin = bool(flags & TcpFlags.FIN)
-        is_rst = bool(flags & TcpFlags.RST)
-        state = self.state
-
-        if is_rst:
-            if state is not MasterState.NONE:
-                self.state = MasterState.CLOSE
-            return
-
-        if state is MasterState.NONE:
-            if is_syn and not is_ack and direction is Direction.CLIENT_TO_SERVER:
-                self.state = MasterState.SYN_SENT
-            return
-
-        if state is MasterState.SYN_SENT:
-            if is_syn and is_ack and direction is Direction.SERVER_TO_CLIENT:
-                self.state = MasterState.SYN_RECV
-            elif is_syn and not is_ack and direction is Direction.SERVER_TO_CLIENT:
-                self.state = MasterState.SYN_SENT2
-            return
-
-        if state is MasterState.SYN_SENT2:
-            if is_syn and is_ack:
-                self.state = MasterState.SYN_RECV
-            return
-
-        if state is MasterState.SYN_RECV:
-            if is_fin:
-                self.state = MasterState.FIN_WAIT
-            elif is_ack and not is_syn and direction is Direction.CLIENT_TO_SERVER:
-                self.state = MasterState.ESTABLISHED
-            return
-
-        if state is MasterState.ESTABLISHED:
-            if is_fin:
-                self.state = MasterState.FIN_WAIT
-            return
-
-        if state is MasterState.FIN_WAIT:
-            if is_fin:
-                self.state = MasterState.CLOSING
-            elif is_ack:
-                self.state = MasterState.CLOSE_WAIT
-            return
-
-        if state is MasterState.CLOSE_WAIT:
-            if is_fin:
-                self.state = MasterState.LAST_ACK
-            return
-
-        if state is MasterState.CLOSING:
-            if is_ack:
-                self.state = MasterState.TIME_WAIT
-            return
-
-        if state is MasterState.LAST_ACK:
-            if is_ack:
-                self.state = MasterState.TIME_WAIT
-            return
-
-        if state is MasterState.TIME_WAIT:
-            if is_syn and not is_ack:
-                self.state = MasterState.SYN_SENT
-            return
-
-        # CLOSE: a fresh SYN may reopen the conversation.
-        if state is MasterState.CLOSE:
-            if is_syn and not is_ack:
-                self.state = MasterState.SYN_SENT
-            return
-
-    # ------------------------------------------------------- window tracking
-    def _window_verdict(self, packet: Packet) -> WindowVerdict:
-        sender = self._endpoints[packet.direction]
-        receiver = self._endpoints[packet.direction.flipped()]
-        if packet.tcp.is_syn and not sender.initialised:
-            return WindowVerdict.IN_WINDOW
-        if not sender.initialised and not receiver.initialised:
-            return WindowVerdict.IN_WINDOW
-        ok = in_window(
-            sender,
-            receiver,
-            packet.tcp.seq,
-            packet.sequence_span(),
-            packet.tcp.ack,
-            has_ack=packet.tcp.has_flag(TcpFlags.ACK),
-        )
-        return WindowVerdict.IN_WINDOW if ok else WindowVerdict.OUT_OF_WINDOW
-
-    def _negotiate_scaling(self, packet: Packet) -> None:
-        if not packet.tcp.is_syn:
-            if not self._scaling_resolved and self.state in (
-                MasterState.ESTABLISHED,
-                MasterState.SYN_RECV,
-            ):
-                self._resolve_scaling()
-            return
-        option = packet.tcp.window_scale_option()
-        self._offered_scale[packet.direction] = option.shift if option is not None else None
-
-    def _resolve_scaling(self) -> None:
-        client = self._offered_scale[Direction.CLIENT_TO_SERVER]
-        server = self._offered_scale[Direction.SERVER_TO_CLIENT]
-        if client is not None and server is not None:
-            self._endpoints[Direction.CLIENT_TO_SERVER].scale = client
-            self._endpoints[Direction.SERVER_TO_CLIENT].scale = server
-        self._scaling_resolved = True
-
-    def _update_window(self, packet: Packet) -> None:
-        sender = self._endpoints[packet.direction]
-        is_handshake = packet.tcp.is_syn
-        if is_handshake and not sender.initialised:
-            option = packet.tcp.window_scale_option()
-            sender.initialise_from_syn(
-                packet.tcp.seq,
-                packet.sequence_span(),
-                packet.tcp.window,
-                option.shift if option is not None else 0,
-            )
-        sender.observe_sent(
-            packet.tcp.seq,
-            packet.sequence_span(),
-            packet.tcp.ack,
-            packet.tcp.window,
-            has_ack=packet.tcp.has_flag(TcpFlags.ACK),
-            handshake=is_handshake,
-        )
-        option = packet.tcp.timestamp_option()
-        if option is not None:
-            if not hasattr(self, "_last_tsval"):
-                self._last_tsval: dict[Direction, int] = {}
-            self._last_tsval[packet.direction] = option.tsval
-
 
 class ConnectionLabeler:
-    """Replay whole connections through :class:`ConntrackMachine`.
+    """Replay whole connections through the reference tracker.
 
     This is the "traffic replayer" of the paper's Section 4.1: it harvests,
     per packet, the ``(master state, window verdict)`` label used to train the
-    Stage-(a) RNN.
+    Stage-(a) RNN.  Trains may hold ``Packet`` objects, column views or both;
+    a TCP option that is present but malformed counts as absent (the
+    feature columns' first-well-formed-option rule).
     """
 
-    def label_connection(self, packets: list[Packet]) -> list[StateLabel]:
-        """Return one label per packet of a single connection."""
-        machine = ConntrackMachine()
-        return [machine.process(packet).label for packet in packets]
+    def _replay(self, trains: Sequence[Sequence[Packet]]):
+        """Per train, ``(state_before, state_after, drop_reason, verdict)`` per packet."""
+        columns, rows, bounds = train_rows(trains, _LABEL_COLUMNS)
+        if rows is None:
+            rows = np.arange(bounds[-1], dtype=np.int64)
+        reasons = [
+            STATELESS_DROP_REASONS[code] if code >= 0 else None
+            for code in stateless_drop_reasons(columns, rows).tolist()
+        ]
+        tsvals = [
+            value if present else None
+            for value, present in zip(
+                columns.tsval[rows].tolist(), columns.ts_present[rows].tolist(), strict=True
+            )
+        ]
+        shifts = [
+            int(value) if present else None
+            for value, present in zip(
+                columns.ws_shift[rows].tolist(), columns.ws_present[rows].tolist(), strict=True
+            )
+        ]
+        packets = zip(
+            reasons,
+            (packet.direction for train in trains for packet in train),
+            columns.flags[rows].tolist(),
+            columns.seq[rows].tolist(),
+            columns.ack[rows].tolist(),
+            columns.window[rows].tolist(),
+            columns.payload_len[rows].tolist(),
+            tsvals,
+            shifts,
+            strict=True,
+        )
+        for start, stop in zip(bounds[:-1], bounds[1:], strict=True):
+            tracker = _Tracker()
+            steps = []
+            for _ in range(stop - start):
+                before = tracker.state
+                reason, verdict = tracker.step(*next(packets))
+                steps.append((before, tracker.state, reason, verdict))
+            yield steps
 
-    def observe_connection(self, packets: list[Packet]) -> list[PacketObservation]:
-        """Like :meth:`label_connection` but returns full observations."""
-        machine = ConntrackMachine()
-        return [machine.process(packet) for packet in packets]
+    def observe_trains(
+        self, trains: Sequence[Sequence[Packet]]
+    ) -> list[list[PacketObservation]]:
+        """Full per-packet observations for many connections, in input order."""
+        return [
+            [
+                PacketObservation(
+                    label=StateLabel(state=after, window=verdict),
+                    accepted=reason is None,
+                    state_before=before,
+                    state_after=after,
+                    window_verdict=verdict,
+                    drop_reason=reason,
+                )
+                for before, after, reason, verdict in steps
+            ]
+            for steps in self._replay(trains)
+        ]
 
-    def label_class_indices(self, packets: list[Packet]) -> list[int]:
-        """Dense class indices (``[0, 22)``) for RNN training targets."""
-        return [label.class_index for label in self.label_connection(packets)]
+    def class_indices(self, trains: Sequence[Sequence[Packet]]) -> list[np.ndarray]:
+        """Dense class indices (``[0, 22)``) per connection: RNN targets."""
+        return [
+            np.array(
+                [after * NUM_WINDOW_VERDICTS + verdict for _, after, _, verdict in steps],
+                dtype=np.int64,
+            )
+            for steps in self._replay(trains)
+        ]
+
+    def observe_connection(self, packets: Sequence[Packet]) -> list[PacketObservation]:
+        """:meth:`observe_trains` for a single connection."""
+        return self.observe_trains([packets])[0]
+
+    def label_connection(self, packets: Sequence[Packet]) -> list[StateLabel]:
+        """One label per packet of a single connection."""
+        return [observation.label for observation in self.observe_connection(packets)]

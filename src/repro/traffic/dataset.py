@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.netstack.flow import Connection, assemble_connections, split_connections
-from repro.netstack.pcap import read_pcap, write_pcap
+from repro.netstack.pcap import read_packet_columns, write_pcap
 from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -73,12 +73,13 @@ class BenignDataset:
         seed: SeedLike = 0,
         min_connection_length: int = 3,
     ) -> "BenignDataset":
-        """Load connections from a capture file and split train/test."""
+        """Load connections from a capture file and split train/test.
+
+        The connections hold column views of the capture."""
         rng = ensure_rng(seed)
-        packets = read_pcap(path)
         connections = [
             connection
-            for connection in assemble_connections(packets)
+            for connection in assemble_connections(read_packet_columns(path).views())
             if len(connection) >= min_connection_length
         ]
         if not connections:

@@ -99,7 +99,7 @@ class TestRnnStage:
         corpus = [*benign, empty, *attacked]
         stage = RnnStage(RnnConfig(epochs=1))
         features, labels = stage.prepare(corpus)
-        expected_features, expected_labels = oracle.prepare(stage, corpus)
+        expected_features, expected_labels = oracle.prepare(corpus)
         assert len(features) == len(expected_features) == len(corpus) - 1
         for got, wanted in zip(features, expected_features, strict=True):
             assert np.array_equal(got, wanted)

@@ -35,12 +35,12 @@ from repro.netstack.options import (
     WindowScale,
 )
 from repro.netstack.packet import Direction, Packet
-from repro.netstack.pcap import PcapWriter, read_packet_columns, read_pcap, write_pcap
+from repro.netstack.pcap import PcapWriter, read_packet_columns, write_pcap
 from repro.netstack.tcp import TcpFlags, TcpHeader
 from repro.serve.sources import PcapSource
 from repro.traffic.generator import TrafficGenerator
 
-from tests.reference_oracle import connection_profiles, extract_packets_reference
+from tests.reference_oracle import connection_profiles, extract_packets_reference, read_pcap
 
 EXTRACTOR = RawFeatureExtractor()
 

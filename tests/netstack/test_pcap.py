@@ -1,4 +1,4 @@
-"""Unit tests for the pcap reader/writer."""
+"""Unit tests for the pcap reader/writer (the object reader is the test oracle's)."""
 
 import struct
 
@@ -11,11 +11,16 @@ from repro.netstack.pcap import (
     LINKTYPE_ETHERNET,
     PcapReader,
     PcapWriter,
-    read_pcap,
+    read_packet_columns,
     write_pcap,
 )
 from repro.netstack.tcp import TcpFlags, TcpHeader
 from repro.traffic.generator import TrafficGenerator
+from tests.reference_oracle import read_pcap
+
+
+def read_views(path):
+    return read_packet_columns(path).views()
 
 
 def make_packet(seq: int, timestamp: float) -> Packet:
@@ -32,21 +37,21 @@ class TestRoundTrip:
         path = tmp_path / "capture.pcap"
         packets = [make_packet(i, 100.0 + i * 0.25) for i in range(5)]
         assert write_pcap(path, packets) == 5
-        recovered = read_pcap(path)
+        recovered = read_views(path)
         assert len(recovered) == 5
         assert [p.tcp.seq for p in recovered] == list(range(5))
 
     def test_timestamps_preserved_to_microseconds(self, tmp_path):
         path = tmp_path / "capture.pcap"
         write_pcap(path, [make_packet(1, 1234.567891)])
-        recovered = read_pcap(path)
+        recovered = read_views(path)
         assert recovered[0].timestamp == pytest.approx(1234.567891, abs=1e-5)
 
     def test_generator_traffic_round_trips(self, tmp_path):
         path = tmp_path / "generated.pcap"
         packets = TrafficGenerator(seed=1).generate_packets(5)
         write_pcap(path, packets)
-        recovered = read_pcap(path)
+        recovered = read_views(path)
         assert len(recovered) == len(packets)
 
 
@@ -70,8 +75,8 @@ class TestReaderRobustness:
         # Chop the last 10 bytes off the final record.
         data = path.read_bytes()
         path.write_bytes(data[:-10])
-        with PcapReader(path) as reader:
-            assert list(reader.packets()) == []
+        assert read_views(path) == []
+        assert read_pcap(path) == []
 
     def test_ethernet_link_type_is_stripped(self, tmp_path):
         path = tmp_path / "ether.pcap"
@@ -80,7 +85,7 @@ class TestReaderRobustness:
         global_header = struct.pack("IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)
         record_header = struct.pack("IIII", 2, 0, len(frame), len(frame))
         path.write_bytes(global_header + record_header + frame)
-        packets = read_pcap(path)
+        packets = read_views(path)
         assert len(packets) == 1
         assert packets[0].tcp.seq == 7
 
@@ -90,7 +95,7 @@ class TestReaderRobustness:
         global_header = struct.pack("IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)
         record_header = struct.pack("IIII", 2, 0, len(frame), len(frame))
         path.write_bytes(global_header + record_header + frame)
-        assert read_pcap(path) == []
+        assert read_views(path) == []
 
     @pytest.mark.parametrize("link_type", [0, 105, 127, 276])
     def test_unknown_link_type_raises(self, tmp_path, link_type):
@@ -105,16 +110,17 @@ class TestReaderRobustness:
         record_header = struct.pack("IIII", 1, 0, len(data), len(data))
         path.write_bytes(global_header + record_header + data)
         with PcapReader(path) as reader, pytest.raises(ValueError, match=f"link type {link_type}"):
-            list(reader.records())
-        # The columnar path rejects the same captures with the same error.
-        with PcapReader(path) as reader, pytest.raises(ValueError, match=f"link type {link_type}"):
             reader.read_columns()
+        # The object oracle rejects the same captures with the same error.
+        with pytest.raises(ValueError, match=f"link type {link_type}"):
+            read_pcap(path)
 
     def test_corrupt_record_length_is_dropped_by_both_paths(self, tmp_path):
         """A bogus captured-length must not hang or buffer the whole file.
 
-        The record claims 0x7FFFFFF0 bytes; both read paths drop it (and
-        anything after it) exactly like a truncated trailing record.
+        The record claims 0x7FFFFFF0 bytes; the reader and the object oracle
+        drop it (and anything after it) exactly like a truncated trailing
+        record.
         """
         path = tmp_path / "corrupt.pcap"
         good = make_packet(3, 1.0).to_bytes()
@@ -136,4 +142,4 @@ class TestReaderRobustness:
         path.write_bytes(struct.pack("IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 147))
         with PcapReader(path) as reader:
             assert reader.link_type == 147
-            assert list(reader.records()) == []
+            assert len(reader.read_columns()) == 0

@@ -170,7 +170,7 @@ class TestOpenSource:
 
     def test_strict_pcap_source_raises_end_to_end(self, tmp_path):
         """A capture holding a non-TCP record: lax skips it, strict raises —
-        through open_source, on both ingest paths."""
+        through open_source."""
         import struct as _struct
 
         from repro.netstack.ip import Ipv4Header
@@ -180,7 +180,6 @@ class TestOpenSource:
         header = _struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
         record = _struct.pack("<IIII", 0, 0, len(udp), len(udp)) + udp
         path.write_bytes(header + record)
-        for ingest in ("columnar", "object"):
-            assert list(open_source(path, ingest=ingest)) == []
-            with pytest.raises(ValueError):
-                list(open_source(path, ingest=ingest, strict=True))
+        assert list(open_source(path)) == []
+        with pytest.raises(ValueError):
+            list(open_source(path, strict=True))

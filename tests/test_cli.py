@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.netstack.flow import assemble_connections
-from repro.netstack.pcap import read_pcap
+from repro.netstack.pcap import read_packet_columns
 
 
 class TestParser:
@@ -55,7 +55,7 @@ class TestGenerateAndAttack:
     def test_generate_writes_pcap(self, tmp_path, capsys):
         output = tmp_path / "benign.pcap"
         assert main(["generate", str(output), "--connections", "12", "--seed", "3"]) == 0
-        connections = assemble_connections(read_pcap(output))
+        connections = assemble_connections(read_packet_columns(output).views())
         assert len(connections) == 12
 
     def test_attack_marks_connections(self, tmp_path, capsys):
@@ -67,8 +67,8 @@ class TestGenerateAndAttack:
             "--strategy", "Snort: Injected RST Pure", "--fraction", "0.5",
         ])
         assert code == 0
-        before = len(read_pcap(benign))
-        after = len(read_pcap(adversarial))
+        before = len(read_packet_columns(benign))
+        after = len(read_packet_columns(adversarial))
         assert after == before + 3  # one injected RST per attacked connection
 
     def test_attack_with_unknown_strategy_fails(self, tmp_path, capsys):
@@ -83,7 +83,8 @@ class TestGenerateAndAttack:
         main(["generate", str(benign), "--connections", "4", "--seed", "2"])
         assert main(["attack", str(benign), str(untouched),
                      "--strategy", "Snort: Injected RST Pure", "--fraction", "0"]) == 0
-        assert len(read_pcap(untouched)) == len(read_pcap(benign))
+        # Untouched packets are written back as their captured bytes.
+        assert untouched.read_bytes() == benign.read_bytes()
         assert "attacked 0/4" in capsys.readouterr().out
 
     def test_small_positive_fraction_attacks_at_least_one(self, tmp_path, capsys):
@@ -225,11 +226,9 @@ class TestTrainAndScore:
     def test_score_rejects_non_pcap_input_cleanly(self, tmp_path, trained_model_dir, capsys):
         bogus = tmp_path / "bogus.pcap"
         bogus.write_bytes(b"this is not a capture")
-        for ingest in ("columnar", "object"):
-            capsys.readouterr()
-            assert main(["score", str(trained_model_dir), str(bogus),
-                         "--ingest", ingest]) == 2
-            assert "not a pcap file" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["score", str(trained_model_dir), str(bogus)]) == 2
+        assert "not a pcap file" in capsys.readouterr().err
 
     def test_train_without_rnn_prints_clean_summary(self, tmp_path, capsys):
         model_dir = tmp_path / "no-rnn-model"
@@ -347,7 +346,9 @@ class TestStreamCommand:
         main(["generate", str(capture), "--connections", "4", "--seed", "19"])
         ndjson = tmp_path / "src.ndjson"
         ndjson.write_text(
-            "".join(NDJSONSource.format_packet(p) + "\n" for p in read_pcap(capture))
+            "".join(
+                NDJSONSource.format_packet(p) + "\n" for p in read_packet_columns(capture).views()
+            )
         )
         capsys.readouterr()
         assert main(["stream", str(trained_model_dir), str(ndjson)]) == 0
@@ -400,7 +401,7 @@ class TestStreamCommand:
         final drain exits 2 with the degradation report, not a traceback."""
         capture = tmp_path / "kill.pcap"
         main(["generate", str(capture), "--connections", "6", "--seed", "29"])
-        last = len(read_pcap(capture))
+        last = len(read_packet_columns(capture))
         capsys.readouterr()
         code = main(["stream", str(trained_model_dir), str(capture),
                      "--workers", "2", "--worker-mode", "process",

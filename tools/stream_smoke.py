@@ -5,10 +5,11 @@ Exercises the full operational path with no fixtures: synthesise a capture,
 train a deliberately tiny model on a smaller one, replay the capture
 through ``repro stream`` with one in-process detector (``--workers
 1``) and again with two *process* shard workers (``--workers 2 --worker-mode
-process``: model shared via read-only mmap), once on columnar and once on
-object ingest (``--ingest object``), and fail on a non-zero exit code, zero
-emitted events, or any run disagreeing with the in-process one on any
-connection's unrounded score.  The capture holds more connections than two
+process``: model shared via read-only mmap), once from the pcap (column
+views) and once from the same capture as NDJSON (``--source ndjson``, which
+yields ``Packet`` objects), and fail on a non-zero exit code, zero emitted
+events, or any run disagreeing with the in-process one on any connection's
+unrounded score.  The capture holds more connections than two
 default 128-connection flush batches, so batches are scored (and shipped) as
 several 64-connection grains.  The point is not accuracy — it is that the
 runtime's packets-in/alerts-out pipeline holds together as a process would
@@ -27,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main as cli_main
+from repro.netstack.pcap import read_packet_columns
+from repro.serve import NDJSONSource
 
 #: Connections replayed: past two full flush batches of the default 128.
 CONNECTIONS = 300
@@ -49,6 +52,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
         capture_path = work / "smoke.pcap"
+        ndjson_path = work / "smoke.ndjson"
         train_path = work / "train.pcap"
         model_dir = work / "model"
 
@@ -57,6 +61,11 @@ def main() -> int:
             if code != 0:
                 print("smoke FAILED: generate exited non-zero", file=sys.stderr)
                 return 1
+
+        ndjson_path.write_text("".join(
+            NDJSONSource.format_packet(packet) + "\n"
+            for packet in read_packet_columns(capture_path).views()
+        ))
 
         code, _ = run(["train", str(model_dir), "--pcap", str(train_path),
                        "--fast", "--rnn-epochs", "3", "--ae-epochs", "10", "--seed", "7"])
@@ -81,26 +90,27 @@ def main() -> int:
             return 1
 
         rows = sorted((e["connection"], e["score"]) for e in events)
-        # Object ingest reaches the workers through from_packets blocks, a
-        # different path from the capture's own column blocks.
-        for ingest in ("columnar", "object"):
-            code, out = run(["stream", str(model_dir), str(capture_path),
+        # NDJSON yields Packet objects, which reach the workers through
+        # from_packets blocks, a different path from the capture's own
+        # column blocks.
+        for source in (capture_path, ndjson_path):
+            code, out = run(["stream", str(model_dir), str(source),
                              "--workers", "2", "--worker-mode", "process",
-                             "--ingest", ingest, "--metrics"], capture=True)
+                             "--metrics"], capture=True)
             if code != 0:
-                print(f"smoke FAILED: process-mode {ingest} stream exited non-zero",
+                print(f"smoke FAILED: process-mode stream of {source.name} exited non-zero",
                       file=sys.stderr)
                 return 1
             process_events = [json.loads(line) for line in out.splitlines() if line.strip()]
             process_rows = sorted((e["connection"], e["score"]) for e in process_events)
             if process_rows != rows:
-                print(f"smoke FAILED: process-mode {ingest} events diverge from the "
-                      "in-process detector", file=sys.stderr)
+                print(f"smoke FAILED: process-mode events of {source.name} diverge from "
+                      "the in-process detector", file=sys.stderr)
                 return 1
 
     print(f"smoke OK: {len(events)} events from {CONNECTIONS} connections "
           f"through one in-process detector, reproduced identically by "
-          f"2 process shard workers on columnar and object ingest", file=sys.stderr)
+          f"2 process shard workers from the pcap and from NDJSON", file=sys.stderr)
     return 0
 
 
