@@ -14,11 +14,11 @@ streaming rows replay column views (what a ``PcapSource`` feeds the
 runtime).
 
 The ``worker`` rows run one in-process detector; ``process`` workers each
-own a core — the model is loaded read-only via mmap, the caller's thread
-assembles connections and each batch ships as one packed column block.
-Since the setup/steady split, each row's fixed costs
-(detector construction, worker spawn, the process pool's artifact save and
-per-worker model map) are measured into a separate ``Setup (s)`` column and
+own a core — forked from the caller, they score with its already-loaded
+model, the caller's thread assembles connections and each batch ships as
+one packed column block.  Since the setup/steady split, each row's fixed
+costs (detector construction and worker start) are measured into a
+separate ``Setup (s)`` column and
 the ``Packets/Second`` column is the steady-state ingest rate; the old
 all-inclusive figure survives as ``Total Pkt/s``.  Backend rows serve the
 same model through the tolerance-gated fast paths (``gru-f32``,
@@ -88,11 +88,10 @@ def test_table3_throughput(experiment, benchmark):
         f" whole corpus; host had {cores} usable core(s).  Streaming rows replay"
         f" ColumnPacketView handles over pre-built PacketColumns (the"
         f" PcapSource serving path).  Process rows assemble on the caller's"
-        f" thread and spawn scoring worker processes (GIL-free scaling): each"
-        f" worker maps the model read-only (mmap) and receives each batch as"
-        f" one packed column block.  'Setup (s)' isolates each row's fixed costs"
-        f" (detector construction, worker spawn, the process pool's artifact"
-        f" save and per-worker model map) from the steady-state"
+        f" thread and fork scoring worker processes (GIL-free scaling): each"
+        f" worker scores with the caller's loaded model and receives each batch"
+        f" as one packed column block.  'Setup (s)' isolates each row's fixed"
+        f" costs (detector construction and worker start) from the steady-state"
         f" 'Packets/Second'; 'Total Pkt/s' is the old all-inclusive figure."
         f"  Backend rows serve the fused float32 and int8-quantized fast"
         f" paths, verdict-identical within their documented tolerance gates"
@@ -166,10 +165,10 @@ def test_table3_throughput(experiment, benchmark):
         assert process_4.packets_per_second > streaming_1.packets_per_second
     else:
         # Single-core host: processes cannot add compute, so only guard that
-        # coordination overhead stays bounded.  The process
-        # pool's fixed costs (artifact save, spawn, model map) now land in
-        # the setup column, so these steady-state ratios measure block
-        # serialisation + IPC on a time-sliced core; the tripwires keep the
+        # coordination overhead stays bounded.  The process pool's fixed
+        # costs (worker start) land in the setup column, so these
+        # steady-state ratios measure block serialisation + IPC on a
+        # time-sliced core; the tripwires keep the
         # pre-split lower bounds, which steady-state rates clear easily.
         assert process_1.packets_per_second > 0.10 * streaming_1.packets_per_second
         assert process_4.packets_per_second > 0.05 * streaming_1.packets_per_second

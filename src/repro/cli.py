@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="thread (default): one detector on the ingest thread; "
                              "process: the ingest thread assembles and batches, "
                              "worker processes score the batches (one core each, "
-                             "model shared via read-only mmap)")
+                             "forked with the loaded model)")
     stream.add_argument("--source", choices=("auto", "pcap", "ndjson"), default="auto",
                         help="input format; auto picks by file extension")
     stream.add_argument("--strict", action="store_true",
@@ -422,11 +422,11 @@ def command_stream(args: argparse.Namespace) -> int:
             max_flows=args.max_flows,
             drop_policy=_stream_drop_policy(args),
             chunk_size=chunk_size,
-            # Process workers mmap the artifact the CLI already has on
-            # disk; no temporary re-save of the model.  With a --backend
-            # override the on-disk artifact no longer matches the served
-            # pipeline, so let the runtime save the converted model to a
-            # temporary directory for the workers instead.
+            # Forked process workers score with the loaded pipeline itself.
+            # Under another start method they mmap the artifact the CLI
+            # already has on disk, unless a --backend override means it no
+            # longer matches the served pipeline: then the runtime saves the
+            # converted model to a temporary directory for them instead.
             model_dir=(
                 args.model
                 if args.worker_mode == "process" and getattr(args, "backend", None) is None

@@ -95,15 +95,16 @@ class Clap:
         rnn_report: RnnTrainingReport | None = None
         rnn_model: GRUSequenceClassifier | None = None
 
+        # The corpus is converted and labelled once; the GRU trains and
+        # evaluates on these arrays, and the feature ranges come from them.
+        stage = RnnStage(self.config.rnn)
+        raw_arrays, label_arrays = stage.prepare(train_connections)
         if detector_config.include_gate_weights:
-            self.rnn_stage = RnnStage(self.config.rnn)
-            rnn_report = self.rnn_stage.fit(train_connections, verbose=verbose)
-            rnn_model = self.rnn_stage.model
-            scaler = self.rnn_stage.scaler
-            raw_arrays, _ = self.rnn_stage.prepare(train_connections)
+            self.rnn_stage = stage
+            rnn_report = stage.fit_prepared(raw_arrays, label_arrays, verbose=verbose)
+            rnn_model = stage.model
+            scaler = stage.scaler
         else:
-            stage = RnnStage(self.config.rnn)
-            raw_arrays, _ = stage.prepare(train_connections)
             scaler = FeatureScaler.fit(raw_arrays)
 
         ranges = FeatureRanges.fit(raw_arrays)
@@ -306,9 +307,9 @@ class Clap:
         ``manifest.json`` (artifact schema version, full configuration,
         feature-schema hash, threshold) is written alongside so the artifact
         is self-describing and :meth:`load` can validate compatibility.  The
-        archive members are stored uncompressed, so :meth:`load` can
-        memory-map them (``mmap_mode="r"``) — many readers of one artifact
-        then share a single page-cache copy of the weights.
+        archive members are stored uncompressed and 64-byte aligned, so
+        :meth:`load` can memory-map them (``mmap_mode="r"``) — many readers
+        of one artifact then share a single page-cache copy of the weights.
         """
         self._require_fitted()
         directory = Path(directory)
@@ -353,12 +354,11 @@ class Clap:
         before.  Raises :class:`repro.core.artifacts.ModelManifestError` for
         incompatible artifacts.
 
-        ``mmap_mode="r"`` memory-maps the weight arrays read-only instead of
-        copying them into process memory (see
-        :func:`repro.nn.serialization.load_state`): scoring is byte-identical
-        to an eager load, and every process mapping the same artifact shares
-        one page-cache copy — the loading mode the process-backed streaming
-        runtime uses for its shard workers.
+        ``mmap_mode="r"`` maps the archive once and builds the models around
+        aligned read-only views of it instead of copying the weights into
+        process memory (see :func:`repro.nn.serialization.load_state`):
+        scoring is byte-identical to an eager load, and every process
+        mapping the same artifact shares one page-cache copy.
         """
         path = Path(path)
         if path.is_dir():

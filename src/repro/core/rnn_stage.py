@@ -103,7 +103,17 @@ class RnnStage:
 
     def fit(self, connections: Sequence[Connection], *, verbose: bool = False) -> RnnTrainingReport:
         """Train the GRU classifier on benign ``connections``."""
-        feature_arrays, label_arrays = self.prepare(connections)
+        return self.fit_prepared(*self.prepare(connections), verbose=verbose)
+
+    def fit_prepared(
+        self,
+        feature_arrays: list[np.ndarray],
+        label_arrays: list[np.ndarray],
+        *,
+        verbose: bool = False,
+    ) -> RnnTrainingReport:
+        """:meth:`fit` on the output of :meth:`prepare`, which the caller can
+        reuse: the training accuracy is evaluated on the same arrays."""
         if not feature_arrays:
             raise ValueError("cannot train the RNN stage on an empty corpus")
         self.scaler = FeatureScaler.fit(feature_arrays)
@@ -139,7 +149,7 @@ class RnnStage:
         if self.config.backend != self.model.backend_name:
             self.model = convert_backend(self.model, self.config.backend)
 
-        accuracy = self.evaluate(connections)
+        accuracy = self._accuracy(feature_arrays, label_arrays)
         self.report = RnnTrainingReport(
             epochs=self.config.epochs,
             final_loss=loss_history[-1],
@@ -151,15 +161,14 @@ class RnnStage:
     # ------------------------------------------------------------ evaluation
     def evaluate(self, connections: Sequence[Connection]) -> float:
         """Overall per-packet state-prediction accuracy."""
-        correct, total = self._count_correct(connections)
-        return correct / total if total else 0.0
+        return self._accuracy(*self.prepare(connections))
 
     def per_label_accuracy(self, connections: Sequence[Connection]) -> dict[str, tuple[float, int]]:
         """Accuracy and sample count per label name (the Table-5 breakdown)."""
         names = label_names()
         counts = np.zeros(NUM_LABEL_CLASSES, dtype=np.int64)
         hits = np.zeros(NUM_LABEL_CLASSES, dtype=np.int64)
-        for labels, predictions in self._predictions(connections):
+        for labels, predictions in self._predictions(*self.prepare(connections)):
             for label, prediction in zip(labels, predictions, strict=True):
                 counts[label] += 1
                 hits[label] += int(label == prediction)
@@ -168,21 +177,22 @@ class RnnStage:
             for index in range(NUM_LABEL_CLASSES)
         }
 
-    def _count_correct(self, connections: Sequence[Connection]) -> tuple[int, int]:
+    def _accuracy(
+        self, feature_arrays: list[np.ndarray], label_arrays: list[np.ndarray]
+    ) -> float:
         correct = 0
         total = 0
-        for labels, predictions in self._predictions(connections):
+        for labels, predictions in self._predictions(feature_arrays, label_arrays):
             correct += int(np.sum(predictions[: labels.size] == labels))
             total += labels.size
-        return correct, total
+        return correct / total if total else 0.0
 
     def _predictions(
-        self, connections: Sequence[Connection]
+        self, feature_arrays: list[np.ndarray], label_arrays: list[np.ndarray]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(labels, predicted classes)`` per non-empty connection."""
+        """``(labels, predicted classes)`` per prepared connection."""
         if self.model is None or self.scaler is None:
             raise RuntimeError("RnnStage.fit must be called before evaluation")
-        feature_arrays, label_arrays = self.prepare(connections)
         return [
             (labels, self.model.predict_classes(self.scaler.transform(features)[None, :, :])[0])
             for features, labels in zip(feature_arrays, label_arrays, strict=True)

@@ -111,7 +111,7 @@ class ThroughputResult:
     worker_mode: str = "thread"
     #: Fixed startup costs measured separately for streaming rows: runtime
     #: construction plus the first flush barrier (process pools pay their
-    #: model save / pool spawn / per-worker mmap load here).  Zero for the
+    #: worker start here).  Zero for the
     #: batched mode, whose setup is the model itself.
     setup_seconds: float = 0.0
     backend: str = "gru"
@@ -314,9 +314,8 @@ class ExperimentRunner:
         ``"process"`` (``workers`` scoring processes, while the caller's
         thread assembles connections).  Streaming rows report *steady-state*
         throughput: fixed startup costs — runtime construction, and for
-        process pools the model-artifact save, pool spawn and each worker's
-        read-only-mmap load (forced to completion by an empty ``flush()``
-        barrier) — are measured separately into
+        process pools the worker start (forced to completion by an empty
+        ``flush()`` barrier) — are measured separately into
         :attr:`ThroughputResult.setup_seconds`, with the old
         setup-inclusive figure still available as
         :attr:`ThroughputResult.total_packets_per_second`.

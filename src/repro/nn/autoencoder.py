@@ -41,7 +41,11 @@ def symmetric_layer_sizes(input_size: int, bottleneck_size: int, depth: int) -> 
 
 
 class Autoencoder:
-    """A symmetric dense autoencoder trained with L1 reconstruction loss."""
+    """A symmetric dense autoencoder trained with L1 reconstruction loss.
+
+    ``parameters`` builds the layers around loaded arrays instead of
+    initialising them from ``seed`` (see :meth:`from_state_dict`).
+    """
 
     def __init__(
         self,
@@ -55,8 +59,9 @@ class Autoencoder:
         loss: str = "l1",
         seed: int = 0,
         layer_sizes: Sequence[int] | None = None,
+        parameters: Parameters | None = None,
     ) -> None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if parameters is None else None
         if layer_sizes is None:
             layer_sizes = symmetric_layer_sizes(input_size, bottleneck_size, depth)
         else:
@@ -76,6 +81,7 @@ class Autoencoder:
                     activation=output_activation if is_last else hidden_activation,
                     prefix=f"ae/layer{index}/",
                     rng=rng,
+                    parameters=parameters,
                 )
             )
         self.parameters: Parameters = {}
@@ -157,20 +163,13 @@ class Autoencoder:
         state["meta/loss"] = np.array([0 if self.loss_name == "l1" else 1], dtype=np.int64)
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        # Adopt read-only memory-mapped weights instead of copying them (all
-        # layers read through this shared dict); see GRUSequenceClassifier.
-        for key in self.parameters:
-            value = state[key]
-            if isinstance(value, np.memmap) and not value.flags.writeable:
-                self.parameters[key] = value
-            else:
-                self.parameters[key][...] = value
-
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "Autoencoder":
+        """Rebuild a model around the arrays of ``state`` (no copies, no
+        random draws); read-only memory-mapped weights give an inference-only
+        model."""
         layer_sizes = [int(v) for v in state["meta/layer_sizes"]]
         loss = "l1" if int(state["meta/loss"][0]) == 0 else "mse"
-        model = cls(input_size=layer_sizes[0], layer_sizes=layer_sizes, loss=loss)
-        model.load_state_dict(state)
-        return model
+        return cls(
+            input_size=layer_sizes[0], layer_sizes=layer_sizes, loss=loss, parameters=state
+        )

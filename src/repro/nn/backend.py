@@ -10,9 +10,9 @@ pipeline can train, save and reload any implementation interchangeably.
 Implementations register under a ``backend_name`` that is recorded both in
 the model state (``rnn/meta/backend``) and in ``manifest.json``
 (``sequence_backend``, artifact schema version 2), so a persisted model
-reconstructs the backend it was saved with — including in the process-mode
-streaming runtime, whose shard workers rebuild the pipeline from the artifact
-directory alone via ``Clap.load(..., mmap_mode="r")``.
+reconstructs the backend it was saved with — including in process-mode
+shard workers started without ``fork``, which rebuild the pipeline from the
+artifact directory alone via ``Clap.load(..., mmap_mode="r")``.
 
 Shipped backends:
 
@@ -91,7 +91,8 @@ class SequenceBackend(Protocol):
 
     def state_dict(self) -> dict[str, np.ndarray]: ...
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None: ...
+    @classmethod
+    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "SequenceBackend": ...
 
 
 _BACKENDS: dict[str, Type] = {}
@@ -169,11 +170,6 @@ class QuantizedGruBackend(GruBackend):
     @classmethod
     def quantize(cls, source: GRUSequenceClassifier) -> "QuantizedGruBackend":
         """Post-training quantization of a (trained) float GRU backend."""
-        model = cls(
-            input_size=source.input_size,
-            hidden_size=source.hidden_size,
-            num_classes=source.num_classes,
-        )
         payload: dict[str, np.ndarray] = {}
         for key in cls.QUANTIZED_KEYS:
             values, scales = quantize_per_gate(source.parameters[key], source.hidden_size)
@@ -182,33 +178,35 @@ class QuantizedGruBackend(GruBackend):
         for key in source.parameters:
             if key not in cls.QUANTIZED_KEYS:
                 payload[key] = np.asarray(source.parameters[key]).copy()
-        model._adopt(payload)
-        return model
+        return cls._from_payload(
+            payload, source.input_size, source.hidden_size, source.num_classes
+        )
 
     def dequantize(self) -> GruBackend:
         """The float GRU backend serving these (quantized) weights in float64."""
-        model = GruBackend(
-            input_size=self.input_size,
-            hidden_size=self.hidden_size,
-            num_classes=self.num_classes,
+        return GruBackend(
+            self.input_size,
+            self.hidden_size,
+            self.num_classes,
+            parameters={key: np.array(value) for key, value in self.parameters.items()},
         )
-        for key in model.parameters:
-            model.parameters[key][...] = self.parameters[key]
-        model.gru.invalidate_compute_cache()
-        return model
 
-    def _adopt(self, payload: dict[str, np.ndarray]) -> None:
-        """Install a quantized payload: dequantize into the master params."""
-        for key in self.QUANTIZED_KEYS:
-            dequantized = dequantize_per_gate(
-                payload[f"quant/{key}"], payload[f"quant/{key}/scale"], self.hidden_size
-            )
-            self.parameters[key][...] = dequantized.astype(np.float64)
-        for key in self.parameters:
-            if key not in self.QUANTIZED_KEYS:
-                self.parameters[key][...] = payload[key]
-        self._quantized = payload
-        self.gru.invalidate_compute_cache()
+    @classmethod
+    def _from_payload(
+        cls, payload: dict[str, np.ndarray], input_size: int, hidden_size: int, num_classes: int
+    ) -> "QuantizedGruBackend":
+        """A model around a quantized payload: the quantized blocks are
+        dequantized into fresh master params, the rest is adopted as is.
+        Read-only mmap int8 payloads stay mapped (page-cache-shared across
+        processes)."""
+        parameters = dict(payload)
+        for key in cls.QUANTIZED_KEYS:
+            parameters[key] = dequantize_per_gate(
+                payload[f"quant/{key}"], payload[f"quant/{key}/scale"], hidden_size
+            ).astype(np.float64)
+        model = cls(input_size, hidden_size, num_classes, parameters=parameters)
+        model._quantized = payload
+        return model
 
     # --------------------------------------------------------------- training
     def train_batch(self, inputs, targets, mask=None) -> float:
@@ -230,28 +228,15 @@ class QuantizedGruBackend(GruBackend):
         state["meta/backend"] = encode_backend_name(self.backend_name)
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        payload: dict[str, np.ndarray] = {}
-        for key in self.QUANTIZED_KEYS:
-            # Read-only mmap int8 payloads are adopted as-is: dequantization
-            # copies into fresh float arrays anyway, so the int8 blocks stay
-            # page-cache-shared across processes.
-            payload[f"quant/{key}"] = state[f"quant/{key}"]
-            payload[f"quant/{key}/scale"] = state[f"quant/{key}/scale"]
-        for key in self.parameters:
-            if key not in self.QUANTIZED_KEYS:
-                payload[key] = state[key]
-        self._adopt(payload)
-
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "QuantizedGruBackend":
-        model = cls(
-            input_size=int(state["meta/input_size"][0]),
-            hidden_size=int(state["meta/hidden_size"][0]),
-            num_classes=int(state["meta/num_classes"][0]),
+        payload = {key: value for key, value in state.items() if not key.startswith("meta/")}
+        return cls._from_payload(
+            payload,
+            int(state["meta/input_size"][0]),
+            int(state["meta/hidden_size"][0]),
+            int(state["meta/num_classes"][0]),
         )
-        model.load_state_dict(state)
-        return model
 
 
 # ---------------------------------------------------------------------------

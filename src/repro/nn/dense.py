@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.activations import get_activation
-from repro.nn.initializers import glorot_uniform, zeros
+from repro.nn.initializers import adopt_loaded, glorot_uniform, zeros
 
 
 class Dense:
@@ -14,7 +14,9 @@ class Dense:
 
     Parameters are stored under ``{prefix}W`` and ``{prefix}b`` so several
     layers can share one flat parameter dictionary (the representation the
-    optimisers consume).
+    optimisers consume).  ``parameters`` builds the layer around loaded
+    arrays (see :func:`~repro.nn.initializers.adopt_loaded`) instead of
+    initialising fresh ones from ``rng``.
     """
 
     def __init__(
@@ -25,17 +27,22 @@ class Dense:
         activation: str = "identity",
         prefix: str = "dense/",
         rng: np.random.Generator | None = None,
+        parameters: dict[str, np.ndarray] | None = None,
     ) -> None:
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.input_size = input_size
         self.output_size = output_size
         self.activation_name = activation
         self._activation, self._activation_grad, self._grad_takes_output = get_activation(activation)
         self.prefix = prefix
-        self.parameters: dict[str, np.ndarray] = {
-            f"{prefix}W": glorot_uniform(rng, input_size, output_size),
-            f"{prefix}b": zeros(output_size),
-        }
+        if parameters is not None:
+            shapes = {f"{prefix}W": (input_size, output_size), f"{prefix}b": (output_size,)}
+            self.parameters = adopt_loaded(parameters, shapes)
+        else:
+            rng = rng if rng is not None else np.random.default_rng(0)
+            self.parameters = {
+                f"{prefix}W": glorot_uniform(rng, input_size, output_size),
+                f"{prefix}b": zeros(output_size),
+            }
         self._cache_input: np.ndarray | None = None
         self._cache_pre_activation: np.ndarray | None = None
         self._cache_output: np.ndarray | None = None
@@ -53,10 +60,13 @@ class Dense:
         """Compute ``activation(inputs @ W + b)``.
 
         ``inputs`` may have any number of leading dimensions; the last one must
-        equal ``input_size``.
+        equal ``input_size``.  Without ``cache`` a ``tanh`` is applied in
+        place, since nothing keeps the pre-activation.
         """
         pre_activation = inputs @ self.weight
         pre_activation += self.bias  # in place: the matmul temp is private
+        if not cache and self.activation_name == "tanh":
+            return np.tanh(pre_activation, out=pre_activation)
         output = self._activation(pre_activation)
         if cache:
             self._cache_input = inputs

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.nn.activations import sigmoid
 from repro.nn.dense import Dense
-from repro.nn.initializers import glorot_uniform, orthogonal, zeros
+from repro.nn.initializers import adopt_loaded, glorot_uniform, orthogonal, zeros
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optim import Adam, Optimizer
 
@@ -91,7 +91,12 @@ class GruForwardResult:
 
 
 class GRULayer:
-    """A single GRU layer operating on padded batches of sequences."""
+    """A single GRU layer operating on padded batches of sequences.
+
+    ``parameters`` builds the layer around loaded arrays (see
+    :func:`~repro.nn.initializers.adopt_loaded`) instead of initialising
+    fresh ones from ``rng``.
+    """
 
     def __init__(
         self,
@@ -100,20 +105,29 @@ class GRULayer:
         *,
         prefix: str = "gru/",
         rng: np.random.Generator | None = None,
+        parameters: Parameters | None = None,
     ) -> None:
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.prefix = prefix
-        self.parameters: Parameters = {
-            f"{prefix}W": np.concatenate(
-                [glorot_uniform(rng, input_size, hidden_size) for _ in range(3)], axis=1
-            ),
-            f"{prefix}U": np.concatenate(
-                [orthogonal(rng, hidden_size, hidden_size) for _ in range(3)], axis=1
-            ),
-            f"{prefix}b": zeros(3 * hidden_size),
-        }
+        if parameters is not None:
+            shapes = {
+                f"{prefix}W": (input_size, 3 * hidden_size),
+                f"{prefix}U": (hidden_size, 3 * hidden_size),
+                f"{prefix}b": (3 * hidden_size,),
+            }
+            self.parameters = adopt_loaded(parameters, shapes)
+        else:
+            rng = rng if rng is not None else np.random.default_rng(0)
+            self.parameters = {
+                f"{prefix}W": np.concatenate(
+                    [glorot_uniform(rng, input_size, hidden_size) for _ in range(3)], axis=1
+                ),
+                f"{prefix}U": np.concatenate(
+                    [orthogonal(rng, hidden_size, hidden_size) for _ in range(3)], axis=1
+                ),
+                f"{prefix}b": zeros(3 * hidden_size),
+            }
         self.compute_dtype: np.dtype = np.dtype(np.float64)
         self._compute_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -382,6 +396,9 @@ class GRUSequenceClassifier:
     :meth:`gate_activations_concat` exposes the per-packet update/reset gate
     values that become the inter-packet context part of the context profile.
 
+    ``parameters`` builds the model around loaded arrays instead of
+    initialising it from ``seed`` (see :meth:`from_state_dict`).
+
     The class is also the reference :class:`repro.nn.backend.SequenceBackend`
     implementation (``backend_name``/``trainable`` below are the protocol's
     identity attributes; :class:`repro.nn.backend.GruBackend` is its
@@ -403,14 +420,22 @@ class GRUSequenceClassifier:
         seed: int = 0,
         learning_rate: float = 0.003,
         gradient_clip: float = 5.0,
+        parameters: Parameters | None = None,
     ) -> None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if parameters is None else None
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.num_classes = num_classes
         self.gradient_clip = gradient_clip
-        self.gru = GRULayer(input_size, hidden_size, prefix="gru/", rng=rng)
-        self.head = Dense(hidden_size, num_classes, activation="identity", prefix="head/", rng=rng)
+        self.gru = GRULayer(input_size, hidden_size, prefix="gru/", rng=rng, parameters=parameters)
+        self.head = Dense(
+            hidden_size,
+            num_classes,
+            activation="identity",
+            prefix="head/",
+            rng=rng,
+            parameters=parameters,
+        )
         self.loss = SoftmaxCrossEntropy()
         self.optimizer: Optimizer = Adam(learning_rate=learning_rate)
         self.parameters: Parameters = {}
@@ -527,25 +552,15 @@ class GRUSequenceClassifier:
         state["meta/backend"] = encode_backend_name(self.backend_name)
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        # Read-only memory-mapped weights are adopted in place of the freshly
-        # initialised arrays (every consumer reads through this shared dict),
-        # so an mmap-loaded model never copies them into anonymous memory;
-        # such a model is inference-only — ``fit`` would write the weights.
-        for key in self.parameters:
-            value = state[key]
-            if isinstance(value, np.memmap) and not value.flags.writeable:
-                self.parameters[key] = value
-            else:
-                self.parameters[key][...] = value
-        self.gru.invalidate_compute_cache()
-
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "GRUSequenceClassifier":
-        model = cls(
+        """Rebuild a model around the arrays of ``state`` (no copies, no
+        random draws).  Read-only memory-mapped weights stay mapped — every
+        consumer reads through the shared parameter dict — so such a model
+        is inference-only: ``fit`` would write the weights."""
+        return cls(
             input_size=int(state["meta/input_size"][0]),
             hidden_size=int(state["meta/hidden_size"][0]),
             num_classes=int(state["meta/num_classes"][0]),
+            parameters=state,
         )
-        model.load_state_dict(state)
-        return model

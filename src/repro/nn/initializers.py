@@ -23,3 +23,21 @@ def orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float = 1.0
 
 def zeros(*shape: int) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
+
+
+def adopt_loaded(
+    parameters: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]
+) -> dict[str, np.ndarray]:
+    """The loaded arrays for the keys of ``shapes``, instead of fresh ones.
+
+    Arrays that already are float64 are used as they are (a read-only
+    memory map stays one), so loading a model copies no weights and draws
+    no random numbers.
+    """
+    adopted = {key: np.asanyarray(parameters[key], dtype=np.float64) for key in shapes}
+    for key, shape in shapes.items():
+        if adopted[key].shape != shape:
+            raise ValueError(
+                f"parameter {key!r} has shape {adopted[key].shape}, expected {shape}"
+            )
+    return adopted

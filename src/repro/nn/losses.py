@@ -76,7 +76,8 @@ class L1Loss:
 
     def per_sample(self, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-row mean absolute error — the reconstruction error CLAP scores with."""
-        return np.mean(np.abs(prediction - target), axis=-1)
+        difference = prediction - target
+        return np.mean(np.abs(difference, out=difference), axis=-1)
 
 
 class MSELoss:

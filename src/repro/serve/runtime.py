@@ -26,9 +26,13 @@ its engine calls into N worker processes.  The layering:
   the worker it would wait on has answered a grain since the parent last
   stood in for it.  Otherwise ingestion blocks — the backpressure signal —
   while the parent keeps draining results;
-* a worker loads the model **read-only** from the artifact directory with
-  ``mmap_mode="r"`` (all workers share one page-cache copy of the ``.npz``),
-  rebuilds each grain's connections over the unpacked column views, calls
+* a worker started by ``fork`` (the default where available) scores with
+  the parent's already-loaded :class:`~repro.core.pipeline.Clap`, engine
+  included: it loads nothing, and its pages stay shared with the parent
+  until written.  Under any other start method a worker loads the model
+  read-only from ``model_dir`` with ``mmap_mode="r"`` (all workers share one
+  page-cache copy of the ``.npz``).  A worker rebuilds each grain's
+  connections over the unpacked column views, calls
   :meth:`~repro.core.pipeline.Clap.detect_batch` on exactly the grain an
   in-process detector would score, and posts the events back.  Workers hold
   no flow or block state;
@@ -177,7 +181,9 @@ class _WorkerSpec:
     """Everything a process shard worker needs, shipped picklable at spawn."""
 
     index: int
-    model_dir: str
+    #: The artifact a worker loads; ``None`` for a forked worker, which
+    #: scores with the parent's pipeline.
+    model_dir: str | None
     threshold: float
     top_n: int
     #: Incarnation counter: bumped on every respawn so the parent can drop
@@ -210,8 +216,12 @@ def _post(out_queue, message: tuple) -> None:
     out_queue.put(message)
 
 
-def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
-    """Entry point of one process shard worker: load the model, score grains.
+def _process_worker_main(
+    spec: _WorkerSpec, in_queue, out_queue, clap: Clap | None = None
+) -> None:
+    """Entry point of one process shard worker: score grains with ``clap``
+    (a forked worker's inherited pipeline) or, without one, with the model
+    loaded read-only from ``spec.model_dir``.
 
     Every ``grain`` is answered with one ``events`` message, ``flush`` with
     ``flush_done`` and ``close`` with ``closed`` (after which the worker
@@ -221,8 +231,9 @@ def _process_worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
     """
     metrics = StreamingMetrics()
     try:
-        clap = Clap.load(spec.model_dir, mmap_mode="r")
-        clap.engine  # build once, before the first grain
+        if clap is None:
+            clap = Clap.load(spec.model_dir, mmap_mode="r")
+            clap.engine  # build once, before the first grain
         while True:
             try:
                 item = in_queue.get(timeout=5.0)
@@ -332,13 +343,17 @@ class ParallelStreamingDetector:
         ``"thread"`` (default: one ``StreamingDetector`` on the caller's
         thread) or ``"process"``; see the module docstring.
     model_dir:
-        Process mode only: the artifact directory the workers load (read-only
-        mmap); it must hold ``clap``, which the parent scores with itself
-        when every worker is full.  Defaults to saving ``clap`` into a
-        temporary directory that lives until :meth:`close`.
+        Process mode with a start method other than ``"fork"`` only: the
+        artifact directory the workers load (read-only mmap); it must hold
+        ``clap``, which the parent scores with itself when every worker is
+        full.  Defaults to saving ``clap`` into a temporary directory that
+        lives until :meth:`close`.  Forked workers ignore it: they score
+        with ``clap`` itself.
     start_method:
         Process mode only: the :mod:`multiprocessing` start method.  Defaults
-        to ``"fork"`` where available (fast, POSIX), else ``"spawn"``.
+        to ``"fork"`` where available (POSIX), else ``"spawn"``.  A forked
+        worker, respawns included, inherits ``clap`` and starts without
+        loading anything; a spawned one loads ``model_dir``.
     drop_policy:
         Applied to :attr:`CompletionReason.CAPACITY` evictions before they
         reach the engine (see :class:`~repro.serve.metrics.DropPolicy`).
@@ -465,16 +480,22 @@ class ParallelStreamingDetector:
         # Grains one worker may hold in flight: ``queue_depth`` full batches.
         self._allowance = queue_depth * math.ceil(self.policy.max_batch / streaming.SCORING_GRAIN)
         self._tmp_model_cleanup = None
-        if model_dir is None:
-            tmp_dir = tempfile.mkdtemp(prefix="clap-shard-pool-")
-            clap.save(tmp_dir)
-            model_dir = tmp_dir
-            self._tmp_model_cleanup = weakref.finalize(
-                self, shutil.rmtree, tmp_dir, ignore_errors=True
-            )
+        clap.engine  # built before any fork, so forked workers inherit it
+        # A forked worker scores with ``clap`` itself; any other loads an
+        # artifact, by default a temporary save of ``clap``.
+        self._inherited = clap if method == "fork" else None
+        artifact = None
+        if self._inherited is None:
+            if model_dir is None:
+                model_dir = tempfile.mkdtemp(prefix="clap-shard-pool-")
+                clap.save(model_dir)
+                self._tmp_model_cleanup = weakref.finalize(
+                    self, shutil.rmtree, model_dir, ignore_errors=True
+                )
+            artifact = str(model_dir)
         _trim_heap()
         for index in range(self.workers):
-            spec = _WorkerSpec(index, str(model_dir), self.threshold, self.top_n)
+            spec = _WorkerSpec(index, artifact, self.threshold, self.top_n)
             self._shards.append(
                 _ProcessShard(index, spec, self._start_worker(spec, f"clap-shard-{index}"))
             )
@@ -487,7 +508,7 @@ class ParallelStreamingDetector:
         results = self._mp_context.Queue()
         process = self._mp_context.Process(
             target=_process_worker_main,
-            args=(spec, in_queue, results),
+            args=(spec, in_queue, results, self._inherited),
             name=name,
             daemon=True,
         )
@@ -824,7 +845,7 @@ class ParallelStreamingDetector:
         """Replace a dead worker with a fresh incarnation of its spec.
 
         Workers hold no stream state, so the new incarnation needs nothing
-        but the model; it takes later grains.  The dead one's grains in
+        but the model (inherited again when forked); it takes later grains.  The dead one's grains in
         flight are gone — the caller records them as a known loss before
         the counters reset.
         """

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.artifacts import (
@@ -18,6 +19,7 @@ from repro.core.artifacts import (
 )
 from repro.core.config import ClapConfig
 from repro.core.pipeline import Clap
+from repro.nn.serialization import load_state
 
 
 class TestManifestHelpers:
@@ -180,3 +182,45 @@ class TestMmapArtifacts:
             assert left.key == right.key
             assert abs(left.score - right.score) < 1e-12
             assert left.localized_packets == right.localized_packets
+
+
+def _all_weights(clap):
+    return {
+        **{f"rnn/{key}": value for key, value in clap.builder.rnn.parameters.items()},
+        **{f"ae/{key}": value for key, value in clap.autoencoder.parameters.items()},
+    }
+
+
+class TestAlignedArtifacts:
+    def test_fresh_artifact_maps_every_weight_aligned_and_read_only(
+        self, trained_clap, tmp_path
+    ):
+        trained_clap.save(tmp_path)
+        mapped = Clap.load(tmp_path, mmap_mode="r")
+        for key, value in _all_weights(mapped).items():
+            assert isinstance(value, np.memmap), key
+            assert value.flags.aligned and value.ctypes.data % 64 == 0, key
+            assert not value.flags.writeable, key
+
+    def test_legacy_savez_artifact_scores_bit_identically(
+        self, trained_clap, small_dataset, tmp_path
+    ):
+        """An archive written by plain ``np.savez`` (unaligned members)
+        still maps, with every weight aligned, and every load of either
+        archive scores exactly like the eager one."""
+        trained_clap.save(tmp_path / "aligned")
+        trained_clap.save(tmp_path / "legacy")
+        legacy = tmp_path / "legacy" / "clap_model.npz"
+        state = load_state(legacy)
+        np.savez(legacy, **{key.replace("/", "__slash__"): value for key, value in state.items()})
+
+        eager = Clap.load(tmp_path / "aligned")
+        reference = eager.score_connections(small_dataset.test)
+        for directory in ("aligned", "legacy"):
+            for mmap_mode in (None, "r"):
+                loaded = Clap.load(tmp_path / directory, mmap_mode=mmap_mode)
+                scores = loaded.score_connections(small_dataset.test)
+                assert np.array_equal(scores, reference), (directory, mmap_mode)
+        mapped = Clap.load(tmp_path / "legacy", mmap_mode="r")
+        for key, value in _all_weights(mapped).items():
+            assert value.flags.aligned and not value.flags.writeable, key

@@ -58,6 +58,10 @@ def _assert_rows_match(actual_events, expected_events):
     assert _rows(actual_events) == _rows(expected_events)
 
 
+def _in_order(events):
+    return sorted(events, key=lambda event: (event.first_seen, str(event.result.key)))
+
+
 def _packets(events):
     return sum(event.result.packet_count for event in events)
 
@@ -508,3 +512,44 @@ class TestWorkerFaults:
     def test_thread_mode_rejects_supervision_policies(self, trained_clap):
         with pytest.raises(ValueError, match="process"):
             ParallelStreamingDetector(trained_clap, workers=1, on_worker_failure="degrade")
+
+
+class TestInheritedModelRespawn:
+    def test_respawned_worker_scores_with_the_parent_model(
+        self, fault_model_dir, replay_packets, monkeypatch
+    ):
+        """A respawn forks from the parent again, so the new incarnation
+        scores with the parent's pipeline and never loads the model."""
+        from repro.core.pipeline import Clap
+
+        clap = Clap.load(fault_model_dir, mmap_mode="r")
+        idle = 5.0
+        first = [p for p in replay_packets if p.timestamp < 75.0]
+        second = [p for p in replay_packets if p.timestamp >= 75.0]
+        baseline = _one_detector(clap, idle_timeout=idle)
+        baseline.ingest_many(first)
+        baseline.poll(76.0)
+        baseline.flush()
+        expected = _drain_all(baseline, second)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process worker loaded the model")
+
+        monkeypatch.setattr(Clap, "load", refuse)
+        detector = _worker_detector(
+            clap, fault_model_dir, policy="respawn", idle_timeout=idle, start_method="fork"
+        )
+        detector.ingest_many(first)
+        detector.poll(76.0)
+        detector.flush()
+        os.kill(detector._shards[0].process.pid, signal.SIGKILL)
+        detector.flush()
+        detector.ingest_many(second)
+        detector.close()
+        events = list(detector.events())
+        report = detector.degradation_report()
+        assert report.respawns == 1
+        assert [loss.packets_lost_inflight for loss in report.losses] == [0]
+        assert detector._shards[0].scored_packets > 0  # the new incarnation scored
+        assert _in_order(events) == _in_order(expected)
+        assert not _shard_processes()

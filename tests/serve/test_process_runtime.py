@@ -304,8 +304,9 @@ class TestBackendProcessParity:
         assert all(abs(a[2] - b[2]) < 1e-9 for a, b in zip(got, expected))
 
     def test_temp_save_path_ships_the_converted_backend(self, backend_setup, small_dataset):
-        """With no model_dir the runtime saves the (converted) pipeline to a
-        temporary artifact for its workers — the conversion must not be lost."""
+        """With no model_dir the workers score the (converted) pipeline the
+        parent holds — inherited when forked, a temporary save otherwise —
+        so the conversion must not be lost."""
         backend, converted, _ = backend_setup
         thread = ParallelStreamingDetector(converted, idle_timeout=1e9, close_grace=1e9)
         expected = _rows(_drain_all(thread, _packet_stream(small_dataset.test[:6])))
@@ -480,6 +481,9 @@ class TestLifecycle:
             trained_clap,
             workers=2,
             worker_mode="process",
+            # Only a spawned worker loads model_dir; a forked one inherits
+            # the parent's pipeline and has nothing to fail on.
+            start_method="spawn",
             model_dir=tmp_path / "no-such-model",
             idle_timeout=1e9,
             close_grace=1e9,
@@ -496,6 +500,9 @@ class TestLifecycle:
             trained_clap,
             workers=2,
             worker_mode="process",
+            # Only a spawned worker loads model_dir; a forked one inherits
+            # the parent's pipeline and has nothing to fail on.
+            start_method="spawn",
             model_dir=tmp_path / "no-such-model",
             flush_policy=FlushPolicy(max_batch=64, auto_flush=False),
             idle_timeout=1e9,
@@ -519,6 +526,9 @@ class TestLifecycle:
             trained_clap,
             workers=2,
             worker_mode="process",
+            # Only a spawned worker loads model_dir; a forked one inherits
+            # the parent's pipeline and has nothing to fail on.
+            start_method="spawn",
             model_dir=tmp_path / "no-such-model",
             idle_timeout=1e9,
             close_grace=1e9,
@@ -877,3 +887,56 @@ class TestWorkerStateMerging:
         assert parent.snapshot()["connections_scored"] == 3
         rendered = parent.render()
         assert "scored=3" in rendered and "n=1" in rendered
+
+
+def _refuse_load(*args, **kwargs):
+    raise AssertionError("a process worker loaded the model")
+
+
+class TestInheritedModel:
+    """Forked workers score with the parent's already-loaded pipeline."""
+
+    @staticmethod
+    def _in_order(events):
+        return sorted(events, key=lambda event: (event.first_seen, str(event.result.key)))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_forked_workers_never_load_the_model(
+        self, clap_model_dir, small_dataset, monkeypatch, workers
+    ):
+        from repro.core.pipeline import Clap
+
+        clap = Clap.load(clap_model_dir, mmap_mode="r")
+        options = dict(flush_policy=FlushPolicy(max_batch=4), idle_timeout=1e9, close_grace=1e9)
+        expected = _drain_all(
+            StreamingDetector(clap, **options), _packet_stream(small_dataset.test)
+        )
+        monkeypatch.setattr(Clap, "load", _refuse_load)
+        process = ParallelStreamingDetector(
+            clap,
+            workers=workers,
+            worker_mode="process",
+            start_method="fork",
+            model_dir=clap_model_dir,
+            **options,
+        )
+        got = _drain_all(process, _packet_stream(small_dataset.test))
+        assert not process.worker_losses
+        assert any(shard.scored_packets for shard in process._shards)
+        assert self._in_order(got) == self._in_order(expected)
+
+    def test_spawned_worker_loads_a_temporary_artifact(self, trained_clap, small_dataset):
+        """Without fork there is nothing to inherit: the runtime saves the
+        pipeline for its worker and removes the save at close."""
+        options = dict(flush_policy=FlushPolicy(max_batch=4), idle_timeout=1e9, close_grace=1e9)
+        connections = small_dataset.test[:6]
+        expected = _drain_all(StreamingDetector(trained_clap, **options), _packet_stream(connections))
+        process = ParallelStreamingDetector(
+            trained_clap, worker_mode="process", start_method="spawn", **options
+        )
+        artifact = process._shards[0].spec.model_dir
+        assert artifact is not None and os.path.isdir(artifact)
+        got = _drain_all(process, _packet_stream(connections))
+        assert not process.worker_losses
+        assert self._in_order(got) == self._in_order(expected)
+        assert not os.path.exists(artifact)

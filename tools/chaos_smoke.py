@@ -14,6 +14,9 @@ satisfies the identity
 
 for every recorded loss.  The survivor scores every later batch, so every
 packet of the capture is either in an event or in a lost batch.  Under
+``--on-worker-failure respawn`` the same must hold, with the killed worker
+replaced by a fresh incarnation: a forked worker inherits the parent's
+loaded model, so this leg covers a respawn that loads nothing.  Under
 ``--on-worker-failure fail`` the same fault must exit non-zero — with the
 degradation report still printed — so operators can choose loud failure
 over silent loss.
@@ -76,6 +79,38 @@ def _check_identity(report: dict) -> str | None:
     return None
 
 
+def _check_survived(policy: str, code: int, out: str, err: str, capture) -> tuple | str:
+    """``(events, events completed after the kill, packets lost in flight)``
+    of a stream that must survive the kill, or what went wrong."""
+    if code != 0:
+        return f"{policy}-mode stream exited {code} (must survive a single worker kill)"
+    events = _events(out)
+    if not events:
+        return f"{policy}-mode stream emitted no events"
+    report = _degradation(err)
+    if report is None:
+        return f"no degradation report on stderr in {policy} mode"
+    problem = _check_identity(report)
+    if problem is not None:
+        return problem
+    kinds = {loss["kind"] for loss in report["losses"]}
+    if "worker" not in kinds:
+        return f"expected a worker loss in {policy} mode, got {kinds}"
+    if policy == "respawn" and (report["respawns"] < 1 or len(report["losses"]) != 1):
+        return ("respawn mode must replace the killed worker once and lose nothing "
+                f"else, got {report['respawns']} respawns and {report['losses']}")
+    kill_time = float(capture.timestamp[KILL_AT - 1])
+    later = [event for event in events if event["last_seen"] > kill_time]
+    if not later:
+        return f"no event for a connection that completed after the kill in {policy} mode"
+    scored = sum(event["packet_count"] for event in events)
+    lost = report["packets_lost_inflight"]
+    if scored + lost != len(capture):
+        return (f"{policy} mode: {scored} packets scored + {lost} lost in flight != "
+                f"{len(capture)} in the capture")
+    return len(events), len(later), lost
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
@@ -95,47 +130,19 @@ def main() -> int:
             print("chaos smoke FAILED: train exited non-zero", file=sys.stderr)
             return 1
 
-        # Degrade mode: one worker SIGKILLed mid-stream must still be a
-        # clean exit with every lost packet attributed.
-        code, out, err = run(["stream", str(model_dir), str(capture_path), *WORKERS,
-                              "--on-worker-failure", "degrade",
-                              "--inject-fault", KILL_SPEC])
-        if code != 0:
-            print(f"chaos smoke FAILED: degrade-mode stream exited {code} "
-                  "(must survive a single worker kill)", file=sys.stderr)
-            return 1
-        events = _events(out)
-        if not events:
-            print("chaos smoke FAILED: degrade-mode stream emitted no events",
-                  file=sys.stderr)
-            return 1
-        report = _degradation(err)
-        if report is None:
-            print("chaos smoke FAILED: no degradation report on stderr",
-                  file=sys.stderr)
-            return 1
-        problem = _check_identity(report)
-        if problem is not None:
-            print(f"chaos smoke FAILED: {problem}", file=sys.stderr)
-            return 1
-        kinds = {loss["kind"] for loss in report["losses"]}
-        if "worker" not in kinds:
-            print(f"chaos smoke FAILED: expected a worker loss, got {kinds}",
-                  file=sys.stderr)
-            return 1
+        # Degrade and respawn modes: one worker SIGKILLed mid-stream must
+        # still be a clean exit with every lost packet attributed.
         capture = read_packet_columns(capture_path)
-        kill_time = float(capture.timestamp[KILL_AT - 1])
-        later = [event for event in events if event["last_seen"] > kill_time]
-        if not later:
-            print("chaos smoke FAILED: no event for a connection that completed "
-                  "after the kill", file=sys.stderr)
-            return 1
-        scored = sum(event["packet_count"] for event in events)
-        if scored + report["packets_lost_inflight"] != len(capture):
-            print(f"chaos smoke FAILED: {scored} packets scored + "
-                  f"{report['packets_lost_inflight']} lost in flight != "
-                  f"{len(capture)} in the capture", file=sys.stderr)
-            return 1
+        survived = {}
+        for policy in ("degrade", "respawn"):
+            code, out, err = run(["stream", str(model_dir), str(capture_path), *WORKERS,
+                                  "--on-worker-failure", policy,
+                                  "--inject-fault", KILL_SPEC])
+            outcome = _check_survived(policy, code, out, err, capture)
+            if isinstance(outcome, str):
+                print(f"chaos smoke FAILED: {outcome}", file=sys.stderr)
+                return 1
+            survived[policy] = outcome
 
         # Fail mode: the same fault must be loud — non-zero exit, report
         # still printed, nothing wedged.
@@ -151,10 +158,12 @@ def main() -> int:
                   "report", file=sys.stderr)
             return 1
 
-    lost = report["packets_lost_inflight"]
-    print(f"chaos smoke OK: survived {KILL_SPEC} in degrade mode with "
-          f"{len(events)} events ({len(later)} completed after the kill), "
-          f"{lost} in-flight packets lost and attributed; fail mode refused "
+    summary = "; ".join(
+        f"{policy}: {events} events ({later} completed after the kill), "
+        f"{lost} in-flight packets lost and attributed"
+        for policy, (events, later, lost) in survived.items()
+    )
+    print(f"chaos smoke OK: survived {KILL_SPEC} ({summary}); fail mode refused "
           "loudly", file=sys.stderr)
     return 0
 
