@@ -23,11 +23,9 @@ from repro.netstack.checksum import (
 from repro.netstack.flow import (
     CompletionReason,
     Connection,
-    ConnectionAssembler,
     FlowKey,
     FlowTable,
     assemble_connections,
-    connection_looks_closed,
     flow_key_of,
     packet_stream,
     split_connections,
@@ -61,7 +59,6 @@ __all__ = [
     "ColumnPacketView",
     "CompletionReason",
     "Connection",
-    "ConnectionAssembler",
     "Direction",
     "FlowTable",
     "EndOfOptions",
@@ -83,7 +80,6 @@ __all__ = [
     "UserTimeout",
     "WindowScale",
     "assemble_connections",
-    "connection_looks_closed",
     "decode_options",
     "encode_options",
     "find_option",

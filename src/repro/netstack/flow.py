@@ -111,13 +111,6 @@ class Connection:
         self.packets.append(packet)
 
     @property
-    def duration(self) -> float:
-        """Seconds between the first and last packet (0.0 for single packets)."""
-        if len(self.packets) < 2:
-            return 0.0
-        return self.packets[-1].timestamp - self.packets[0].timestamp
-
-    @property
     def has_handshake(self) -> bool:
         """True if the connection contains a SYN followed by a SYN-ACK."""
         saw_syn = False
@@ -127,12 +120,6 @@ class Connection:
             elif saw_syn and packet.tcp.is_syn and packet.tcp.is_ack:
                 return True
         return False
-
-    def client_packets(self) -> list[Packet]:
-        return [p for p in self.packets if p.direction is Direction.CLIENT_TO_SERVER]
-
-    def server_packets(self) -> list[Packet]:
-        return [p for p in self.packets if p.direction is Direction.SERVER_TO_CLIENT]
 
     def injected_indices(self) -> list[int]:
         """Indices of packets flagged as injected/modified by an attack."""
@@ -149,57 +136,12 @@ class Connection:
         self.packets.sort(key=lambda packet: packet.timestamp)
 
 
-def connection_looks_closed(connection: Connection) -> bool:
-    """Heuristic shared by the assembler and the flow table: a connection
-    looks closed once a FIN or RST appears in its last three packets."""
-    if not connection.packets:
-        return False
-    tail = connection.packets[-3:]
-    return any(p.tcp.is_rst or p.tcp.is_fin for p in tail)
-
-
-class ConnectionAssembler:
-    """Group an arbitrary packet stream into connections.
-
-    A new connection is opened for a flow key when either the key has not been
-    seen before or the previous connection on that key was closed by RST/FIN
-    exchange and the new packet is a fresh SYN.
-    """
-
-    def __init__(self) -> None:
-        self._active: dict[FlowKey, Connection] = {}
-        self._finished: list[Connection] = []
-
-    def add(self, packet: Packet) -> Connection:
-        """Route ``packet`` to its connection, creating one if needed."""
-        key = flow_key_of(packet)
-        connection = self._active.get(key)
-        starts_new = packet.tcp.is_syn and not packet.tcp.is_ack
-        if connection is None or (starts_new and self._looks_closed(connection)):
-            if connection is not None:
-                self._finished.append(connection)
-            connection = Connection(key=key)
-            self._active[key] = connection
-        connection.append(packet)
-        return connection
-
-    def add_all(self, packets: Iterable[Packet]) -> None:
-        for packet in packets:
-            self.add(packet)
-
-    _looks_closed = staticmethod(connection_looks_closed)
-
-    def connections(self) -> list[Connection]:
-        """All connections assembled so far, in order of first packet."""
-        everything = self._finished + list(self._active.values())
-        everything.sort(key=lambda conn: conn.packets[0].timestamp if conn.packets else 0.0)
-        return everything
-
-
 class CompletionReason(enum.Enum):
     """Why the flow table handed a connection back to the caller."""
 
-    CLOSED = "closed"  # FIN/RST seen and the close grace period elapsed (or a new SYN arrived)
+    # FIN/RST among the last three packets, then the close grace elapsed or a
+    # fresh SYN reused the 5-tuple (without timers, only the SYN splits).
+    CLOSED = "closed"
     IDLE = "idle"  # no packet for ``idle_timeout`` stream-seconds
     CAPACITY = "capacity"  # evicted by the ``max_flows``/``max_packets`` bounds
     DRAIN = "drain"  # explicitly drained (end of stream / shutdown)
@@ -209,28 +151,28 @@ class CompletionReason(enum.Enum):
 class _FlowEntry:
     connection: Connection
     last_seen: float
-    # Rolling FIN/RST bits of the last three appended packets — the
-    # incremental equivalent of :func:`connection_looks_closed` (every packet
-    # of a tracked connection arrives through :meth:`FlowTable.add`), so the
+    # Rolling FIN/RST bits of the last three appended packets: the
+    # connection looks closed while any bit is set.  Every packet of a
+    # tracked connection arrives through :meth:`FlowTable.add`, so the
     # per-packet close check reads one int instead of rescanning the tail.
     tail_close_bits: int = 0
 
 
 class FlowTable:
-    """Incremental connection assembly for live packet streams.
+    """Incremental connection assembly: CLAP's one connection-assembly rule.
 
-    The batch :class:`ConnectionAssembler` holds every connection until the
-    caller asks for all of them — fine for a capture file, unusable for an
-    unbounded stream.  ``FlowTable`` ingests one packet at a time and *emits*
-    connections as soon as they complete, under bounded memory:
+    ``FlowTable`` ingests one packet at a time and *emits* connections as
+    soon as they complete, under bounded memory.  Run without timers
+    (infinite ``idle_timeout`` and ``close_grace``) and drained at the end,
+    it *is* the offline assembler, :func:`assemble_connections`:
 
     * **FIN/RST completion** — once a connection looks closed (FIN or RST in
-      its last three packets, the same heuristic the assembler uses) it is
-      emitted after ``close_grace`` stream-seconds of silence, or immediately
-      when a fresh SYN reuses its 5-tuple.  The grace period keeps the
-      trailing FIN/ACK exchange (and attack-injected RSTs that the endpoints
-      ignore) attached to the connection, so grouping matches the offline
-      assembler on time-ordered streams.  The effective grace is capped at
+      its last three packets) it is emitted after ``close_grace``
+      stream-seconds of silence, or immediately when a fresh SYN reuses its
+      5-tuple.  The grace period keeps the trailing FIN/ACK exchange (and
+      attack-injected RSTs that the endpoints ignore) attached to the
+      connection, so a time-ordered stream groups as it does offline, where
+      only the fresh SYN splits.  The effective grace is capped at
       ``idle_timeout`` (a closed connection never outlives an idle one), and
       such completions are always reported as ``CLOSED``, never ``IDLE``.
     * **Idle eviction** — connections silent for ``idle_timeout`` seconds are
@@ -278,6 +220,7 @@ class FlowTable:
         self._grace = min(self.close_grace, self.idle_timeout)
         self._closing_due = float("-inf")
         self._idle_finite = self.idle_timeout != float("inf")
+        self._grace_finite = self._grace != float("inf")
 
     def __len__(self) -> int:
         return len(self._flows)
@@ -317,13 +260,16 @@ class FlowTable:
         # ``_closing`` mirrors the recency ordering of ``_flows`` (pop +
         # reinsert moves an active key to the back), so the grace scan in
         # :meth:`poll` can stop at the first entry still inside its grace.
-        closing = self._closing
-        if key in closing:
-            del closing[key]
-            self._closing_due = float("-inf")
-        if entry.tail_close_bits:
-            closing[key] = None
-            self._closing_due = float("-inf")
+        # Without a finite grace (the offline assembler) no closed entry can
+        # expire, so none is tracked and the timer scan below never runs.
+        if self._grace_finite:
+            closing = self._closing
+            if key in closing:
+                del closing[key]
+                self._closing_due = float("-inf")
+            if entry.tail_close_bits:
+                closing[key] = None
+                self._closing_due = float("-inf")
         if self.max_packets is not None and len(entry.connection) >= self.max_packets:
             self._remove(key)
             completed.append((entry.connection, CompletionReason.CAPACITY))
@@ -399,10 +345,26 @@ class FlowTable:
 
 
 def assemble_connections(packets: Iterable[Packet]) -> list[Connection]:
-    """Convenience wrapper: assemble ``packets`` and return the connections."""
-    assembler = ConnectionAssembler()
-    assembler.add_all(packets)
-    return assembler.connections()
+    """Group a finite packet sequence (e.g. a capture) into connections.
+
+    One :class:`FlowTable` without timers, drained at the end: a 5-tuple
+    splits only when a fresh SYN (SYN without ACK) arrives while a FIN or
+    RST is among its connection's last three packets, never on silence.
+    Connections are ordered by their first packet's timestamp.  Connections
+    whose first packets share a timestamp are ordered by flow key
+    (``ip_a``, ``port_a``, ``ip_b``, ``port_b``), and those of one key in the
+    order they started.
+    """
+    table = FlowTable(idle_timeout=float("inf"), close_grace=float("inf"))
+    connections = [done for packet in packets for done, _ in table.add(packet)]
+    connections += [done for done, _ in table.drain()]
+    connections.sort(key=_first_packet_order)
+    return connections
+
+
+def _first_packet_order(connection: Connection) -> tuple:
+    key = connection.key
+    return (connection.packets[0].timestamp, key.ip_a, key.port_a, key.ip_b, key.port_b)
 
 
 def packet_stream(connections: Iterable[Connection]) -> list[Packet]:

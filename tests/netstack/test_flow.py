@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.attacks.base import all_strategies
+from repro.attacks.injector import AttackInjector
 from repro.netstack.flow import (
-    ConnectionAssembler,
     FlowKey,
     assemble_connections,
+    packet_stream,
     split_connections,
 )
 from repro.netstack.packet import Direction
+from repro.netstack.pcap import read_packet_columns, write_pcap
 from repro.traffic.generator import TrafficGenerator
+
+from tests.reference_oracle import ConnectionAssembler, read_pcap
 
 
 class TestFlowKey:
@@ -47,13 +52,6 @@ class TestConnection:
 
     def test_has_handshake(self, simple_connection):
         assert simple_connection.has_handshake
-
-    def test_duration_is_positive(self, simple_connection):
-        assert simple_connection.duration > 0
-
-    def test_client_and_server_packet_partitions(self, simple_connection):
-        total = len(simple_connection.client_packets()) + len(simple_connection.server_packets())
-        assert total == len(simple_connection)
 
     def test_copy_is_deep(self, simple_connection):
         clone = simple_connection.copy()
@@ -92,6 +90,78 @@ class TestAssembler:
         assembler = ConnectionAssembler()
         assembler.add_all(packets + shifted)
         assert len(assembler.connections()) == 2
+
+
+def _grouping(connections):
+    """Keys, packets (by identity, in order) and per-packet directions."""
+    return [
+        (conn.key, [id(p) for p in conn.packets], [p.direction for p in conn.packets])
+        for conn in connections
+    ]
+
+
+def _assert_groups_like_oracle(packets):
+    production = _grouping(assemble_connections(packets))
+    oracle = ConnectionAssembler()
+    oracle.add_all(packets)
+    assert production == _grouping(oracle.connections())
+
+
+_READERS = {
+    "views": lambda path: read_packet_columns(path).views(),
+    "objects": read_pcap,
+}
+
+
+class TestAssemblerMatchesOracle:
+    """``assemble_connections`` (one timer-less ``FlowTable``) groups every
+    capture exactly as the oracle assembler that rescans each tail."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_benign_capture(self, tmp_path, reader):
+        path = tmp_path / "benign.pcap"
+        connections = TrafficGenerator(seed=2020).generate_connections(120)
+        # Replaying the corpus 30 s later reuses every 5-tuple after its close.
+        replay = [conn.copy() for conn in connections]
+        for conn in replay:
+            for packet in conn.packets:
+                packet.timestamp += 30.0
+        write_pcap(path, packet_stream(connections + replay))
+        _assert_groups_like_oracle(_READERS[reader](path))
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("strategy", all_strategies(), ids=lambda s: s.name)
+    def test_attacked_capture(self, tmp_path, strategy, reader):
+        benign = TrafficGenerator(seed=73).generate_connections(12)
+        injector = AttackInjector(seed=11)
+        attacked = [injector.attack_connection(strategy, c).connection for c in benign[:6]]
+        path = tmp_path / "attacked.pcap"
+        write_pcap(path, packet_stream(attacked + benign[6:]))
+        _assert_groups_like_oracle(_READERS[reader](path))
+
+
+class TestTieOrder:
+    """Connections whose first packets share a timestamp are ordered by flow
+    key, and connections of one key in the order they started."""
+
+    def test_ties_order_by_flow_key(self):
+        connections = TrafficGenerator(seed=5).generate_connections(5)
+        for conn in connections:
+            for packet in conn.packets:
+                packet.timestamp = 7.0
+        # Feed the connections in descending key order, one after another.
+        connections.sort(key=lambda c: (c.key.ip_a, c.key.port_a, c.key.ip_b, c.key.port_b))
+        packets = [p for conn in reversed(connections) for p in conn.packets]
+        assembled = assemble_connections(packets)
+        assert [c.key for c in assembled] == [c.key for c in connections]
+
+    def test_ties_on_one_key_keep_start_order(self, simple_connection):
+        first = [p.copy(timestamp=1.0) for p in simple_connection.packets]
+        second = [p.copy(timestamp=1.0) for p in simple_connection.packets]
+        assembled = assemble_connections(first + second)
+        assert len(assembled) == 2
+        assert assembled[0].packets[0] is first[0]
+        assert assembled[1].packets[0] is second[0]
 
 
 class TestSplit:

@@ -8,6 +8,9 @@ shares none of that machinery:
 
 * :func:`read_pcap` parses a capture one record at a time into ``Packet``
   objects with :meth:`Packet.from_bytes`;
+* :class:`ConnectionAssembler` groups packets into connections by rescanning
+  each connection's tail, where production runs one timer-less
+  :class:`~repro.netstack.flow.FlowTable`;
 * :class:`ConntrackMachine` replays one connection packet by packet and
   validates each packet through the ``Packet`` accessors;
 * :func:`extract_packets_reference` walks one connection packet by packet in
@@ -25,7 +28,7 @@ use it as the per-packet contender.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +46,7 @@ from repro.core.results import DetectionResult
 from repro.features.profile import ConnectionProfiles, stack_profiles
 from repro.features.schema import NUM_RAW_FEATURES
 from repro.netstack.columns import ColumnPacketView
+from repro.netstack.flow import Connection, FlowKey, flow_key_of
 from repro.netstack.options import encode_options, summarize_feature_options
 from repro.netstack.packet import Direction, Packet
 from repro.netstack.pcap import (
@@ -114,6 +118,58 @@ def _materialize(packets: Sequence[Packet]) -> list[Packet]:
         packet.materialize() if isinstance(packet, ColumnPacketView) else packet
         for packet in packets
     ]
+
+
+# ---------------------------------------------------------------------------
+# Connection assembly, rescanning each connection's tail
+# ---------------------------------------------------------------------------
+
+
+def connection_looks_closed(connection: Connection) -> bool:
+    """Heuristic shared by the assembler and the flow table: a connection
+    looks closed once a FIN or RST appears in its last three packets."""
+    if not connection.packets:
+        return False
+    tail = connection.packets[-3:]
+    return any(p.tcp.is_rst or p.tcp.is_fin for p in tail)
+
+
+class ConnectionAssembler:
+    """Group an arbitrary packet stream into connections.
+
+    A new connection is opened for a flow key when either the key has not been
+    seen before or the previous connection on that key was closed by RST/FIN
+    exchange and the new packet is a fresh SYN.
+    """
+
+    def __init__(self) -> None:
+        self._active: dict[FlowKey, Connection] = {}
+        self._finished: list[Connection] = []
+
+    def add(self, packet: Packet) -> Connection:
+        """Route ``packet`` to its connection, creating one if needed."""
+        key = flow_key_of(packet)
+        connection = self._active.get(key)
+        starts_new = packet.tcp.is_syn and not packet.tcp.is_ack
+        if connection is None or (starts_new and self._looks_closed(connection)):
+            if connection is not None:
+                self._finished.append(connection)
+            connection = Connection(key=key)
+            self._active[key] = connection
+        connection.append(packet)
+        return connection
+
+    def add_all(self, packets: Iterable[Packet]) -> None:
+        for packet in packets:
+            self.add(packet)
+
+    _looks_closed = staticmethod(connection_looks_closed)
+
+    def connections(self) -> list[Connection]:
+        """All connections assembled so far, in order of first packet."""
+        everything = self._finished + list(self._active.values())
+        everything.sort(key=lambda conn: conn.packets[0].timestamp if conn.packets else 0.0)
+        return everything
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import pytest
 from repro.netstack.flow import (
     CompletionReason,
     FlowTable,
-    assemble_connections,
-    connection_looks_closed,
     packet_stream as _stream,
 )
 from repro.traffic.generator import TrafficGenerator
+
+from tests.reference_oracle import ConnectionAssembler, connection_looks_closed
 
 
 def _retimestamp(connections, spacing=100.0, step=0.01):
@@ -50,7 +50,9 @@ class TestFinCompletion:
         for packet in _stream(sequential_connections):
             completed.extend(table.add(packet))
         completed.extend(table.drain())
-        offline = assemble_connections(_stream(sequential_connections))
+        oracle = ConnectionAssembler()
+        oracle.add_all(_stream(sequential_connections))
+        offline = oracle.connections()
         streamed = sorted(
             (str(conn.key), len(conn)) for conn, _ in completed
         )

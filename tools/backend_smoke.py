@@ -28,11 +28,8 @@ from repro.cli import main as cli_main
 from repro.core.equivalence import score_equivalence_report, tolerance_for
 from repro.core.pipeline import Clap
 from repro.netstack.flow import assemble_connections
+from repro.netstack.pcap import read_packet_columns
 from repro.nn.backend import available_backends, serving_backends
-
-# The sample connections are read with the test oracle's object reader.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.reference_oracle import read_pcap  # noqa: E402
 
 CONNECTIONS = 24
 # The registries sort their names, so "gru", the reference that the score
@@ -149,7 +146,7 @@ def main() -> int:
 
 
 def _sample_connections(capture_path: Path):
-    return assemble_connections(read_pcap(capture_path))[:6]
+    return assemble_connections(read_packet_columns(capture_path).views())[:6]
 
 
 if __name__ == "__main__":
