@@ -2,16 +2,16 @@
 """Online deployment: stream raw packets through a persisted model.
 
 This example mirrors the deployment story of Figure 3 in the paper with the
-sharded streaming runtime: the operator trains CLAP offline and persists it as
+streaming runtime: the operator trains CLAP offline and persists it as
 a versioned model artifact (weights + ``manifest.json``); a (simulated)
 middlebox process later loads it, wraps it in a
 :class:`repro.serve.ParallelStreamingDetector` and feeds it a
-:class:`repro.serve.IterableSource` packet stream.  The runtime routes each
-packet to the flow-table shard owning its flow key, worker processes micro-batch
-completed connections through the batched inference engine, and typed
+:class:`repro.serve.IterableSource` packet stream.  The detector assembles
+connections and cuts micro-batches on the ingest thread, worker processes
+score them through the batched inference engine, and typed
 ``DetectionEvent``/``Alert`` objects funnel back through one callback the
 moment they are scored.  The end-of-stream metrics summary shows the
-backpressure signals an operator would watch (per-shard occupancy, flush
+backpressure signals an operator would watch (flow-table occupancy, flush
 latency, drop counters).
 
 Run with:  python examples/online_detector.py
@@ -97,12 +97,13 @@ def main() -> None:
                 f"{event.completed_by.value:>9}  {strategy_name or ''}"
             )
 
-        # Packets in, alerts out: the sharded runtime owns routing, flow
-        # assembly and micro-batching; the deployment code is just a source
-        # and a callback.  The two shard worker processes map the persisted
-        # artifact read-only.  (A live deployment would swap IterableSource
-        # for PcapSource/NDJSONSource, add a ReplaySource for pacing, and
-        # pick a DropPolicy for capacity floods.)
+        # Packets in, alerts out: the detector owns flow assembly,
+        # micro-batching and the workers; the deployment code is just a
+        # source and a callback.  The two worker processes are forked with
+        # the loaded model (model_dir is read only by spawned workers).  (A
+        # live deployment would swap IterableSource for PcapSource or
+        # NDJSONSource, add a ReplaySource for pacing, and pick a DropPolicy
+        # for capacity floods.)
         streaming = ParallelStreamingDetector(
             detector_model,
             workers=2,

@@ -188,7 +188,9 @@ class QuantizedGruBackend(GruBackend):
             self.input_size,
             self.hidden_size,
             self.num_classes,
-            parameters={key: np.array(value) for key, value in self.parameters.items()},
+            parameters={
+                key: np.array(value, dtype=value.dtype) for key, value in self.parameters.items()
+            },
         )
 
     @classmethod

@@ -109,7 +109,7 @@ def load_state(
                 shape, order="F" if fortran else "C"
             )
             if not array.flags.aligned:
-                array = np.array(array)
+                array = np.array(array, dtype=array.dtype)
                 array.flags.writeable = False
             state[key] = array
     return state

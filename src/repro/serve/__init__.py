@@ -13,11 +13,11 @@ Figure 3, layered as a streaming runtime:
   :class:`FlushPolicy` and emits typed :class:`DetectionEvent`/:class:`Alert`
   objects via iterator and callback APIs;
 * :class:`ParallelStreamingDetector` (:mod:`repro.serve.runtime`) — the one
-  fan-out: assembles and batches like the single detector, ships each batch
-  to a scoring worker process (at most ``queue_depth`` in flight per worker)
-  and funnels the events back into one stream, with :class:`DropPolicy`
-  handling of capacity floods and :class:`StreamingMetrics` backpressure
-  monitoring (:mod:`repro.serve.metrics`).
+  fan-out: a :class:`StreamingDetector` that ships each scoring grain to a
+  worker process (at most one flush batch's worth in flight per worker) and
+  dispatches the events it gets back as its own;
+* :mod:`repro.serve.metrics` — :class:`DropPolicy` handling of capacity
+  floods, and the :class:`StreamingMetrics` every detector records into.
 
 The fault-tolerance layer rides on the process runtime: :class:`FaultPlan`
 (:mod:`repro.serve.faults`) injects deterministic worker kills and wedges,

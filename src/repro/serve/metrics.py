@@ -172,14 +172,6 @@ class DropPolicy:
             return "subnet"
         return "score"
 
-    def drops(self, connection: Connection, reason: CompletionReason) -> bool:
-        """True if this completion should be discarded without scoring.
-
-        Stateless view of :meth:`verdict` — subnet budgets (which need an
-        :class:`AdmissionState`) never drop through this entry point.
-        """
-        return self.verdict(connection, reason) != "score"
-
 
 class AdmissionState:
     """Mutable per-detector counters behind :class:`DropPolicy` subnet budgets.
@@ -242,10 +234,10 @@ class StreamingMetrics:
     regardless of worker mode.
     """
 
-    def __init__(self, shard_count: int = 1) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.shard_count = int(shard_count)
-        self.packets_ingested = [0] * self.shard_count
+        # One flow table; the snapshot keeps its per-shard list shape.
+        self.packets_ingested = [0]
         self.completions: dict[str, int] = {reason.value: 0 for reason in CompletionReason}
         self.connections_scored = 0
         self.events_emitted = 0
@@ -378,7 +370,7 @@ class StreamingMetrics:
                 latency.count += state["flush_count"]  # type: ignore[operator]
                 latency.max = max(latency.max, state["flush_max"])  # type: ignore[type-var]
             return {
-                "shards": self.shard_count,
+                "shards": 1,
                 "packets_ingested": list(self.packets_ingested),
                 "completions_by_reason": dict(self.completions),
                 "connections_scored": scored,

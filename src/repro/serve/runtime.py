@@ -1,11 +1,11 @@
 """Process shard workers: the parent assembles, the workers score.
 
-:class:`ParallelStreamingDetector` keeps the contract of the single-threaded
-:class:`~repro.serve.streaming.StreamingDetector` and, in process mode, moves
-its engine calls into N worker processes.  The layering:
+:class:`ParallelStreamingDetector` is a
+:class:`~repro.serve.streaming.StreamingDetector` that, in process mode,
+moves its engine calls into N worker processes.  The layering:
 
-* the ingest thread (the caller) runs the in-process detector's own assembly
-  path: one :class:`~repro.netstack.flow.FlowTable`, one
+* the ingest thread (the caller) runs the inherited assembly path: one
+  :class:`~repro.netstack.flow.FlowTable`, one
   :class:`~repro.serve.metrics.DropPolicy` admission state, and
   :class:`~repro.serve.streaming.FlushPolicy` batches of ``max_batch``
   completed connections, each cut into grains of at most
@@ -18,9 +18,9 @@ its engine calls into N worker processes.  The layering:
   runs through :meth:`~repro.netstack.columns.PacketColumns.from_packets`
   first), plus the connection bounds and completion reasons.  It goes to the
   live worker with the fewest grains in flight, and a worker holds at most
-  ``queue_depth`` batches' worth of grains in flight (default 1: one batch,
-  two grains at the default ``max_batch`` of 128), so queued scoring cannot
-  inflate alert latency;
+  one flush batch's worth of grains in flight (``ceil(max_batch /
+  SCORING_GRAIN)``, two at the default ``max_batch`` of 128), so queued
+  scoring cannot inflate alert latency;
 * when every worker is full the caller runs, per grain: the parent scores
   the grain itself with the same engine call instead of idling, as long as
   the worker it would wait on has answered a grain since the parent last
@@ -38,16 +38,16 @@ its engine calls into N worker processes.  The layering:
   no flow or block state;
 * the parent drains the result pipes before every grain it ships, every
   ``chunk_size`` ingested packets, and at every poll, flush and close, and
-  dispatches the events through the detector's own dispatch
-  (:meth:`events`, ``on_event``/``on_alert``).  :meth:`flush` and
+  dispatches the events through the inherited dispatch (:meth:`events`,
+  ``on_event``/``on_alert``).  :meth:`flush` and
   :meth:`close` are barriers that every live worker answers in queue order,
   after the events of every grain queued before them.
 
 ``worker_mode`` selects where scoring runs:
 
-* ``"thread"`` (the default) spawns nothing: the runtime delegates to one
-  plain ``StreamingDetector`` on the caller's thread, bit-identical to using
-  it directly.  It requires ``workers=1``.
+* ``"thread"`` (the default) spawns nothing: the detector scores on the
+  caller's thread exactly as its base class does.  It requires
+  ``workers=1``.
 * ``"process"`` spawns ``workers`` scoring processes; even ``workers=1``
   moves most engine calls off the ingest thread.  The parent's side (parse,
   views, assembly, grain packing) is serial and sets a ceiling however many
@@ -105,9 +105,9 @@ from repro.core.pipeline import Clap
 from repro.netstack.columns import train_rows, unpack_block
 from repro.netstack.flow import CompletionReason, Connection, FlowKey
 from repro.netstack.packet import Direction, Packet
-from repro.serve.events import Alert, DetectionEvent
+from repro.serve.events import DetectionEvent
 from repro.serve.faults import FaultPlan
-from repro.serve.metrics import DropPolicy, StreamingMetrics
+from repro.serve.metrics import StreamingMetrics
 from repro.serve.sources import PacketSource, Tick
 from repro.serve.supervise import (
     DegradationReport,
@@ -115,9 +115,6 @@ from repro.serve.supervise import (
     InstanceLossRecord,
 )
 from repro.serve.streaming import (
-    AlertCallback,
-    EventCallback,
-    FlushPolicy,
     StreamingDetector,
     drain_pending,
     scoring_grains,
@@ -310,37 +307,23 @@ class _ProcessShard:
         self.progressed = True
 
 
-class _Assembler(StreamingDetector):
-    """The parent's detector in process mode: it assembles, admits, batches
-    and cuts grains exactly as :class:`StreamingDetector` does, and hands
-    each grain to ``submit`` in place of the engine call."""
+class ParallelStreamingDetector(StreamingDetector):
+    """A :class:`~repro.serve.streaming.StreamingDetector` whose engine calls
+    may run in worker processes.
 
-    def __init__(self, submit, clap: Clap, **options) -> None:
-        super().__init__(clap, **options)
-        self._submit = submit
-
-    def flush(self) -> list[DetectionEvent]:
-        """Hand every buffered connection to ``submit``, one grain at a time;
-        the events arrive later, through the runtime.  A grain leaves the
-        buffer only once ``submit`` returned."""
-        pending = self._pending
-        for size in scoring_grains(len(pending), self.policy.max_batch):
-            self._submit(pending[:size])
-            del pending[:size]
-        return []
-
-
-class ParallelStreamingDetector:
-    """Streaming CLAP whose engine calls may run in worker processes.
-
-    Parameters mirror :class:`~repro.serve.streaming.StreamingDetector`, plus:
+    Flow table, admission, flush batches, grain cuts, dispatch, the event
+    queue and :attr:`metrics` are the inherited ones.  In thread mode the
+    detector scores on the caller's thread like its base class; in process
+    mode :meth:`_score_pending` hands each grain to a worker instead of the
+    engine.  ``options`` are :class:`StreamingDetector`'s keyword arguments;
+    the parameters of its own are:
 
     workers:
         Number of scoring worker processes.  Values above ``1`` require
         ``worker_mode="process"``; process mode spawns a worker even at
         ``1``.
     worker_mode:
-        ``"thread"`` (default: one ``StreamingDetector`` on the caller's
+        ``"thread"`` (default: no workers; scoring stays on the caller's
         thread) or ``"process"``; see the module docstring.
     model_dir:
         Process mode with a start method other than ``"fork"`` only: the
@@ -354,25 +337,14 @@ class ParallelStreamingDetector:
         to ``"fork"`` where available (POSIX), else ``"spawn"``.  A forked
         worker, respawns included, inherits ``clap`` and starts without
         loading anything; a spawned one loads ``model_dir``.
-    drop_policy:
-        Applied to :attr:`CompletionReason.CAPACITY` evictions before they
-        reach the engine (see :class:`~repro.serve.metrics.DropPolicy`).
     chunk_size:
         Process mode only: the parent drains the workers' results after this
         many ingested packets (and before every grain it ships).  It sets
         how often events are delivered, never what is scored.
-    queue_depth:
-        Process mode only: full batches' worth of grains one worker may hold
-        in flight (being scored or waiting), ``queue_depth × ceil(max_batch
-        / SCORING_GRAIN)`` grains.  When every worker holds that many, the
-        caller runs per grain: the parent scores the next grain itself or,
-        if the worker it would wait on has answered nothing since the parent
-        last did so, :meth:`ingest` blocks — backpressure instead of
-        unbounded buffering.  The default of 1 keeps queued scoring from
-        adding to alert latency.
-    metrics:
-        Optional externally-owned :class:`StreamingMetrics`; one is created
-        (and exposed as :attr:`metrics`) by default.
+    on_worker_failure / max_worker_respawns / stall_deadline / fault_plan:
+        Process mode only: the failure policy and its respawn budget, the
+        seconds a live worker may answer nothing before it is declared
+        wedged, and injected faults; see the module docstring.
     """
 
     def __init__(
@@ -381,25 +353,14 @@ class ParallelStreamingDetector:
         *,
         workers: int = 1,
         worker_mode: str = "thread",
-        flush_policy: FlushPolicy | None = None,
-        threshold: float | None = None,
-        top_n: int = 1,
-        idle_timeout: float = 60.0,
-        close_grace: float = 1.0,
-        max_flows: int | None = None,
-        max_packets: int | None = None,
-        drop_policy: DropPolicy | None = None,
-        on_event: EventCallback | None = None,
-        on_alert: AlertCallback | None = None,
         chunk_size: int = 512,
-        queue_depth: int = 1,
-        metrics: StreamingMetrics | None = None,
         model_dir: str | Path | None = None,
         start_method: str | None = None,
         on_worker_failure: str = "fail",
         max_worker_respawns: int = 2,
         stall_deadline: float | None = None,
         fault_plan: FaultPlan | None = None,
+        **options,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
@@ -414,7 +375,7 @@ class ParallelStreamingDetector:
         if workers > 1 and worker_mode != "process":
             raise ValueError(
                 f"workers={workers} requires worker_mode='process' "
-                "(thread mode runs one StreamingDetector on the caller's thread)"
+                "(thread mode scores on the caller's thread)"
             )
         if on_worker_failure != "fail" and worker_mode != "process":
             raise ValueError(
@@ -423,16 +384,11 @@ class ParallelStreamingDetector:
             )
         if not isinstance(chunk_size, int) or chunk_size < 1:
             raise ValueError(f"chunk_size must be a positive integer, got {chunk_size!r}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be at least 1, got {queue_depth}")
-        self.clap = clap
+        # Built before any worker starts, so invalid flow-table knobs raise
+        # here instead of leaving processes behind.
+        super().__init__(clap, **options)
         self.workers = int(workers)
         self.worker_mode = worker_mode
-        self.policy = flush_policy or FlushPolicy()
-        self.threshold = clap.threshold if threshold is None else float(threshold)
-        self.top_n = int(top_n)
-        self.drop_policy = drop_policy
-        self.metrics = metrics or StreamingMetrics()
         self.on_worker_failure = on_worker_failure
         self.max_worker_respawns = int(max_worker_respawns)
         self._stall_deadline = stall_deadline if stall_deadline else None
@@ -445,25 +401,8 @@ class ParallelStreamingDetector:
         self._closed = False
         self._failed = False  # some shard holds a failure to raise
         self._shards: list[_ProcessShard] = []
-        options = dict(
-            flush_policy=self.policy,
-            threshold=self.threshold,
-            top_n=top_n,
-            idle_timeout=idle_timeout,
-            close_grace=close_grace,
-            max_flows=max_flows,
-            max_packets=max_packets,
-            on_event=on_event,
-            on_alert=on_alert,
-            drop_policy=drop_policy,
-            metrics=self.metrics,
-        )
         if worker_mode == "thread":
-            self._detector: StreamingDetector = StreamingDetector(clap, **options)
             return
-        # Built before any worker starts, so invalid flow-table knobs raise
-        # here instead of leaving processes behind.
-        self._detector = _Assembler(self._submit, clap, **options)
         self._chunk_size = chunk_size
         self._since_drain = 0
         self._next_grain = 0
@@ -477,8 +416,9 @@ class ParallelStreamingDetector:
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
         self._mp_context = multiprocessing.get_context(method)
-        # Grains one worker may hold in flight: ``queue_depth`` full batches.
-        self._allowance = queue_depth * math.ceil(self.policy.max_batch / streaming.SCORING_GRAIN)
+        # Grains one worker may hold in flight: one full flush batch's worth,
+        # so queued scoring cannot add to alert latency.
+        self._allowance = math.ceil(self.policy.max_batch / streaming.SCORING_GRAIN)
         self._tmp_model_cleanup = None
         clap.engine  # built before any fork, so forked workers inherit it
         # A forked worker scores with ``clap`` itself; any other loads an
@@ -502,8 +442,8 @@ class ParallelStreamingDetector:
 
     def _start_worker(self, spec: _WorkerSpec, name: str) -> tuple:
         """Start one worker incarnation; returns ``(in_queue, results, process)``."""
-        # Unbounded: ``queue_depth`` caps the grains in flight on the
-        # parent's side, so control messages never wait behind capacity.
+        # Unbounded: the allowance caps the grains in flight on the parent's
+        # side, so control messages never wait behind capacity.
         in_queue = self._mp_context.Queue()
         results = self._mp_context.Queue()
         process = self._mp_context.Process(
@@ -527,7 +467,7 @@ class ParallelStreamingDetector:
             raise RuntimeError("ingest() after close()")
         if self._failed:
             self._raise_worker_failure()
-        self._detector.ingest(packet)
+        super().ingest(packet)
         if not self._shards:
             return
         if self._fault_plan is not None:
@@ -537,9 +477,12 @@ class ParallelStreamingDetector:
             self._drain_results()
 
     def ingest_many(self, packets: Iterable[Packet]) -> None:
-        """Feed a chunk of packets in stream order."""
-        if not self._shards:
-            self._detector.ingest_many(packets)
+        """Feed a chunk of packets in stream order.  In process mode, and
+        after :meth:`close`, each goes through :meth:`ingest`, so results
+        drain every ``chunk_size`` packets, injected faults fire at their
+        packet and a closed detector refuses the first one."""
+        if not self._shards and not self._closed:
+            super().ingest_many(packets)
             return
         for packet in packets:
             self.ingest(packet)
@@ -552,7 +495,7 @@ class ParallelStreamingDetector:
             self._drain_results()
             if self._failed:
                 self._raise_worker_failure()
-        self._detector.poll(now)
+        super().poll(now)
 
     def run(self, source: PacketSource) -> list[DetectionEvent]:
         """Consume a packet source to exhaustion, then :meth:`close`.
@@ -664,7 +607,7 @@ class ParallelStreamingDetector:
         if self._collect_from is not None and grain_id >= self._collect_from:
             self._collected.extend(events)
         else:
-            self._detector._dispatch_chunk(events)
+            self._dispatch(events)
 
     def _put_shard(self, shard: _ProcessShard, message: tuple) -> bool:
         """Put a control message on a live shard's (unbounded) queue."""
@@ -874,6 +817,18 @@ class ParallelStreamingDetector:
         )
 
     # ---------------------------------------------------------------- scoring
+    def _score_pending(self) -> list[DetectionEvent]:
+        """Process mode: hand every buffered connection to :meth:`_submit`,
+        one grain at a time; the events arrive later, through the result
+        pipes.  A grain leaves the buffer only once ``_submit`` returned."""
+        if not self._shards:
+            return super()._score_pending()
+        pending = self._pending
+        for size in scoring_grains(len(pending), self.policy.max_batch):
+            self._submit(pending[:size])
+            del pending[:size]
+        return []
+
     def _barrier(self, ship, kind: str) -> list[DetectionEvent]:
         """Run ``ship`` (which submits grains), send ``kind`` to every live
         worker and wait until each has answered.  The events of the grains
@@ -891,7 +846,7 @@ class ParallelStreamingDetector:
             self._collect_from = None
             events, self._collected = self._collected, []
             events.sort(key=_event_order)
-            self._detector._dispatch_chunk(events)
+            self._dispatch(events)
         return events
 
     def flush(self) -> list[DetectionEvent]:
@@ -903,13 +858,13 @@ class ParallelStreamingDetector:
         those events also reach :meth:`events` and the callbacks.
         """
         if not self._shards:
-            return self._detector.flush()
+            return super().flush()
         if self._closed:
             return []  # close() already scored everything and joined workers
         self._drain_results()
         if self._failed:
             self._raise_worker_failure()
-        flushed = self._barrier(self._detector.flush, "flush")
+        flushed = self._barrier(self._score_pending, "flush")
         if self._failed:
             self._raise_worker_failure()
         return flushed
@@ -929,9 +884,9 @@ class ParallelStreamingDetector:
             return []
         self._closed = True
         if not self._shards:
-            return sorted(self._detector.close(), key=_event_order)
+            return sorted(super().close(), key=_event_order)
         try:
-            final = self._barrier(self._detector.close, "close")
+            final = self._barrier(super().close, "close")
         finally:
             for shard in self._shards:
                 if not shard.closed and shard.process.is_alive():
@@ -959,24 +914,8 @@ class ParallelStreamingDetector:
     # ----------------------------------------------------------------- output
     def events(self) -> Iterator[DetectionEvent]:
         """Drain the events produced since the last call (non-blocking)."""
-        if self._shards and not self._closed:
-            self._drain_results()
-        return self._detector.events()
-
-    def alerts(self) -> Iterator[Alert]:
-        """Like :meth:`events`, but only threshold-exceeding connections."""
-        for event in self.events():
-            if isinstance(event, Alert):
-                yield event
-
-    # ------------------------------------------------------------- monitoring
-    @property
-    def connections_seen(self) -> int:
-        return self._detector.connections_seen
-
-    @property
-    def alerts_emitted(self) -> int:
-        return self._detector.alerts_emitted
+        self._collect_results()
+        return super().events()
 
     @property
     def pending_connections(self) -> int:
@@ -988,27 +927,13 @@ class ParallelStreamingDetector:
             if not shard.closed
             for _, connections in shard.inflight.values()
         )
-        return self._detector.pending_connections + inflight
+        return super().pending_connections + inflight
 
-    @property
-    def active_flows(self) -> int:
-        """Connections currently being assembled in the flow table."""
-        return self._detector.active_flows
+    def _settle_metrics(self) -> None:
+        self._collect_results()
+        super()._settle_metrics()
 
-    def occupancy(self) -> list[int]:
-        """Tracked connections per flow table (there is one)."""
-        return [self._detector.active_flows]
-
-    def metrics_snapshot(self) -> dict:
-        """The metrics snapshot plus current flow-table occupancy."""
+    def _collect_results(self) -> None:
+        """Process mode, before close: take in what the workers have posted."""
         if self._shards and not self._closed:
             self._drain_results()
-        self.metrics.set_ingested(0, self._detector.packets_ingested)
-        return self.metrics.snapshot(self.occupancy())
-
-    def render_metrics(self) -> str:
-        """Human-readable metrics summary (the CLI prints this to stderr)."""
-        if self._shards and not self._closed:
-            self._drain_results()
-        self.metrics.set_ingested(0, self._detector.packets_ingested)
-        return self.metrics.render(self.occupancy())

@@ -61,7 +61,7 @@ def drain_pending(
     max_batch: int,
     threshold: float,
     top_n: int,
-    metrics: StreamingMetrics | None,
+    metrics: StreamingMetrics,
     emit: Callable[[list[DetectionEvent]], None],
 ) -> list[DetectionEvent]:
     """Score ``pending`` (in place) in ``max_batch`` flush batches, one
@@ -81,8 +81,7 @@ def drain_pending(
         connections = [connection for connection, _ in grain]
         started = time.perf_counter()
         results = clap.detect_batch(connections, threshold=threshold, top_n=top_n)
-        if metrics is not None:
-            metrics.record_flush(size, time.perf_counter() - started)
+        metrics.record_flush(size, time.perf_counter() - started)
         del pending[:size]
         events = []
         for result, (connection, reason) in zip(results, grain, strict=True):
@@ -149,12 +148,13 @@ class StreamingDetector:
         ``on_alert`` fires only for threshold-exceeding connections.  Events
         are queued for :meth:`events` regardless, so both APIs can be used
         together.
-    drop_policy / metrics:
+    drop_policy:
         Optional :class:`~repro.serve.metrics.DropPolicy` applied to
-        capacity-evicted flows before they are scored, and an optional
-        :class:`~repro.serve.metrics.StreamingMetrics` sink the detector
-        records into.  Both default to off, leaving behaviour identical to
-        the plain detector.
+        capacity-evicted flows before they are scored; by default every
+        completion is scored.
+
+    Every detector records into its own
+    :class:`~repro.serve.metrics.StreamingMetrics`, :attr:`metrics`.
     """
 
     def __init__(
@@ -171,7 +171,6 @@ class StreamingDetector:
         on_event: EventCallback | None = None,
         on_alert: AlertCallback | None = None,
         drop_policy: DropPolicy | None = None,
-        metrics: StreamingMetrics | None = None,
     ) -> None:
         self.clap = clap
         self.policy = flush_policy or FlushPolicy()
@@ -181,7 +180,7 @@ class StreamingDetector:
         self.on_alert = on_alert
         self.drop_policy = drop_policy
         self._admission = drop_policy.new_state() if drop_policy is not None else None
-        self.metrics = metrics
+        self.metrics = StreamingMetrics()
         self.flow_table = FlowTable(
             idle_timeout=idle_timeout,
             close_grace=close_grace,
@@ -190,8 +189,6 @@ class StreamingDetector:
         )
         self._pending: list[tuple[Connection, CompletionReason]] = []
         self._events: deque[DetectionEvent] = deque()
-        self._connections_seen = 0
-        self._alerts_emitted = 0
         self._packets_ingested = 0
 
     # -------------------------------------------------------------- ingestion
@@ -220,17 +217,16 @@ class StreamingDetector:
         self._buffer(self.flow_table.poll(now))
 
     def _buffer(self, completions: list[tuple[Connection, CompletionReason]]) -> None:
-        if completions and (self.drop_policy is not None or self.metrics is not None):
+        if completions:
             completions = apply_drop_policy(
                 completions, self.drop_policy, self.metrics, self._admission
             )
         self._pending.extend(completions)
-        if self.metrics is not None:
-            self.metrics.record_pending_depth(len(self._pending))
+        self.metrics.record_pending_depth(len(self._pending))
         if self.policy.auto_flush and len(self._pending) >= self.policy.max_batch:
-            self.flush()
+            self._score_pending()
         elif len(self._pending) >= self.policy.max_buffered:
-            self.flush()
+            self._score_pending()
 
     # ---------------------------------------------------------------- scoring
     def flush(self) -> list[DetectionEvent]:
@@ -243,6 +239,11 @@ class StreamingDetector:
         grain never waits behind the scoring of later grains.
         The full flushed list is also returned for convenience.
         """
+        return self._score_pending()
+
+    def _score_pending(self) -> list[DetectionEvent]:
+        """Score the pending buffer: the one place a flush reaches the engine
+        (the auto-flush, :meth:`flush` and :meth:`close` all come here)."""
         return drain_pending(
             self.clap,
             self._pending,
@@ -250,24 +251,19 @@ class StreamingDetector:
             self.threshold,
             self.top_n,
             self.metrics,
-            self._dispatch_chunk,
+            self._dispatch,
         )
 
-    def _dispatch_chunk(self, events: list[DetectionEvent]) -> None:
+    def _dispatch(self, events: list[DetectionEvent]) -> None:
+        """Count ``events``, queue them for :meth:`events` and push them to
+        the callbacks."""
         for event in events:
-            self._dispatch(event)
-
-    def _dispatch(self, event: DetectionEvent) -> None:
-        self._connections_seen += 1
-        if event.is_alert:
-            self._alerts_emitted += 1
-        if self.metrics is not None:
             self.metrics.record_events(1, 1 if event.is_alert else 0)
-        self._events.append(event)
-        if self.on_event is not None:
-            self.on_event(event)
-        if event.is_alert and self.on_alert is not None:
-            self.on_alert(event)  # type: ignore[arg-type]
+            self._events.append(event)
+            if self.on_event is not None:
+                self.on_event(event)
+            if event.is_alert and self.on_alert is not None:
+                self.on_alert(event)  # type: ignore[arg-type]
 
     # ----------------------------------------------------------------- output
     def events(self) -> Iterator[DetectionEvent]:
@@ -290,17 +286,16 @@ class StreamingDetector:
         :func:`apply_drop_policy` here, leaving the ``workers=1`` counters
         short of the sharded runtime's).  It only skips :meth:`_buffer`'s
         auto-flush so the whole drain is returned from the single
-        :meth:`flush` below.
+        scoring pass below.
         """
         drained = self.flow_table.drain()
-        if drained and (self.drop_policy is not None or self.metrics is not None):
+        if drained:
             drained = apply_drop_policy(
                 drained, self.drop_policy, self.metrics, self._admission
             )
-        self._pending.extend(drained)
-        if self.metrics is not None and drained:
+            self._pending.extend(drained)
             self.metrics.record_pending_depth(len(self._pending))
-        return self.flush()
+        return self._score_pending()
 
     # ------------------------------------------------------------- monitoring
     @property
@@ -316,14 +311,32 @@ class StreamingDetector:
     @property
     def connections_seen(self) -> int:
         """Total connections scored so far."""
-        return self._connections_seen
+        return self.metrics.events_emitted
 
     @property
     def alerts_emitted(self) -> int:
         """Total alerts produced so far."""
-        return self._alerts_emitted
+        return self.metrics.alerts_emitted
 
     @property
     def packets_ingested(self) -> int:
         """Total packets fed through :meth:`ingest` so far."""
         return self._packets_ingested
+
+    def occupancy(self) -> list[int]:
+        """Tracked connections per flow table (there is one)."""
+        return [len(self.flow_table)]
+
+    def metrics_snapshot(self) -> dict:
+        """The metrics snapshot plus current flow-table occupancy."""
+        self._settle_metrics()
+        return self.metrics.snapshot(self.occupancy())
+
+    def render_metrics(self) -> str:
+        """Human-readable metrics summary (the CLI prints this to stderr)."""
+        self._settle_metrics()
+        return self.metrics.render(self.occupancy())
+
+    def _settle_metrics(self) -> None:
+        """Bring :attr:`metrics` up to date before it is read."""
+        self.metrics.set_ingested(0, self._packets_ingested)

@@ -97,7 +97,6 @@ class TestVerdicts:
     def test_organic_completions_always_score(self, reason):
         policy = DropPolicy(mode="drop", min_packets=100)
         assert policy.verdict(_connection(), reason) == "score"
-        assert not policy.drops(_connection(), reason)
 
     def test_drop_mode_drops_every_capacity_eviction(self):
         policy = DropPolicy(mode="drop")
@@ -202,13 +201,13 @@ class TestSubnetBudget:
         )
 
     def test_without_state_budget_never_fires(self):
-        # The stateless drops() view — used where no AdmissionState exists —
-        # cannot charge budgets, so the verdict falls through to "score".
+        # Without an AdmissionState no budget can be charged, so the verdict
+        # falls through to "score".
         policy = self._policy(subnet_budget=1)
         first = _connection(src=0x0A000001)
         second = _connection(src=0x0A000002, src_port=6000)
-        assert not policy.drops(first, CompletionReason.CAPACITY)
-        assert not policy.drops(second, CompletionReason.CAPACITY)
+        assert policy.verdict(first, CompletionReason.CAPACITY) == "score"
+        assert policy.verdict(second, CompletionReason.CAPACITY) == "score"
 
 
 class TestApplyDropPolicy:

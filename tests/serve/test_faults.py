@@ -498,7 +498,6 @@ class TestWorkerFaults:
             policy="respawn",
             stall_deadline=1.0,
             chunk_size=1,
-            queue_depth=1,
             workers=1,
         )
         assert detector.metrics_snapshot()["backpressure_wait_seconds"] == 0.0

@@ -437,6 +437,72 @@ class TestMetricsParity:
         assert detector.render_metrics()  # renders without error
 
 
+#: The counters one flood stream must give identically in every topology.
+_FLOOD_COUNTERS = (
+    "packets_ingested",
+    "completions_by_reason",
+    "connections_scored",
+    "events_emitted",
+    "alerts_emitted",
+    "capacity_drops",
+    "subnet_drops",
+)
+
+
+class TestOneDetectorObject:
+    """The runtime is a StreamingDetector: it owns the flow table, the
+    admission state, the event queue and the metrics it inherits."""
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_runtime_is_a_streaming_detector(self, trained_clap, clap_model_dir, worker_mode):
+        detector = ParallelStreamingDetector(
+            trained_clap, worker_mode=worker_mode, model_dir=clap_model_dir
+        )
+        try:
+            assert isinstance(detector, StreamingDetector)
+        finally:
+            detector.close()
+        assert not _shard_processes()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(workers=1),
+            dict(workers=1, worker_mode="process"),
+            dict(workers=2, worker_mode="process"),
+        ],
+        ids=["thread", "process-1", "process-2"],
+    )
+    def test_flood_counters_equal_one_streaming_detector(
+        self, trained_clap, clap_model_dir, kwargs
+    ):
+        flood = syn_flood(FLOOD_SIZE)
+        options = dict(
+            idle_timeout=1e9,
+            close_grace=1e9,
+            max_flows=MAX_FLOWS,
+            drop_policy=DropPolicy(subnet_budget=40),
+        )
+        one = StreamingDetector(trained_clap, **options)
+        one.ingest_many(flood)
+        one.close()
+        detector = ParallelStreamingDetector(
+            trained_clap, model_dir=clap_model_dir, **options, **kwargs
+        )
+        detector.ingest_many(flood)
+        detector.close()
+        expected = one.metrics_snapshot()
+        got = detector.metrics_snapshot()
+        assert expected["packets_ingested"] == [FLOOD_SIZE]
+        assert expected["subnet_drops"] > 0  # the budget is exercised
+        assert {name: got[name] for name in _FLOOD_COUNTERS} == {
+            name: expected[name] for name in _FLOOD_COUNTERS
+        }
+        for target in (one, detector):
+            assert target.connections_seen == target.metrics.events_emitted
+            assert target.alerts_emitted == target.metrics.alerts_emitted
+
+
 class TestLifecycle:
     def test_run_source_error_shuts_the_pool_down(self, trained_clap, clap_model_dir):
         """Satellite regression: run() used to leak workers when the source
@@ -551,7 +617,6 @@ class TestLifecycle:
             worker_mode="process",
             model_dir=clap_model_dir,
             chunk_size=1,
-            queue_depth=1,
             idle_timeout=1e9,
             close_grace=1e9,
         )
@@ -681,7 +746,6 @@ class TestCallerRuns:
             workers=1,
             worker_mode="process",
             model_dir=clap_model_dir,
-            queue_depth=1,
             on_event=pushed.append,
             **options,
         )
@@ -706,7 +770,7 @@ class TestCallerRuns:
 @pytest.fixture
 def split_batches(monkeypatch):
     """Grains of 2 connections in flush batches of 8: every batch splits, and
-    a worker's allowance (``queue_depth=1``) is 4 grains."""
+    a worker's allowance (one batch) is 4 grains."""
     monkeypatch.setattr(streaming, "SCORING_GRAIN", 2)
     return FlushPolicy(max_batch=8)
 
@@ -720,7 +784,7 @@ class TestGrainSplit:
     def test_events_equal_one_detector(self, trained_clap, clap_model_dir, split_batches, workers):
         items = _column_stream(_sequential_connections(30))
         options = dict(flush_policy=split_batches, idle_timeout=1e9, close_grace=0.5)
-        baseline = StreamingDetector(trained_clap, metrics=StreamingMetrics(), **options)
+        baseline = StreamingDetector(trained_clap, **options)
         expected = _feed(baseline, items)
         detector = ParallelStreamingDetector(
             trained_clap,
@@ -780,7 +844,6 @@ class TestGrainSplit:
             workers=1,
             worker_mode="process",
             model_dir=clap_model_dir,
-            queue_depth=1,
             on_event=pushed.append,
             **options,
         )

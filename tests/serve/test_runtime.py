@@ -155,6 +155,15 @@ class TestCloseOrdering:
         with pytest.raises(RuntimeError):
             detector.ingest(_packet_stream(connections)[0])
 
+    def test_thread_mode_ingest_many_after_close_fails(self, trained_clap):
+        detector = ParallelStreamingDetector(trained_clap)
+        stream = _packet_stream(_sequential_connections(2))
+        detector.ingest_many(stream)
+        detector.close()
+        with pytest.raises(RuntimeError, match="after close"):
+            detector.ingest_many(stream)
+        assert detector.packets_ingested == len(stream)
+
     def test_flush_and_poll_after_close_are_safe_noops(self, trained_clap):
         """Regression: flush() after close() used to deadlock on a barrier
         queued to already-joined workers."""
@@ -353,8 +362,6 @@ class TestDropPolicyAndMetrics:
             ParallelStreamingDetector(trained_clap, workers=0)
         with pytest.raises(ValueError):
             ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process", chunk_size=0)
-        with pytest.raises(ValueError):
-            ParallelStreamingDetector(trained_clap, workers=2, worker_mode="process", queue_depth=0)
         with pytest.raises(ValueError):
             DropPolicy(mode="maybe")
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from repro.serve import (
     DropPolicy,
     FlushPolicy,
     StreamingDetector,
-    StreamingMetrics,
 )
 from repro.serve import streaming
 from repro.serve.streaming import scoring_grains
@@ -320,6 +319,25 @@ class TestEventSurface:
         assert all(e.completed_by is CompletionReason.DRAIN for e in drained)
 
 
+class TestMetrics:
+    def test_the_detector_owns_its_metrics(self, trained_clap):
+        connections = _sequential_connections(4)
+        stream = _packet_stream(connections)
+        detector = StreamingDetector(
+            trained_clap, threshold=0.0, idle_timeout=1e9, close_grace=1e9
+        )
+        detector.ingest_many(stream)
+        detector.close()
+        snapshot = detector.metrics_snapshot()
+        assert snapshot["shards"] == 1
+        assert snapshot["packets_ingested"] == [len(stream)]
+        assert snapshot["shard_occupancy"] == [0]
+        assert snapshot["events_emitted"] == detector.metrics.events_emitted == 4
+        assert detector.connections_seen == detector.metrics.events_emitted
+        assert detector.alerts_emitted == detector.metrics.alerts_emitted == 4
+        assert "packets=" in detector.render_metrics()
+
+
 class TestCloseAccounting:
     def test_close_drain_counts_completions(self, trained_clap):
         """Satellite regression: close() used to extend the pending buffer
@@ -327,14 +345,11 @@ class TestCloseAccounting:
         completions_by_reason never counted DRAIN batches at workers=1 while
         the sharded close path did."""
         connections = _sequential_connections(5)
-        metrics = StreamingMetrics(shard_count=1)
-        detector = StreamingDetector(
-            trained_clap, idle_timeout=1e9, close_grace=1e9, metrics=metrics
-        )
+        detector = StreamingDetector(trained_clap, idle_timeout=1e9, close_grace=1e9)
         detector.ingest_many(_packet_stream(connections))
         final = detector.close()
         assert len(final) == len(connections)
-        snapshot = metrics.snapshot()
+        snapshot = detector.metrics.snapshot()
         assert snapshot["completions_by_reason"]["drain"] == len(connections)
         assert snapshot["connections_scored"] == len(connections)
 
@@ -342,17 +357,15 @@ class TestCloseAccounting:
         """DRAIN completions are never droppable, even under mode='drop' —
         only CAPACITY evictions are; the close path must agree."""
         connections = _sequential_connections(4)
-        metrics = StreamingMetrics(shard_count=1)
         detector = StreamingDetector(
             trained_clap,
             idle_timeout=1e9,
             close_grace=1e9,
             drop_policy=DropPolicy(mode="drop"),
-            metrics=metrics,
         )
         detector.ingest_many(_packet_stream(connections))
         final = detector.close()
         assert len(final) == len(connections)
-        snapshot = metrics.snapshot()
+        snapshot = detector.metrics.snapshot()
         assert snapshot["completions_by_reason"]["drain"] == len(connections)
         assert snapshot["capacity_drops"] == 0

@@ -5,11 +5,13 @@ Exercises the full operational path with no fixtures: synthesise a capture,
 train a deliberately tiny model on a smaller one, replay the capture
 through ``repro stream`` with one in-process detector (``--workers
 1``) and again with two *process* shard workers (``--workers 2 --worker-mode
-process``: model shared via read-only mmap), once from the pcap (column
-views) and once from the same capture as NDJSON (``--source ndjson``, which
-yields ``Packet`` objects), and fail on a non-zero exit code, zero emitted
-events, or any run disagreeing with the in-process one on any connection's
-unrounded score.  The capture holds more connections than two
+process``: forked with the parent's loaded model), once from the pcap
+(column views) and once from the same capture as NDJSON (``--source
+ndjson``, which yields ``Packet`` objects), and fail on a non-zero exit
+code, zero emitted events, or any run disagreeing with the in-process one
+on any connection's unrounded score or on a ``--metrics`` counter
+(packets, completions by reason, scored, events, alerts, capacity and
+subnet drops).  The capture holds more connections than two
 default 128-connection flush batches, so batches are scored (and shipped) as
 several 64-connection grains.  The point is not accuracy — it is that the
 runtime's packets-in/alerts-out pipeline holds together as a process would
@@ -23,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -35,17 +38,28 @@ from repro.serve import NDJSONSource
 CONNECTIONS = 300
 #: Connections the tiny model trains on.
 TRAIN_CONNECTIONS = 30
+#: The ``--metrics`` counters every run must report identically.
+COUNTERS = ("packets", "completions", "scored", "events", "alerts",
+            "capacity_drops", "subnet_drops")
+_COUNTER = re.compile(rf"\b({'|'.join(COUNTERS)})=(\[[^\]]*\]|\d+)")
 
 
 def run(argv: list, capture: bool = False) -> tuple:
-    """Invoke the CLI in-process, optionally capturing stdout."""
+    """Invoke the CLI in-process; with ``capture``, return its stdout and
+    stderr (the stderr is echoed too)."""
     print(f"$ repro-clap {' '.join(argv)}", file=sys.stderr)
     if not capture:
-        return cli_main(argv), ""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+        return cli_main(argv), "", ""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
-    return code, buffer.getvalue()
+    sys.stderr.write(err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def counters(stderr: str) -> dict:
+    """The :data:`COUNTERS` of a ``--metrics`` summary."""
+    return dict(_COUNTER.findall(stderr))
 
 
 def main() -> int:
@@ -57,7 +71,7 @@ def main() -> int:
         model_dir = work / "model"
 
         for path, count in ((capture_path, CONNECTIONS), (train_path, TRAIN_CONNECTIONS)):
-            code, _ = run(["generate", str(path), "--connections", str(count), "--seed", "7"])
+            code, *_ = run(["generate", str(path), "--connections", str(count), "--seed", "7"])
             if code != 0:
                 print("smoke FAILED: generate exited non-zero", file=sys.stderr)
                 return 1
@@ -67,14 +81,14 @@ def main() -> int:
             for packet in read_packet_columns(capture_path).views()
         ))
 
-        code, _ = run(["train", str(model_dir), "--pcap", str(train_path),
+        code, *_ = run(["train", str(model_dir), "--pcap", str(train_path),
                        "--fast", "--rnn-epochs", "3", "--ae-epochs", "10", "--seed", "7"])
         if code != 0:
             print("smoke FAILED: train exited non-zero", file=sys.stderr)
             return 1
 
-        code, out = run(["stream", str(model_dir), str(capture_path),
-                         "--workers", "1", "--metrics"], capture=True)
+        code, out, err = run(["stream", str(model_dir), str(capture_path),
+                              "--workers", "1", "--metrics"], capture=True)
         if code != 0:
             print("smoke FAILED: stream exited non-zero", file=sys.stderr)
             return 1
@@ -90,13 +104,18 @@ def main() -> int:
             return 1
 
         rows = sorted((e["connection"], e["score"]) for e in events)
+        expected = counters(err)
+        if set(expected) != set(COUNTERS):
+            print(f"smoke FAILED: the metrics summary lacks "
+                  f"{sorted(set(COUNTERS) - set(expected))}", file=sys.stderr)
+            return 1
         # NDJSON yields Packet objects, which reach the workers through
         # from_packets blocks, a different path from the capture's own
         # column blocks.
         for source in (capture_path, ndjson_path):
-            code, out = run(["stream", str(model_dir), str(source),
-                             "--workers", "2", "--worker-mode", "process",
-                             "--metrics"], capture=True)
+            code, out, err = run(["stream", str(model_dir), str(source),
+                                  "--workers", "2", "--worker-mode", "process",
+                                  "--metrics"], capture=True)
             if code != 0:
                 print(f"smoke FAILED: process-mode stream of {source.name} exited non-zero",
                       file=sys.stderr)
@@ -107,10 +126,16 @@ def main() -> int:
                 print(f"smoke FAILED: process-mode events of {source.name} diverge from "
                       "the in-process detector", file=sys.stderr)
                 return 1
+            got = counters(err)
+            if got != expected:
+                print(f"smoke FAILED: process-mode metrics of {source.name} diverge from "
+                      f"the in-process detector: {got} != {expected}", file=sys.stderr)
+                return 1
 
     print(f"smoke OK: {len(events)} events from {CONNECTIONS} connections "
-          f"through one in-process detector, reproduced identically by "
-          f"2 process shard workers from the pcap and from NDJSON", file=sys.stderr)
+          f"through one in-process detector, reproduced identically (events and "
+          f"metrics counters) by 2 process shard workers from the pcap and from "
+          f"NDJSON", file=sys.stderr)
     return 0
 
 
