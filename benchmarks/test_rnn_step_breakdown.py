@@ -13,16 +13,16 @@ The model-side cost of scoring a flush batch decomposes into four stages:
 
 This benchmark times each stage at several batch-size/length mixes and
 compares the model-only stage (projection + loop, i.e. the batched gate
-extraction) across the sequence backends against the **reference loop** —
+extraction) in both serving precisions against the **reference loop** —
 the allocating per-step implementation, embedded below verbatim so the
 comparison survives future edits to the live code.
 
 Random weights are used deliberately: gate-extraction time is independent of
 what the weights converged to, and skipping the training fixture keeps the
 benchmark self-contained.  The float64 ``gru`` path must reproduce the
-reference *bit-for-bit* (it is the correctness oracle); the float32 and int8
-serving paths are where the speed lives, and the committed results file
-records all of it.
+reference *bit-for-bit* (it is the correctness oracle); the float32 serving
+path is where the speed lives, and the committed results file records all
+of it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from repro.core.config import ClapConfig
 from repro.core.detector import adversarial_score_batch
 from repro.features.profile import stack_profiles
 from repro.nn.activations import sigmoid
-from repro.nn.backend import GruBackend, QuantizedGruBackend, convert_backend
+from repro.nn.backend import convert_backend
+from repro.nn.gru import GRUSequenceClassifier
 
 INPUT_SIZE = 32
 HIDDEN_SIZE = 32
@@ -62,7 +63,7 @@ class ReferenceGru:
     same weights as the live backend.
     """
 
-    def __init__(self, backend: GruBackend):
+    def __init__(self, backend: GRUSequenceClassifier):
         self.weight_input = backend.gru.weight_input.copy()
         self.weight_hidden = backend.gru.weight_hidden.copy()
         self.bias = backend.gru.bias.copy()
@@ -158,22 +159,20 @@ def _best(fn, repeats: int = REPEATS) -> float:
 
 def test_rnn_step_breakdown():
     rng = np.random.default_rng(SEED)
-    model = GruBackend(INPUT_SIZE, HIDDEN_SIZE, NUM_CLASSES, seed=SEED)
+    model = GRUSequenceClassifier(INPUT_SIZE, HIDDEN_SIZE, NUM_CLASSES, seed=SEED)
     reference = ReferenceGru(model)
     f32 = convert_backend(model, "gru-f32")
-    quantized = QuantizedGruBackend.quantize(model)
     stack_length = ClapConfig().detector.stack_length
 
     lines = [
         "Per-stage model-time breakdown (GRU input=32, hidden=32, classes=22; "
         f"best of {REPEATS})",
         "reference = the allocating per-step loop frozen in this file; gru = the",
-        "live float64 loop (bit-identical to the reference); gru-f32 /",
-        "quantized-gru = the tolerance-gated serving fast paths.",
+        "live float64 loop (bit-identical to the reference); gru-f32 = the",
+        "tolerance-gated serving fast path.",
         "",
     ]
     f32_speedups = []
-    quantized_speedups = []
     f64_speedups = []
 
     for name, count, low, high in MIXES:
@@ -194,7 +193,6 @@ def test_rnn_step_breakdown():
 
         f64_seconds = _best(lambda: model.gate_activations_concat(sequences))
         f32_seconds = _best(lambda: f32.gate_activations_concat(sequences))
-        quantized_seconds = _best(lambda: quantized.gate_activations_concat(sequences))
 
         # Stages 3 and 4, shaped like this mix's connections: one context
         # profile per packet, one window error per stacked profile.
@@ -209,7 +207,6 @@ def test_rnn_step_breakdown():
 
         f64_speedups.append(reference_seconds / f64_seconds)
         f32_speedups.append(reference_seconds / f32_seconds)
-        quantized_speedups.append(reference_seconds / quantized_seconds)
 
         lines.append(
             f"mix {name}: {count} connections, lengths {low}-{high} "
@@ -224,7 +221,6 @@ def test_rnn_step_breakdown():
             ("reference (allocating loop)", reference_seconds),
             ("gru (f64)", f64_seconds),
             ("gru-f32", f32_seconds),
-            ("quantized-gru", quantized_seconds),
         ):
             lines.append(
                 f"    {label:<28}{seconds * 1e3:8.2f} ms  "
@@ -239,21 +235,19 @@ def test_rnn_step_breakdown():
         "so it runs at about 1.0x: the sort/chunk/scatter code is its only"
     )
     lines.append(
-        "difference.  The tolerance-gated serving paths (gru-f32,"
+        "difference.  The tolerance-gated serving path (gru-f32) carries the"
     )
     lines.append(
-        "quantized-gru) carry the >= 1.5x acceptance."
+        ">= 1.5x acceptance."
     )
     write_result("rnn_step_breakdown.txt", "\n".join(lines))
 
-    # Acceptance: the fast serving paths clear 1.5x on the model-only stage
+    # Acceptance: the fast serving path clears 1.5x on the model-only stage
     # (measured 1.5-2.2x across mixes on an otherwise idle core).  The
     # per-mix floor is a looser regression tripwire because this host is a
     # single shared core and individual mixes jitter by ~20%.
     assert max(f32_speedups) >= 1.5
     assert min(f32_speedups) >= 1.15
-    assert max(quantized_speedups) >= 1.5
-    assert min(quantized_speedups) >= 1.15
     # The bit-identical f64 loop is the reference loop behind the serving
     # entry point; tripwire a real regression.
     assert min(f64_speedups) >= 0.6

@@ -21,8 +21,8 @@ costs (detector construction and worker start) are measured into a
 separate ``Setup (s)`` column and
 the ``Packets/Second`` column is the steady-state ingest rate; the old
 all-inclusive figure survives as ``Total Pkt/s``.  Backend rows serve the
-same model through the tolerance-gated fast paths (``gru-f32``,
-``quantized-gru``) via ``measure_throughput(..., backend=...)``.
+same model through the tolerance-gated float32 fast path (``gru-f32``) via
+``measure_throughput(..., backend=...)``.
 """
 
 from benchmarks.conftest import host_cores, write_json_result, write_result
@@ -74,7 +74,6 @@ def test_table3_throughput(experiment, benchmark):
     throughput = {
         CLAP_NAME: best_batched(CLAP_NAME),
         "CLAP (gru-f32)": best_batched(CLAP_NAME, backend="gru-f32"),
-        "CLAP (quantized)": best_batched(CLAP_NAME, backend="quantized-gru"),
         BASELINE2_NAME: best_batched(BASELINE2_NAME),
         "CLAP (streaming, 1 worker)": best_streaming(1),
         "CLAP (streaming, 1 worker, gru-f32)": best_streaming(1, backend="gru-f32"),
@@ -93,9 +92,9 @@ def test_table3_throughput(experiment, benchmark):
         f" as one packed column block.  'Setup (s)' isolates each row's fixed"
         f" costs (detector construction and worker start) from the steady-state"
         f" 'Packets/Second'; 'Total Pkt/s' is the old all-inclusive figure."
-        f"  Backend rows serve the fused float32 and int8-quantized fast"
-        f" paths, verdict-identical within their documented tolerance gates"
-        f" (see tests/core/test_backend_equivalence.py)."
+        f"  Backend rows serve the float32 fast path, verdict-identical within"
+        f" its documented tolerance gate (see"
+        f" tests/core/test_backend_equivalence.py)."
     )
     write_result("table3_throughput.txt", text)
     # Machine-readable companion: one row per rendered table row, stamped
@@ -134,14 +133,12 @@ def test_table3_throughput(experiment, benchmark):
     assert clap.packets_per_second > 100
 
     clap_f32 = throughput["CLAP (gru-f32)"]
-    clap_quantized = throughput["CLAP (quantized)"]
-    # The fast serving backends must not regress the end-to-end batched path.
+    # The fast serving backend must not regress the end-to-end batched path.
     # The model-only stage is 1.5-2x faster (see rnn_step_breakdown), but it
     # is only part of the score path, so the whole-path gain is diluted; the
     # tripwire guards against regression rather than asserting the dilution.
-    assert clap_f32.connections == clap_quantized.connections == clap.connections
+    assert clap_f32.connections == clap.connections
     assert clap_f32.packets_per_second > 0.9 * clap.packets_per_second
-    assert clap_quantized.packets_per_second > 0.9 * clap.packets_per_second
 
     streaming_1 = throughput["CLAP (streaming, 1 worker)"]
     streaming_f32 = throughput["CLAP (streaming, 1 worker, gru-f32)"]

@@ -35,7 +35,7 @@ from repro.core.config import ClapConfig
 from repro.core.pipeline import Clap
 from repro.netstack.flow import assemble_connections
 from repro.netstack.pcap import read_packet_columns, write_pcap
-from repro.nn.backend import available_backends, serving_backends
+from repro.nn.backend import SERVING_BACKENDS
 from repro.serve import (
     DropPolicy,
     FaultSpecError,
@@ -84,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--ae-epochs", type=int, default=None, help="override autoencoder epochs")
     train.add_argument("--no-gate-weights", action="store_true",
                        help="train without the GRU context stage (intra-packet features only)")
-    train.add_argument("--backend", choices=available_backends(), default="gru",
-                       help="sequence backend to persist: the float64 GRU (default) or "
-                            "its int8 weight-quantized conversion (trained as a GRU, "
-                            "quantized before the autoencoder/threshold stages)")
 
     score = subparsers.add_parser("score", help="score a capture with a persisted model")
     score.add_argument("model", type=Path, help="directory containing the trained model")
@@ -98,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only print the N highest-scoring connections")
     score.add_argument("--json", action="store_true",
                        help="emit one JSON document instead of the table")
-    score.add_argument("--backend", choices=serving_backends(), default=None,
+    score.add_argument("--backend", choices=SERVING_BACKENDS, default=None,
                        help="serve through this sequence backend instead of the persisted "
                             "one (converted in memory; scores stay within the documented "
                             "equivalence tolerance)")
@@ -173,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit only threshold-exceeding connections")
     stream.add_argument("--metrics", action="store_true",
                         help="print the runtime metrics summary to stderr at end of stream")
-    stream.add_argument("--backend", choices=serving_backends(), default=None,
+    stream.add_argument("--backend", choices=SERVING_BACKENDS, default=None,
                         help="serve through this sequence backend instead of the persisted "
-                             "one (process workers receive the converted model via a "
-                             "temporary artifact)")
+                             "one (process workers score with the converted model)")
 
     strategies = subparsers.add_parser("strategies", help="list the 73 evasion strategies")
     strategies.add_argument("--source", default=None,
@@ -238,7 +233,6 @@ def _training_config(args: argparse.Namespace) -> ClapConfig:
         config.autoencoder.epochs = args.ae_epochs
     if getattr(args, "no_gate_weights", False):
         config.detector.include_gate_weights = False
-    config.rnn.backend = getattr(args, "backend", None) or "gru"
     return config
 
 

@@ -19,12 +19,13 @@ Layout of ``manifest.json`` (schema version 2)::
       "config": {"rnn": {...}, "autoencoder": {...}, "detector": {...}}
     }
 
-Schema version 2 added ``sequence_backend`` — the registered name of the
-Stage-(a) model implementation that produced the persisted weights (see
-:mod:`repro.nn.backend`).  Version-1 manifests (no such field) load as the
-default ``gru`` backend; the authoritative copy of the backend identity also
-lives inside the archive (``rnn/meta/backend``), so even legacy bare ``.npz``
-models (no manifest next to them) remain loadable.
+Schema version 2 added ``sequence_backend`` — the name of the Stage-(a)
+model implementation that produced the persisted weights (see
+:mod:`repro.nn.backend`).  This build writes and loads only ``gru``: a model
+naming any other backend, here or in the archive's copy
+(``rnn/meta/backend``), is refused at load.  Version-1 manifests (no such
+field) mean ``gru``, and legacy bare ``.npz`` models (no manifest next to
+them) remain loadable.
 """
 
 from __future__ import annotations
@@ -62,12 +63,7 @@ def feature_schema_hash() -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def build_manifest(
-    config: ClapConfig,
-    threshold: float,
-    *,
-    backend: str = DEFAULT_SEQUENCE_BACKEND,
-) -> dict[str, object]:
+def build_manifest(config: ClapConfig, threshold: float) -> dict[str, object]:
     """The manifest dictionary for a trained pipeline."""
     return {
         "format": MANIFEST_FORMAT,
@@ -75,25 +71,17 @@ def build_manifest(
         "repro_version": __version__,
         "feature_schema_hash": feature_schema_hash(),
         "threshold": float(threshold),
-        "sequence_backend": str(backend),
+        "sequence_backend": DEFAULT_SEQUENCE_BACKEND,
         "config": dataclasses.asdict(config),
     }
 
 
-def write_manifest(
-    directory: str | Path,
-    config: ClapConfig,
-    threshold: float,
-    *,
-    backend: str = DEFAULT_SEQUENCE_BACKEND,
-) -> Path:
+def write_manifest(directory: str | Path, config: ClapConfig, threshold: float) -> Path:
     """Write ``manifest.json`` into ``directory`` and return its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MANIFEST_FILENAME
-    path.write_text(
-        json.dumps(build_manifest(config, threshold, backend=backend), indent=2) + "\n"
-    )
+    path.write_text(json.dumps(build_manifest(config, threshold), indent=2) + "\n")
     return path
 
 
@@ -136,7 +124,7 @@ def validate_manifest(manifest: dict[str, object]) -> None:
 def backend_from_manifest(manifest: dict[str, object]) -> str:
     """The sequence-backend name a manifest records.
 
-    Schema-version-1 manifests predate pluggable backends and always mean the
+    Schema-version-1 manifests predate the field and always mean the
     default ``gru``.
     """
     backend = manifest.get("sequence_backend", DEFAULT_SEQUENCE_BACKEND)

@@ -27,10 +27,10 @@ class RnnConfig:
     learning_rate: float = 0.005
     gradient_clip: float = 5.0
     seed: int = 7
-    #: Registered sequence-backend name (see :mod:`repro.nn.backend`).  A
-    #: non-trainable backend (e.g. ``quantized-gru``) is produced by training
-    #: its ``training_backend`` and converting after Stage-(a) training, so
-    #: the autoencoder and threshold calibrate on the serving-path gates.
+    #: Serving precision of the GRU (see :mod:`repro.nn.backend`): ``gru``
+    #: or ``gru-f32``.  Training always runs in float64; ``gru-f32`` casts
+    #: the trained model before the autoencoder and threshold calibrate, and
+    #: ``Clap.load`` re-applies it to the persisted ``gru`` weights.
     backend: str = "gru"
 
 

@@ -2,8 +2,8 @@
 
 The float64 ``gru`` backend is the oracle: its packed gate loop is
 bit-identical to the seed implementation, so its adversarial scores define
-ground truth.  A reduced-precision serving path (``gru-f32``,
-``quantized-gru``) is admissible only if, on a scoring corpus,
+ground truth.  The reduced-precision serving path (``gru-f32``) is
+admissible only if, on a scoring corpus,
 
 1. every adversarial score stays within ``atol + rtol * |reference|`` of the
    oracle score, and
@@ -17,11 +17,10 @@ the message) when either condition is violated; the CI ``backend-smoke`` job
 and ``tests/core/test_backend_equivalence.py`` run it over the full
 73-scenario adversarial corpus.
 
-The shipped tolerances are measured, not aspirational: on the 73-scenario
-corpus the float32 path lands ~1e-8 relative and the int8 path ~1e-3
-relative of the float64 scores (see the values documented on
-:data:`FLOAT32_TOLERANCE` / :data:`INT8_TOLERANCE`); the gates sit an order
-of magnitude above the observed deltas so they trip on regressions, not on
+The shipped tolerance is measured, not aspirational: on the 73-scenario
+corpus the float32 path lands ~1e-8 relative of the float64 scores (see the
+value documented on :data:`FLOAT32_TOLERANCE`); the gate sits orders of
+magnitude above the observed deltas so it trips on regressions, not on
 benign jitter.
 """
 
@@ -35,7 +34,6 @@ import numpy as np
 __all__ = [
     "EquivalenceTolerance",
     "FLOAT32_TOLERANCE",
-    "INT8_TOLERANCE",
     "tolerance_for",
     "EquivalenceReport",
     "BackendEquivalenceError",
@@ -62,14 +60,9 @@ class EquivalenceTolerance:
 #: 73-scenario corpus (gate-level perturbation ~6e-8 per step).
 FLOAT32_TOLERANCE = EquivalenceTolerance(atol=1e-9, rtol=1e-5, name="gru-f32")
 
-#: int8 weight quantization: observed max relative score delta ~2e-3 on the
-#: 73-scenario corpus (per-gate symmetric scales, float32 accumulation).
-INT8_TOLERANCE = EquivalenceTolerance(atol=1e-4, rtol=5e-2, name="quantized-gru")
-
 _NAMED = {
     "gru": EquivalenceTolerance(atol=0.0, rtol=0.0, name="gru"),
     "gru-f32": FLOAT32_TOLERANCE,
-    "quantized-gru": INT8_TOLERANCE,
 }
 
 

@@ -28,6 +28,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.artifacts import (
+    DEFAULT_SEQUENCE_BACKEND,
     ModelManifestError,
     backend_from_manifest,
     config_from_manifest,
@@ -45,8 +46,8 @@ from repro.features.profile import ContextProfileBuilder
 from repro.features.scaling import FeatureScaler
 from repro.netstack.flow import Connection
 from repro.nn.autoencoder import Autoencoder
-from repro.nn.backend import backend_from_state_dict, convert_backend, serving_backend_name
-from repro.nn.gru import GRUSequenceClassifier
+from repro.nn.backend import convert_backend, serving_backend_name
+from repro.nn.gru import GRUSequenceClassifier, decode_backend_name
 from repro.nn.serialization import load_state, save_state
 from repro.utils.rng import ensure_rng
 
@@ -165,21 +166,6 @@ class Clap:
             raise RuntimeError("Clap.fit (or Clap.load) must be called before scoring")
 
     # ---------------------------------------------------------------- backend
-    @property
-    def backend_name(self) -> str:
-        """Persisted identity of the Stage-(a) sequence backend.
-
-        This is the name recorded in ``manifest.json`` / ``rnn/meta/backend``
-        when the pipeline is saved; the serving-only ``gru-f32`` variant
-        reports its persisted identity ``gru`` here (see
-        :meth:`serving_backend` for the effective one).  Pipelines without a
-        sequence model (Baseline #1) report the default ``gru``.
-        """
-        rnn = self.builder.rnn if self.builder is not None else None
-        if rnn is None and self.rnn_stage is not None:
-            rnn = self.rnn_stage.model
-        return getattr(rnn, "backend_name", "gru") if rnn is not None else "gru"
-
     @property
     def serving_backend(self) -> str:
         """The effective serving identity (``gru-f32`` when computing in f32)."""
@@ -334,7 +320,7 @@ class Clap:
             [1 if self.config.detector.include_amplification else 0]
         )
         archive = save_state(directory / "clap_model", state)
-        write_manifest(directory, self.config, self.threshold, backend=self.backend_name)
+        write_manifest(directory, self.config, self.threshold)
         return archive
 
     @classmethod
@@ -381,27 +367,23 @@ class Clap:
         rnn_state = {
             key[len("rnn/") :]: value for key, value in state.items() if key.startswith("rnn/")
         }
-        # The backend identity embedded in the archive (``rnn/meta/backend``)
-        # is authoritative — it dispatches reconstruction through the backend
-        # registry.  The manifest's ``sequence_backend`` field is the
-        # human-readable copy; legacy states (no meta key) load as ``gru``.
-        rnn_model = backend_from_state_dict(rnn_state) if rnn_state else None
-        if manifest is not None and rnn_model is not None:
-            recorded = backend_from_manifest(manifest)
-            if recorded != rnn_model.backend_name:
+        # The sequence backend is recorded in the archive (``rnn/meta/backend``;
+        # legacy states carry none and mean ``gru``) and in the manifest.
+        # Both come from disk, and this build loads only ``gru`` weights.
+        recorded = [decode_backend_name(rnn_state.get("meta/backend"))] if rnn_state else []
+        if manifest is not None:
+            recorded.append(backend_from_manifest(manifest))
+        for name in recorded:
+            if name != DEFAULT_SEQUENCE_BACKEND:
                 raise ModelManifestError(
-                    f"manifest names sequence backend {recorded!r} but the archive "
-                    f"holds {rnn_model.backend_name!r} weights"
+                    f"model holds sequence backend {name!r}, which this build cannot "
+                    f"load (it serves only {DEFAULT_SEQUENCE_BACKEND!r} weights); "
+                    "retrain the model"
                 )
-        if (
-            rnn_model is not None
-            and config.rnn.backend not in ("", rnn_model.backend_name)
-            and config.rnn.backend == "gru-f32"
-            and rnn_model.backend_name == "gru"
-        ):
-            # A converted pipeline saved with a serving override (e.g.
-            # ``gru-f32``) restores that override on load.
-            rnn_model = convert_backend(rnn_model, "gru-f32")
+        rnn_model = GRUSequenceClassifier.from_state_dict(rnn_state) if rnn_state else None
+        if rnn_model is not None and config.rnn.backend == "gru-f32":
+            # A pipeline saved with the float32 override serves it again.
+            rnn_model.set_compute_dtype("float32")
         ae_state = {key[len("ae/") :]: value for key, value in state.items() if key.startswith("ae/")}
         scaler = FeatureScaler.from_arrays(
             {key[len("scaler/") :]: value for key, value in state.items() if key.startswith("scaler/")}

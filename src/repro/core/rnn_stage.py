@@ -20,7 +20,7 @@ from repro.features.fields import RawFeatureExtractor
 from repro.features.scaling import FeatureScaler
 from repro.netstack.columns import column_trains
 from repro.netstack.flow import Connection
-from repro.nn.backend import convert_backend, get_backend
+from repro.nn.backend import convert_backend
 from repro.nn.gru import GRUSequenceClassifier
 from repro.tcpstate.conntrack import ConnectionLabeler
 from repro.tcpstate.states import NUM_LABEL_CLASSES, label_names
@@ -86,21 +86,6 @@ class RnnStage:
         return self.extractor.extract_packet_trains(trains), self.labeler.class_indices(trains)
 
     # -------------------------------------------------------------- training
-    def _training_class(self):
-        """The trainable backend class behind ``config.backend``.
-
-        Serving-only identities train their designated ``training_backend``
-        (e.g. ``quantized-gru`` trains a ``gru`` and converts afterwards); the
-        ``gru-f32`` serving variant likewise trains the float64 ``gru``.
-        """
-        name = self.config.backend
-        if name == "gru-f32":
-            name = "gru"
-        backend_cls = get_backend(name)
-        if not backend_cls.trainable:
-            backend_cls = get_backend(backend_cls.training_backend)
-        return backend_cls
-
     def fit(self, connections: Sequence[Connection], *, verbose: bool = False) -> RnnTrainingReport:
         """Train the GRU classifier on benign ``connections``."""
         return self.fit_prepared(*self.prepare(connections), verbose=verbose)
@@ -119,7 +104,7 @@ class RnnStage:
         self.scaler = FeatureScaler.fit(feature_arrays)
         scaled_arrays = self.scaler.transform_all(feature_arrays)
 
-        self.model = self._training_class()(
+        self.model = GRUSequenceClassifier(
             input_size=self.config.input_size,
             hidden_size=self.config.hidden_size,
             num_classes=self.config.num_classes,
@@ -143,9 +128,10 @@ class RnnStage:
             if verbose:
                 print(f"rnn epoch {epoch + 1}/{self.config.epochs}: loss={loss_history[-1]:.4f}")
 
-        # Convert to the requested serving backend *before* evaluation, so
-        # the reported accuracy — and everything downstream (autoencoder
-        # training, threshold calibration) — sees the serving-path gates.
+        # Training always runs the float64 GRU.  A ``gru-f32`` config casts
+        # it *before* evaluation, so the reported accuracy — and everything
+        # downstream (autoencoder training, threshold calibration) — sees
+        # the serving-path gates.
         if self.config.backend != self.model.backend_name:
             self.model = convert_backend(self.model, self.config.backend)
 

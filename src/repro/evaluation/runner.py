@@ -320,9 +320,9 @@ class ExperimentRunner:
         setup-inclusive figure still available as
         :attr:`ThroughputResult.total_packets_per_second`.
 
-        ``backend`` converts the detector to an alternative sequence backend
-        (``gru-f32``, ``quantized-gru``, …) before the clock starts; ``None``
-        times the detector as fitted.
+        ``backend`` converts the detector to the other serving precision
+        (``gru-f32``) before the clock starts; ``None`` times the detector as
+        fitted.
         """
         detector = self.detectors[detector_name]
         resolved_backend = backend or getattr(detector, "serving_backend", "gru")

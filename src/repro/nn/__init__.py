@@ -17,16 +17,10 @@ from repro.nn.activations import (
 )
 from repro.nn.autoencoder import Autoencoder, symmetric_layer_sizes
 from repro.nn.backend import (
-    GruBackend,
-    QuantizedGruBackend,
+    SERVING_BACKENDS,
     SequenceBackend,
-    available_backends,
-    backend_from_state_dict,
     convert_backend,
-    get_backend,
-    register_backend,
     serving_backend_name,
-    serving_backends,
 )
 from repro.nn.dense import Dense
 from repro.nn.gru import (
@@ -46,31 +40,25 @@ __all__ = [
     "Dense",
     "GRULayer",
     "GRUSequenceClassifier",
-    "GruBackend",
     "GruForwardResult",
     "GruStepCache",
     "L1Loss",
     "MSELoss",
     "Optimizer",
-    "QuantizedGruBackend",
+    "SERVING_BACKENDS",
     "SGD",
     "SequenceBackend",
     "SoftmaxCrossEntropy",
-    "available_backends",
-    "backend_from_state_dict",
     "convert_backend",
     "get_activation",
-    "get_backend",
     "glorot_uniform",
     "identity",
     "leaky_relu",
     "load_state",
     "orthogonal",
-    "register_backend",
     "relu",
     "save_state",
     "serving_backend_name",
-    "serving_backends",
     "sigmoid",
     "softmax",
     "symmetric_layer_sizes",

@@ -45,10 +45,10 @@ def encode_backend_name(name: str) -> np.ndarray:
     return np.frombuffer(name.encode("utf-8"), dtype=np.uint8).copy()
 
 
-def decode_backend_name(value: np.ndarray | None, default: str = "gru") -> str:
-    """Inverse of :func:`encode_backend_name`; legacy states map to ``default``."""
+def decode_backend_name(value: np.ndarray | None) -> str:
+    """Inverse of :func:`encode_backend_name`; legacy states map to ``gru``."""
     if value is None:
-        return default
+        return "gru"
     return bytes(np.asarray(value, dtype=np.uint8)).decode("utf-8")
 
 
@@ -399,17 +399,11 @@ class GRUSequenceClassifier:
     ``parameters`` builds the model around loaded arrays instead of
     initialising it from ``seed`` (see :meth:`from_state_dict`).
 
-    The class is also the reference :class:`repro.nn.backend.SequenceBackend`
-    implementation (``backend_name``/``trainable`` below are the protocol's
-    identity attributes; :class:`repro.nn.backend.GruBackend` is its
-    registered alias).
+    The class is also the :class:`repro.nn.backend.SequenceBackend`
+    implementation; ``backend_name`` is the identity its state records.
     """
 
     backend_name = "gru"
-    trainable = True
-    #: Backend to train when this one is inference-only (protocol hook; the
-    #: reference implementation trains itself).
-    training_backend: str | None = None
 
     def __init__(
         self,

@@ -39,15 +39,14 @@ LATENCY_BUCKET_EDGES: tuple[float, ...] = (
 class LatencyHistogram:
     """Fixed-bucket latency histogram (Prometheus-style, cumulative render)."""
 
-    def __init__(self, edges: tuple[float, ...] = LATENCY_BUCKET_EDGES) -> None:
-        self.edges = tuple(float(edge) for edge in edges)
-        self.counts = [0] * (len(self.edges) + 1)
+    def __init__(self) -> None:
+        self.counts = [0] * (len(LATENCY_BUCKET_EDGES) + 1)
         self.total = 0.0
         self.count = 0
         self.max = 0.0
 
     def observe(self, seconds: float) -> None:
-        self.counts[bisect_right(self.edges, seconds)] += 1
+        self.counts[bisect_right(LATENCY_BUCKET_EDGES, seconds)] += 1
         self.total += seconds
         self.count += 1
         if seconds > self.max:
@@ -61,7 +60,7 @@ class LatencyHistogram:
         buckets = {}
         cumulative = 0
         # counts carries one extra overflow bucket beyond the last edge (le_inf).
-        for edge, bucket_count in zip(self.edges, self.counts, strict=False):
+        for edge, bucket_count in zip(LATENCY_BUCKET_EDGES, self.counts, strict=False):
             cumulative += bucket_count
             buckets[f"le_{edge:g}"] = cumulative
         buckets["le_inf"] = self.count
@@ -339,16 +338,6 @@ class StreamingMetrics:
             self._worker_states[worker] = dict(state)
 
     # -------------------------------------------------------------- reporting
-    @property
-    def total_packets(self) -> int:
-        with self._lock:
-            return sum(self.packets_ingested)
-
-    @property
-    def total_completions(self) -> int:
-        snap = self.snapshot()
-        return sum(snap["completions_by_reason"].values())  # type: ignore[union-attr]
-
     def snapshot(self, occupancy: list[int] | None = None) -> dict[str, object]:
         """One JSON-friendly dict with every signal (for logs / the CLI).
 
@@ -357,7 +346,7 @@ class StreamingMetrics:
         """
         with self._lock:
             scored = self.connections_scored
-            latency = LatencyHistogram(self.flush_latency.edges)
+            latency = LatencyHistogram()
             latency.counts = list(self.flush_latency.counts)
             latency.total = self.flush_latency.total
             latency.count = self.flush_latency.count

@@ -182,7 +182,6 @@ class _WorkerSpec:
     #: scores with the parent's pipeline.
     model_dir: str | None
     threshold: float
-    top_n: int
     #: Incarnation counter: bumped on every respawn so the parent can drop
     #: stale result-queue messages posted by a dead predecessor.
     generation: int = 0
@@ -252,7 +251,6 @@ def _process_worker_main(
                     list(zip(connections, reasons, strict=True)),
                     len(connections),
                     spec.threshold,
-                    spec.top_n,
                     metrics,
                     events.extend,
                 )
@@ -435,7 +433,7 @@ class ParallelStreamingDetector(StreamingDetector):
             artifact = str(model_dir)
         _trim_heap()
         for index in range(self.workers):
-            spec = _WorkerSpec(index, artifact, self.threshold, self.top_n)
+            spec = _WorkerSpec(index, artifact, self.threshold)
             self._shards.append(
                 _ProcessShard(index, spec, self._start_worker(spec, f"clap-shard-{index}"))
             )
@@ -569,7 +567,6 @@ class ParallelStreamingDetector(StreamingDetector):
                         list(grain),
                         len(grain),
                         self.threshold,
-                        self.top_n,
                         self.metrics,
                         events.extend,
                     )

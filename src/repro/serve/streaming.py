@@ -60,7 +60,6 @@ def drain_pending(
     pending: list[tuple[Connection, CompletionReason]],
     max_batch: int,
     threshold: float,
-    top_n: int,
     metrics: StreamingMetrics,
     emit: Callable[[list[DetectionEvent]], None],
 ) -> list[DetectionEvent]:
@@ -80,7 +79,7 @@ def drain_pending(
         grain = pending[:size]
         connections = [connection for connection, _ in grain]
         started = time.perf_counter()
-        results = clap.detect_batch(connections, threshold=threshold, top_n=top_n)
+        results = clap.detect_batch(connections, threshold=threshold)
         metrics.record_flush(size, time.perf_counter() - started)
         del pending[:size]
         events = []
@@ -139,8 +138,6 @@ class StreamingDetector:
         Micro-batching behaviour; see :class:`FlushPolicy`.
     threshold:
         Operating threshold; defaults to the pipeline's calibrated one.
-    top_n:
-        How many suspicious packet positions to localise per connection.
     idle_timeout / close_grace / max_flows / max_packets:
         Forwarded to the underlying :class:`~repro.netstack.flow.FlowTable`.
     on_event / on_alert:
@@ -153,7 +150,8 @@ class StreamingDetector:
         capacity-evicted flows before they are scored; by default every
         completion is scored.
 
-    Every detector records into its own
+    Every event localises its connection's one most suspicious packet
+    position.  Every detector records into its own
     :class:`~repro.serve.metrics.StreamingMetrics`, :attr:`metrics`.
     """
 
@@ -163,7 +161,6 @@ class StreamingDetector:
         *,
         flush_policy: FlushPolicy | None = None,
         threshold: float | None = None,
-        top_n: int = 1,
         idle_timeout: float = 60.0,
         close_grace: float = 1.0,
         max_flows: int | None = None,
@@ -175,7 +172,6 @@ class StreamingDetector:
         self.clap = clap
         self.policy = flush_policy or FlushPolicy()
         self.threshold = clap.threshold if threshold is None else float(threshold)
-        self.top_n = int(top_n)
         self.on_event = on_event
         self.on_alert = on_alert
         self.drop_policy = drop_policy
@@ -249,7 +245,6 @@ class StreamingDetector:
             self._pending,
             self.policy.max_batch,
             self.threshold,
-            self.top_n,
             self.metrics,
             self._dispatch,
         )

@@ -62,9 +62,6 @@ class TestManifestHelpers:
         manifest = build_manifest(ClapConfig(), threshold=0.0)
         assert manifest["sequence_backend"] == "gru"
         assert backend_from_manifest(manifest) == "gru"
-        manifest = build_manifest(ClapConfig(), threshold=0.0, backend="quantized-gru")
-        validate_manifest(manifest)
-        assert backend_from_manifest(manifest) == "quantized-gru"
 
     def test_schema_v1_manifests_default_to_the_gru_backend(self):
         """Backward compatibility: pre-backend manifests carry no
@@ -147,6 +144,52 @@ class TestPersistedArtifacts:
         assert loaded.config.rnn.epochs == 123
         # And the caller's object is never mutated by the persisted settings.
         assert config.detector.stack_length == ClapConfig().detector.stack_length
+
+
+class TestRemovedBackendArtifacts:
+    """Only ``gru`` weights load.  An artifact naming another sequence
+    backend, such as the int8 ``quantized-gru`` models earlier builds wrote
+    (int8 ``quant/gru/W``/``quant/gru/U`` blocks with per-gate scales in
+    place of ``gru/W``/``gru/U``), is refused with a retrain message — in
+    the archive or in the manifest, eagerly or mapped."""
+
+    @staticmethod
+    def _quantized_archive(model_dir):
+        """Rewrite ``model_dir``'s Stage-(a) weights in the int8 layout."""
+        from repro.nn.gru import encode_backend_name
+        from repro.nn.serialization import save_state
+
+        state = dict(load_state(model_dir / "clap_model.npz"))
+        for key in ("rnn/gru/W", "rnn/gru/U"):
+            weights = state.pop(key)
+            scales = np.abs(weights).reshape(weights.shape[0], 3, -1).max(axis=(0, 2)) / 127.0
+            state[f"rnn/quant/{key[4:]}"] = np.rint(
+                weights / np.repeat(scales, weights.shape[1] // 3)
+            ).astype(np.int8)
+            state[f"rnn/quant/{key[4:]}/scale"] = scales
+        state["rnn/meta/backend"] = encode_backend_name("quantized-gru")
+        save_state(model_dir / "clap_model", state)
+
+    @staticmethod
+    def _name_in_manifest(model_dir):
+        manifest_path = model_dir / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sequence_backend"] = "quantized-gru"
+        manifest["config"]["rnn"]["backend"] = "quantized-gru"
+        manifest_path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    @pytest.mark.parametrize("recorded_in", ["archive and manifest", "archive", "manifest"])
+    def test_quantized_artifact_is_refused(self, trained_clap, tmp_path, recorded_in, mmap_mode):
+        trained_clap.save(tmp_path)
+        if "archive" in recorded_in:
+            self._quantized_archive(tmp_path)
+        if "manifest" in recorded_in:
+            self._name_in_manifest(tmp_path)
+        else:
+            (tmp_path / MANIFEST_FILENAME).unlink()  # a bare archive
+        with pytest.raises(ModelManifestError, match=r"'quantized-gru'.*retrain"):
+            Clap.load(tmp_path, mmap_mode=mmap_mode)
 
 
 class TestMmapArtifacts:

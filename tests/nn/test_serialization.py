@@ -117,12 +117,9 @@ class TestLoadWithoutInit:
         initialiser runs and no generator is created."""
         from repro.nn import dense, gru
         from repro.nn.autoencoder import Autoencoder
-        from repro.nn.backend import GruBackend, QuantizedGruBackend, backend_from_state_dict
 
-        classifier = GruBackend(4, 5, 3, seed=1)
         models = {
-            "gru": classifier,
-            "quantized": QuantizedGruBackend.quantize(classifier),
+            "gru": gru.GRUSequenceClassifier(4, 5, 3, seed=1),
             "ae": Autoencoder(8, bottleneck_size=2, depth=3, seed=1),
         }
         paths = {name: save_state(tmp_path / name, model.state_dict()) for name, model in models.items()}
@@ -137,7 +134,7 @@ class TestLoadWithoutInit:
         for name, model in models.items():
             for mmap_mode in (None, "r"):
                 state = load_state(paths[name], mmap_mode=mmap_mode)
-                load = Autoencoder.from_state_dict if name == "ae" else backend_from_state_dict
+                load = Autoencoder.from_state_dict if name == "ae" else gru.GRUSequenceClassifier.from_state_dict
                 restored = load(state)
                 assert type(restored) is type(model)
                 for key, value in model.parameters.items():

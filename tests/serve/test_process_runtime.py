@@ -273,7 +273,7 @@ class TestBackendProcessParity:
     process runtime's mmap model sharing — workers reconstruct the backend
     named in the artifact and score identically to the thread runtime."""
 
-    @pytest.fixture(scope="class", params=["gru-f32", "quantized-gru"])
+    @pytest.fixture(scope="class", params=["gru-f32"])
     def backend_setup(self, request, trained_clap, tmp_path_factory):
         converted = trained_clap.with_backend(request.param)
         directory = tmp_path_factory.mktemp("backend-model") / request.param

@@ -29,12 +29,11 @@ class TestParser:
 
     def test_backend_flags(self):
         parser = build_parser()
-        assert parser.parse_args(["train", "m", "--backend", "quantized-gru"]).backend == "quantized-gru"
         assert parser.parse_args(["score", "m", "c.pcap", "--backend", "gru-f32"]).backend == "gru-f32"
-        assert parser.parse_args(["stream", "m", "c.pcap", "--backend", "quantized-gru"]).backend == "quantized-gru"
+        assert parser.parse_args(["stream", "m", "c.pcap", "--backend", "gru-f32"]).backend == "gru-f32"
         assert parser.parse_args(["score", "m", "c.pcap"]).backend is None
         with pytest.raises(SystemExit):
-            parser.parse_args(["train", "m", "--backend", "gru-f32"])  # serving-only
+            parser.parse_args(["train", "m", "--backend", "gru-f32"])  # train has no --backend
         with pytest.raises(SystemExit):
             parser.parse_args(["score", "m", "c.pcap", "--backend", "mamba"])
 
@@ -179,7 +178,7 @@ class TestTrainAndScore:
         main(["generate", str(capture), "--connections", "5", "--seed", "31"])
         capsys.readouterr()
         scores = {}
-        for backend in (None, "gru", "gru-f32", "quantized-gru"):
+        for backend in (None, "gru", "gru-f32"):
             arguments = ["score", str(trained_model_dir), str(capture), "--json"]
             if backend is not None:
                 arguments += ["--backend", backend]
@@ -187,26 +186,8 @@ class TestTrainAndScore:
             payload = json.loads(capsys.readouterr().out)
             scores[backend or "default"] = [e["score"] for e in payload["results"]]
         assert scores["default"] == scores["gru"]  # explicit gru is a no-op
-        for fast, tolerance in (("gru-f32", 1e-5), ("quantized-gru", 5e-2)):
-            for reference, candidate in zip(scores["default"], scores[fast]):
-                assert abs(candidate - reference) <= tolerance * max(abs(reference), 1e-9)
-
-    def test_train_with_quantized_backend_persists_it(self, tmp_path, capsys):
-        model_dir = tmp_path / "quantized"
-        code = main([
-            "train", str(model_dir), "--connections", "12", "--seed", "4",
-            "--fast", "--rnn-epochs", "2", "--ae-epochs", "5",
-            "--backend", "quantized-gru",
-        ])
-        assert code == 0
-        manifest = json.loads((model_dir / "manifest.json").read_text())
-        assert manifest["sequence_backend"] == "quantized-gru"
-        capture = tmp_path / "q.pcap"
-        main(["generate", str(capture), "--connections", "3", "--seed", "12"])
-        capsys.readouterr()
-        assert main(["score", str(model_dir), str(capture), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["results"]) == 3
+        for reference, candidate in zip(scores["default"], scores["gru-f32"]):
+            assert abs(candidate - reference) <= 1e-5 * max(abs(reference), 1e-9)
 
     def test_incompatible_model_artifact_fails_cleanly(self, trained_model_dir, tmp_path, capsys):
         import shutil
@@ -222,6 +203,26 @@ class TestTrainAndScore:
         capsys.readouterr()
         assert main(["score", str(broken), str(capture)]) == 2
         assert "feature schema" in capsys.readouterr().err
+
+    def test_removed_backend_exits_2(self, trained_model_dir, tmp_path, capsys):
+        """``quantized-gru`` is not a serving backend: asking for it, or
+        scoring a model whose manifest names it, exits 2."""
+        import shutil
+
+        capture = tmp_path / "any.pcap"
+        main(["generate", str(capture), "--connections", "2", "--seed", "8"])
+        with pytest.raises(SystemExit) as exited:
+            main(["score", str(trained_model_dir), str(capture), "--backend", "quantized-gru"])
+        assert exited.value.code == 2
+        stale = tmp_path / "stale-model"
+        shutil.copytree(trained_model_dir, stale)
+        manifest_path = stale / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sequence_backend"] = "quantized-gru"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["score", str(stale), str(capture)]) == 2
+        assert "'quantized-gru'" in capsys.readouterr().err
 
     def test_score_rejects_non_pcap_input_cleanly(self, tmp_path, trained_model_dir, capsys):
         bogus = tmp_path / "bogus.pcap"
@@ -282,20 +283,20 @@ class TestStreamCommand:
         self, trained_model_dir, tmp_path, capsys
     ):
         """--backend on stream serves the same converted model as on score —
-        thread and process workers included (the process pool receives the
-        converted model via a temporary artifact)."""
+        thread and process workers included (forked process workers score
+        with the converted pipeline)."""
         capture = tmp_path / "backend-stream.pcap"
         main(["generate", str(capture), "--connections", "4", "--seed", "29"])
         capsys.readouterr()
         assert main(["score", str(trained_model_dir), str(capture), "--json",
-                     "--backend", "quantized-gru"]) == 0
+                     "--backend", "gru-f32"]) == 0
         forensic = json.loads(capsys.readouterr().out)
         expected = sorted(
             (entry["connection"], round(entry["score"], 9)) for entry in forensic["results"]
         )
         for extra in ([], ["--workers", "2", "--worker-mode", "process"]):
             assert main(["stream", str(trained_model_dir), str(capture),
-                         "--backend", "quantized-gru"] + extra) == 0
+                         "--backend", "gru-f32"] + extra) == 0
             events = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
             got = sorted((e["connection"], round(e["score"], 9)) for e in events)
             assert got == expected

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Sequence-backend smoke test for CI.
 
-Exercises the pluggable backend surface end to end with no fixtures: train a
-deliberately tiny model per trainable backend, round-trip every serving
-backend through ``save``/``Clap.load`` both eagerly and via read-only mmap,
-and check that ``score --json`` emits the same verdicts across ``--backend``
-paths within each backend's documented equivalence tolerance
-(:mod:`repro.core.equivalence`).  The point is not accuracy — it is that the
-backend registry, the manifest identity and the conversion paths hold
-together as a process would run them.
+Exercises the two serving precisions of the GRU (``gru``, ``gru-f32``) end
+to end with no fixtures: train one deliberately tiny model, round-trip each
+serving backend through ``save``/``Clap.load`` both eagerly and via
+read-only mmap, and check that ``score --json`` emits the same verdicts
+across ``--backend`` paths within each backend's documented equivalence
+tolerance (:mod:`repro.core.equivalence`).  The point is not accuracy — it
+is that the manifest identity and the conversion paths hold together as a
+process would run them.
 
 Run with:  PYTHONPATH=src python tools/backend_smoke.py
 """
@@ -29,13 +29,9 @@ from repro.core.equivalence import score_equivalence_report, tolerance_for
 from repro.core.pipeline import Clap
 from repro.netstack.flow import assemble_connections
 from repro.netstack.pcap import read_packet_columns
-from repro.nn.backend import available_backends, serving_backends
+from repro.nn.backend import SERVING_BACKENDS
 
 CONNECTIONS = 24
-# The registries sort their names, so "gru", the reference that the score
-# check compares every other serving backend against, comes first.
-SERVING_BACKENDS = tuple(serving_backends())
-TRAINING_BACKENDS = tuple(available_backends())
 
 
 def run(argv: list, capture: bool = False) -> tuple:
@@ -69,26 +65,19 @@ def main() -> int:
         if code != 0:
             return fail("generate exited non-zero")
 
-        # One tiny model per trainable backend; each must save a loadable
-        # artifact whose manifest records the backend identity.
-        model_dirs = {}
-        for backend in TRAINING_BACKENDS:
-            model_dir = work / f"model-{backend}"
-            code, _ = run(["train", str(model_dir), "--pcap", str(capture_path),
-                           "--fast", "--rnn-epochs", "3", "--ae-epochs", "10",
-                           "--seed", "11", "--backend", backend])
-            if code != 0:
-                return fail(f"train --backend {backend} exited non-zero")
-            manifest = json.loads((model_dir / "manifest.json").read_text())
-            if manifest["sequence_backend"] != backend:
-                return fail(
-                    f"manifest records {manifest['sequence_backend']!r} "
-                    f"for a --backend {backend} model"
-                )
-            model_dirs[backend] = model_dir
+        # One tiny model, which must save a loadable artifact whose manifest
+        # records the gru identity.
+        base_dir = work / "model"
+        code, _ = run(["train", str(base_dir), "--pcap", str(capture_path),
+                       "--fast", "--rnn-epochs", "3", "--ae-epochs", "10",
+                       "--seed", "11"])
+        if code != 0:
+            return fail("train exited non-zero")
+        manifest = json.loads((base_dir / "manifest.json").read_text())
+        if manifest["sequence_backend"] != "gru":
+            return fail(f"manifest records {manifest['sequence_backend']!r}, expected 'gru'")
 
         # Round trip every serving backend eagerly and via read-only mmap.
-        base_dir = model_dirs["gru"]
         base = Clap.load(base_dir)
         for backend in SERVING_BACKENDS:
             converted_dir = work / f"serving-{backend}"
@@ -137,8 +126,8 @@ def main() -> int:
                 return fail(f"--backend {backend}: {report.summary()}")
 
     print(
-        f"backend smoke OK: {len(TRAINING_BACKENDS)} trained backends, "
-        f"{len(SERVING_BACKENDS)} serving backends round-tripped eager+mmap, "
+        f"backend smoke OK: {len(SERVING_BACKENDS)} serving backends "
+        f"round-tripped eager+mmap, "
         f"score --json within tolerance on {CONNECTIONS} connections",
         file=sys.stderr,
     )
