@@ -20,6 +20,7 @@ from repro.core.equivalence import (
     score_equivalence_report,
     tolerance_for,
 )
+from repro.nn.backend import SERVING_BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,25 @@ class TestConvertedPersistence:
         assert manifest["sequence_backend"] == "gru"
         assert manifest["config"]["rnn"]["backend"] == "gru-f32"
 
-        for mmap_mode in (None, "r"):
-            restored = Clap.load(directory, mmap_mode=mmap_mode)
-            assert restored.serving_backend == "gru-f32"
-            assert np.array_equal(restored.score_connections(scenario_corpus[:8]), expected)
+        restored = Clap.load(directory)
+        assert restored.serving_backend == "gru-f32"
+        assert np.array_equal(restored.score_connections(scenario_corpus[:8]), expected)
+
+    def test_converted_pipeline_round_trips_eager_and_mmap(
+        self, tmp_path, trained_clap, scenario_corpus
+    ):
+        """Clap.load must reconstruct every serving backend from the
+        manifest, eagerly and via read-only mmap, with identical scores."""
+        from repro.core.pipeline import Clap
+
+        for backend in SERVING_BACKENDS:
+            converted = trained_clap.with_backend(backend)
+            expected = converted.score_connections(scenario_corpus[:8])
+            directory = tmp_path / backend
+            converted.save(directory)
+            for mmap_mode in (None, "r"):
+                restored = Clap.load(directory, mmap_mode=mmap_mode)
+                assert restored.serving_backend == backend
+                assert np.array_equal(
+                    restored.score_connections(scenario_corpus[:8]), expected
+                )

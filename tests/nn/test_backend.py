@@ -15,6 +15,7 @@ from repro.nn.gru import (
     decode_backend_name,
     encode_backend_name,
 )
+from repro.nn.serialization import load_state, save_state
 
 from tests.nn.gate_oracle import masked_forward_gates
 
@@ -139,6 +140,51 @@ class TestConvertBackend:
         clone = convert_backend(trained_backend, "gru")
         assert clone is not trained_backend
         assert_gates_equal(gates(clone, sequences), gates(trained_backend, sequences))
+
+    def test_f32_round_trip_preserves_payload(self, trained_backend, sequences):
+        f32 = convert_backend(trained_backend, "gru-f32")
+        again = convert_backend(f32, "gru-f32")
+        assert serving_backend_name(again) == "gru-f32"
+        assert_gates_equal(gates(again, sequences), gates(f32, sequences))
+
+    def test_gru_from_f32_serves_the_float64_masters(self, trained_backend, sequences):
+        """The float32 cast is a compute mode, not a weight change: converting
+        back to ``gru`` restores the oracle bit for bit."""
+        restored = convert_backend(convert_backend(trained_backend, "gru-f32"), "gru")
+        assert serving_backend_name(restored) == "gru"
+        for key, value in trained_backend.parameters.items():
+            assert restored.parameters[key].dtype == np.float64
+            assert np.array_equal(restored.parameters[key], value)
+        assert_gates_equal(gates(restored, sequences), gates(trained_backend, sequences))
+
+    def test_f32_state_dict_round_trip_eager_and_mmap(self, tmp_path, trained_backend, sequences):
+        """An f32 model persists its float64 masters under the ``gru`` name;
+        eager and read-only mmap loads both rebuild the oracle."""
+        state = convert_backend(trained_backend, "gru-f32").state_dict()
+        assert decode_backend_name(state["meta/backend"]) == "gru"
+        assert state["gru/W"].dtype == np.float64
+
+        path = save_state(tmp_path / "f32.npz", state)
+        reference = gates(trained_backend, sequences)
+        for candidate in (
+            GRUSequenceClassifier.from_state_dict(state),
+            GRUSequenceClassifier.from_state_dict(dict(load_state(path, mmap_mode="r"))),
+        ):
+            assert serving_backend_name(candidate) == "gru"
+            assert_gates_equal(gates(candidate, sequences), reference)
+
+    def test_training_refreshes_the_f32_cast(self, trained_backend, sequences):
+        """A training step drops the cached float32 weights, so an f32 model
+        never serves gates of the weights before the step."""
+        f32 = convert_backend(trained_backend, "gru-f32")
+        before = gates(f32, sequences)
+        rng = np.random.default_rng(5)
+        f32.train_batch(rng.normal(size=(4, 6, 5)), rng.integers(0, 3, size=(4, 6)))
+        after = gates(f32, sequences)
+        assert not np.array_equal(after[0], before[0])
+        oracle = gates(convert_backend(f32, "gru"), sequences)
+        for ref, got in zip(oracle, after, strict=True):
+            np.testing.assert_allclose(got, ref, atol=1e-5, rtol=0)
 
     def test_conversion_never_mutates_the_source(self, trained_backend):
         before = {key: value.copy() for key, value in trained_backend.parameters.items()}

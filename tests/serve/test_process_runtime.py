@@ -24,6 +24,7 @@ from repro.netstack.columns import PacketColumns
 from repro.netstack.flow import CompletionReason, assemble_connections
 from repro.netstack.flow import packet_stream as _packet_stream
 from repro.netstack.pcap import write_pcap
+from repro.nn.backend import SERVING_BACKENDS
 from repro.serve import (
     DropPolicy,
     FlushPolicy,
@@ -269,11 +270,11 @@ class TestProcessEquivalence:
 
 
 class TestBackendProcessParity:
-    """ISSUE-6 satellite: converted sequence backends must survive the
-    process runtime's mmap model sharing — workers reconstruct the backend
-    named in the artifact and score identically to the thread runtime."""
+    """Every serving backend must survive the process runtime's mmap model
+    sharing: workers reconstruct the backend named in the artifact and
+    score identically to the thread runtime."""
 
-    @pytest.fixture(scope="class", params=["gru-f32"])
+    @pytest.fixture(scope="class", params=SERVING_BACKENDS)
     def backend_setup(self, request, trained_clap, tmp_path_factory):
         converted = trained_clap.with_backend(request.param)
         directory = tmp_path_factory.mktemp("backend-model") / request.param
